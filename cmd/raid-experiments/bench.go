@@ -52,18 +52,9 @@ func runBench(args []string) {
 		minRatio   = fs.Float64("min-ratio", 0.3, "fail if the anchor pass ops/sec < min-ratio x baseline's (generous: CI runners vary)")
 	)
 	fs.Parse(args)
-	outSet, sitesSet, itemsSet := false, false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "o":
-			outSet = true
-		case "sites":
-			sitesSet = true
-		case "items":
-			itemsSet = true
-		}
-	})
-	if !outSet {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["o"] {
 		if *wan != "" {
 			*out = "BENCH_wan.json"
 		} else {
@@ -72,13 +63,23 @@ func runBench(args []string) {
 	}
 
 	if *wan != "" {
-		if !sitesSet {
-			*sites = 0 // let the WAN bench default apply (6: two per wan3 region)
+		cfg := experiment.WANBenchConfig{
+			Base:        experiment.Config{Seed: *seed},
+			Profile:     *wan,
+			Txns:        *txns,
+			Concurrency: *conc,
+			Rate:        *rate,
+			CommitEpoch: *commitLen,
 		}
-		if !itemsSet {
-			*items = 0 // WAN bench default (256: measure the commit protocol, not deadlocks)
+		// Unset, the WAN bench defaults apply: 6 sites (two per wan3
+		// region), 256 items (measure the commit protocol, not deadlocks).
+		if set["sites"] {
+			cfg.Base.Sites = *sites
 		}
-		runWANBenchCmd(*wan, *commitMode, *commitLen, *txns, *sites, *items, *conc, *rate, *seed, *out, *baseline, *minRatio)
+		if set["items"] {
+			cfg.Base.Items = *items
+		}
+		runWANBenchCmd(cfg, *commitMode, *out, *baseline, *minRatio)
 		return
 	}
 
@@ -98,20 +99,25 @@ func runBench(args []string) {
 	}
 	fmt.Println()
 	fmt.Print(rep)
+	finishBench(rep, *out, "serial", rep.Serial, *baseline, *minRatio)
+}
 
-	if *out != "" {
+// finishBench writes the report to out (when set) and, with a baseline,
+// regression-checks the anchor pass against the committed report's pass
+// under the same JSON key.
+func finishBench(rep any, out, anchorKey string, anchor *experiment.BenchMode, baseline string, minRatio float64) {
+	if out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fail(err)
 		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Printf("wrote %s\n", out)
 	}
-
-	if *baseline != "" {
-		if err := checkBaseline(rep, *baseline, *minRatio); err != nil {
+	if baseline != "" {
+		if err := checkBaseline(anchorKey, anchor, baseline, minRatio); err != nil {
 			fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
 			os.Exit(1)
 		}
@@ -122,25 +128,15 @@ func runBench(args []string) {
 // over the same compiled WAN link matrix and the same seeded workload.
 // mode both runs the two passes in one invocation; rowaa or epoch runs
 // one pass and merges it into whatever report already sits at out.
-func runWANBenchCmd(profile, mode string, commitLen time.Duration, txns, sites, items, conc int, rate float64, seed int64, out, baseline string, minRatio float64) {
-	cfg := experiment.WANBenchConfig{
-		Base: experiment.Config{
-			Sites: sites, Items: items, Seed: seed,
-		},
-		Profile:     profile,
-		Txns:        txns,
-		Concurrency: conc,
-		Rate:        rate,
-		CommitEpoch: commitLen,
-	}
+func runWANBenchCmd(cfg experiment.WANBenchConfig, mode, out, baseline string, minRatio float64) {
 	var rep *experiment.WANBenchReport
 	var err error
 	switch mode {
 	case "both", "":
-		header(fmt.Sprintf("WAN commit bench: rowaa vs epoch(%v) on %s, %d txns, degree %d", commitLen, profile, txns, conc))
+		header(fmt.Sprintf("WAN commit bench: rowaa vs epoch(%v) on %s, %d txns, degree %d", cfg.CommitEpoch, cfg.Profile, cfg.Txns, cfg.Concurrency))
 		rep, err = experiment.RunWANBench(cfg)
 	case "rowaa", "epoch":
-		header(fmt.Sprintf("WAN commit bench: %s pass on %s, %d txns, degree %d", mode, profile, txns, conc))
+		header(fmt.Sprintf("WAN commit bench: %s pass on %s, %d txns, degree %d", mode, cfg.Profile, cfg.Txns, cfg.Concurrency))
 		rep, err = experiment.RunWANBenchOne(cfg, mode)
 	default:
 		fail(fmt.Errorf("unknown commit mode %q (want both, rowaa or epoch)", mode))
@@ -153,24 +149,7 @@ func runWANBenchCmd(profile, mode string, commitLen time.Duration, txns, sites, 
 	}
 	fmt.Println()
 	fmt.Print(rep)
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-
-	if baseline != "" {
-		if err := checkWANBaseline(rep, baseline, minRatio); err != nil {
-			fmt.Fprintln(os.Stderr, "raid-experiments: bench:", err)
-			os.Exit(1)
-		}
-	}
+	finishBench(rep, out, "rowaa", rep.ROWAA, baseline, minRatio)
 }
 
 // mergeWANReport folds the other commit mode's pass from an existing
@@ -209,57 +188,39 @@ func mergeWANReport(rep *experiment.WANBenchReport, path string) {
 	}
 }
 
-// checkWANBaseline compares the rowaa pass against a committed
-// BENCH_wan.json. The per-transaction pass is the regression anchor for
-// the same reason the serial pass anchors the soak bench: no batching to
-// hide a protocol slowdown behind.
-func checkWANBaseline(rep *experiment.WANBenchReport, path string, minRatio float64) error {
+// checkBaseline compares the anchor pass's throughput against the pass
+// stored under the same key ("serial", or "rowaa" for the WAN bench) in a
+// committed report. The anchor is the pass with the least machinery to
+// hide a slowdown behind — no concurrency, no batching — so a protocol- or
+// storage-layer regression shows up in it directly, while minRatio absorbs
+// runner-to-runner hardware variance.
+func checkBaseline(key string, got *experiment.BenchMode, path string, minRatio float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	var base experiment.WANBenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
+	var passes map[string]json.RawMessage
+	if err := json.Unmarshal(data, &passes); err != nil {
 		return fmt.Errorf("baseline %s: %w", path, err)
 	}
-	if base.ROWAA == nil || base.ROWAA.OpsPerSec <= 0 {
-		return fmt.Errorf("baseline %s has no rowaa ops/sec", path)
+	var base experiment.BenchMode
+	if raw, ok := passes[key]; ok {
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return fmt.Errorf("baseline %s: %s pass: %w", path, key, err)
+		}
 	}
-	if rep.ROWAA == nil {
-		return fmt.Errorf("no rowaa pass in this run to compare against the baseline")
+	if base.OpsPerSec <= 0 {
+		return fmt.Errorf("baseline %s has no %s ops/sec", path, key)
 	}
-	floor := base.ROWAA.OpsPerSec * minRatio
-	if rep.ROWAA.OpsPerSec < floor {
-		return fmt.Errorf("wan rowaa throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
-			rep.ROWAA.OpsPerSec, floor, minRatio*100, base.ROWAA.OpsPerSec)
+	if got == nil {
+		return fmt.Errorf("no %s pass in this run to compare against the baseline", key)
 	}
-	fmt.Printf("baseline check: wan rowaa %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
-		rep.ROWAA.OpsPerSec, floor, minRatio*100, base.ROWAA.OpsPerSec)
-	return nil
-}
-
-// checkBaseline compares serial throughput against a committed report. The
-// serial pass is the regression anchor: it has no concurrency to hide a
-// slowdown behind, so a protocol- or storage-layer regression shows up in
-// it directly, while minRatio absorbs runner-to-runner hardware variance.
-func checkBaseline(rep *experiment.BenchReport, path string, minRatio float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+	floor := base.OpsPerSec * minRatio
+	if got.OpsPerSec < floor {
+		return fmt.Errorf("%s throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
+			key, got.OpsPerSec, floor, minRatio*100, base.OpsPerSec)
 	}
-	var base experiment.BenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.Serial == nil || base.Serial.OpsPerSec <= 0 {
-		return fmt.Errorf("baseline %s has no serial ops/sec", path)
-	}
-	floor := base.Serial.OpsPerSec * minRatio
-	if rep.Serial.OpsPerSec < floor {
-		return fmt.Errorf("serial throughput regression: %.1f txn/s < %.1f (%.0f%% of baseline %.1f)",
-			rep.Serial.OpsPerSec, floor, minRatio*100, base.Serial.OpsPerSec)
-	}
-	fmt.Printf("baseline check: serial %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
-		rep.Serial.OpsPerSec, floor, minRatio*100, base.Serial.OpsPerSec)
+	fmt.Printf("baseline check: %s %.1f txn/s >= %.1f (%.0f%% of committed %.1f) ok\n",
+		key, got.OpsPerSec, floor, minRatio*100, base.OpsPerSec)
 	return nil
 }

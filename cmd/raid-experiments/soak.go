@@ -241,25 +241,11 @@ func runSoak(args []string) {
 // timer-driven sends, so per-link consumption of the chaos decision stream
 // legitimately differs between bit-identical workloads. Scrub mode is
 // excluded for the same reason — the background scrubber's batches land
-// at wall-clock times, not schedule points. With persistence
-// the re-run gets a fresh state directory so it starts from the same empty
-// stores the first epoch saw.
+// at wall-clock times, not schedule points.
 func verifyRepro(cfg experiment.SoakConfig, first experiment.EpochResult) error {
 	cfg.Seeds = []int64{first.Seed}
 	cfg.EpochsPerSeed = 1
-	cfg.Logf = nil
-	// A proc re-run must boot a fresh fleet on empty stores, not the first
-	// run's WAL trees.
-	cfg.WorkDir = ""
-	if cfg.WALDir != "" {
-		dir, err := os.MkdirTemp("", "raid-soak-repro-")
-		if err != nil {
-			return fmt.Errorf("repro re-run: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		cfg.WALDir = dir
-	}
-	rerun, err := experiment.RunSoak(cfg)
+	rerun, err := rerunSoak(cfg)
 	if err != nil {
 		return fmt.Errorf("repro re-run: %w", err)
 	}
@@ -287,22 +273,30 @@ func verifyRepro(cfg experiment.SoakConfig, first experiment.EpochResult) error 
 	return nil
 }
 
+// rerunSoak runs cfg again, quietly and from empty state: a fresh
+// directory for persisted stores, and for a process fleet a fresh work
+// dir, so it boots on empty WAL trees rather than the first run's.
+func rerunSoak(cfg experiment.SoakConfig) (*experiment.SoakResult, error) {
+	cfg.Logf = nil
+	cfg.WorkDir = ""
+	if cfg.WALDir != "" {
+		dir, err := os.MkdirTemp("", "raid-soak-rerun-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		cfg.WALDir = dir
+	}
+	return experiment.RunSoak(cfg)
+}
+
 // compareTransports re-runs the soak on the in-memory transport and
 // prints the abort-reason profiles side by side: the wire changes framing
 // and delivery mechanics, not protocol outcomes, so the profiles should
 // tell the same story.
 func compareTransports(cfg experiment.SoakConfig, tcpRes *experiment.SoakResult) error {
 	cfg.Transport = "memory"
-	cfg.Logf = nil
-	if cfg.WALDir != "" {
-		dir, err := os.MkdirTemp("", "raid-soak-mem-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		cfg.WALDir = dir
-	}
-	memRes, err := experiment.RunSoak(cfg)
+	memRes, err := rerunSoak(cfg)
 	if err != nil {
 		return fmt.Errorf("in-memory comparison run: %w", err)
 	}

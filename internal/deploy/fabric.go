@@ -1,18 +1,12 @@
 package deploy
 
 import (
-	"errors"
 	"fmt"
-	"os"
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/msg"
 )
-
-// ErrNotSupported marks fabric operations a deployment shape cannot
-// express — OS signals to an in-process site, for example.
-var ErrNotSupported = errors.New("deploy: operation not supported by this fabric")
 
 // Fabric abstracts how a fleet of database sites is deployed, failed and
 // recovered. Two implementations exist:
@@ -25,16 +19,14 @@ var ErrNotSupported = errors.New("deploy: operation not supported by this fabric
 //     binary on the same WAL directory, so recovery runs genuine WAL
 //     replay before the ordinary type-1 rejoin.
 //
-// Everything above the fabric — soak drivers, audits, repair passes —
+// Everything above the fabric — the soak loop, audits, repair passes —
 // talks to the fleet through Manager(), which is the same managing-site
-// control plane either way.
+// control plane either way; Kill and Restart are the only operations
+// whose mechanics the deployment shape decides.
 type Fabric interface {
 	// Manager is the managing-site control plane for the fleet. It
 	// implements cluster.Prober, so the shared audits run over any fabric.
 	Manager() *cluster.Manager
-	// Start launches site id if the fabric starts sites individually.
-	// LocalFabric sites start with the cluster; Start is a no-op there.
-	Start(id core.SiteID) error
 	// Kill fails site id abruptly: FailSim locally, SIGKILL for processes.
 	Kill(id core.SiteID) error
 	// Restart brings a killed site back through full recovery: the site
@@ -42,40 +34,26 @@ type Fabric interface {
 	// control transaction rejoins it. The returned status is the site's
 	// post-recovery state; ErrRecoveryBlocked surfaces unchanged.
 	Restart(id core.SiteID) (*msg.StatusResp, error)
-	// Wait blocks until site id's process (or goroutine) has exited.
-	Wait(id core.SiteID) error
-	// Signal delivers an OS signal to site id's process. In-process
-	// fabrics return ErrNotSupported.
-	Signal(id core.SiteID, sig os.Signal) error
 	// Close tears the whole fleet down.
 	Close() error
 }
 
 // LocalFabric adapts the in-process cluster to the Fabric interface: the
-// deployment shape every experiment used before the process fabric
-// existed, now reachable through the same API.
+// deployment shape of the paper's experiments, reachable through the same
+// API as a process fleet.
 type LocalFabric struct {
 	c *cluster.Cluster
 }
 
-// NewLocalFabric wraps a running cluster. The fabric does not own the
-// cluster's lifetime unless Close is used.
+// NewLocalFabric wraps a running cluster; Close closes it.
 func NewLocalFabric(c *cluster.Cluster) *LocalFabric { return &LocalFabric{c: c} }
 
-// Cluster returns the wrapped cluster, for callers needing in-process
-// extras (chaos stats, link control, per-site metrics).
+// Cluster returns the wrapped cluster, for the steps that act on the
+// in-process wire (chaos stats, link control, per-site metrics).
 func (f *LocalFabric) Cluster() *cluster.Cluster { return f.c }
 
 // Manager implements Fabric.
 func (f *LocalFabric) Manager() *cluster.Manager { return f.c.Manager }
-
-// Start implements Fabric; local sites start with the cluster.
-func (f *LocalFabric) Start(id core.SiteID) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	return nil
-}
 
 // Kill implements Fabric with the paper's simulated failure.
 func (f *LocalFabric) Kill(id core.SiteID) error {
@@ -93,21 +71,6 @@ func (f *LocalFabric) Restart(id core.SiteID) (*msg.StatusResp, error) {
 		return nil, err
 	}
 	return f.c.Recover(id)
-}
-
-// Wait implements Fabric: it blocks until the site's goroutines exit
-// (after a Shutdown or cluster Close).
-func (f *LocalFabric) Wait(id core.SiteID) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.c.Site(id).Wait()
-	return nil
-}
-
-// Signal implements Fabric; in-process sites have no OS process.
-func (f *LocalFabric) Signal(id core.SiteID, sig os.Signal) error {
-	return fmt.Errorf("%w: signal %v to in-process site %s", ErrNotSupported, sig, id)
 }
 
 // Close implements Fabric.

@@ -32,7 +32,7 @@ type ProcConfig struct {
 	WorkDir string
 	// ManagerTimeout bounds managing-site calls. Default 30s.
 	ManagerTimeout time.Duration
-	// StartTimeout bounds how long Start/Restart polls a freshly exec'd
+	// StartTimeout bounds how long boot and Restart poll a freshly exec'd
 	// child for its first status reply. Default 15s.
 	StartTimeout time.Duration
 }
@@ -55,8 +55,7 @@ type childProc struct {
 // the ordinary type-1 recovery, so the rejoin path is byte-for-byte the
 // protocol the paper measures — only the failure underneath is real.
 type ProcFabric struct {
-	spec         *ClusterSpec
-	specPath     string
+	specPath     string // WorkDir/spec.json: every child's -config, and raidctl's
 	binary       string
 	workDir      string
 	startTimeout time.Duration
@@ -135,7 +134,6 @@ func NewProcFabric(cfg ProcConfig) (*ProcFabric, error) {
 		return nil, err
 	}
 	f := &ProcFabric{
-		spec:         &spec,
 		specPath:     specPath,
 		binary:       cfg.Binary,
 		workDir:      cfg.WorkDir,
@@ -157,7 +155,7 @@ func NewProcFabric(cfg ProcConfig) (*ProcFabric, error) {
 	}()
 
 	for i := 0; i < sites; i++ {
-		if err := f.Start(core.SiteID(i)); err != nil {
+		if err := f.startChild(core.SiteID(i), false); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -168,23 +166,9 @@ func NewProcFabric(cfg ProcConfig) (*ProcFabric, error) {
 // Manager implements Fabric.
 func (f *ProcFabric) Manager() *cluster.Manager { return f.mgr }
 
-// Spec returns the effective spec (with the defaulted WAL root), as
-// written to the spec file every child loads.
-func (f *ProcFabric) Spec() *ClusterSpec { return f.spec }
-
-// SpecPath returns the on-disk spec file shared by the fleet — hand it to
-// raidctl's -config to point an interactive manager at the same fleet.
-func (f *ProcFabric) SpecPath() string { return f.specPath }
-
 // LogPath returns site id's captured stdout+stderr log file.
 func (f *ProcFabric) LogPath(id core.SiteID) string {
 	return filepath.Join(f.workDir, fmt.Sprintf("site-%d.log", id))
-}
-
-// Start implements Fabric: it execs raidsrv for site id (operational
-// boot) and waits until the child answers a status probe.
-func (f *ProcFabric) Start(id core.SiteID) error {
-	return f.startChild(id, false)
 }
 
 // startChild execs a raidsrv for site id and polls until it responds.
@@ -284,7 +268,8 @@ func (f *ProcFabric) Restart(id core.SiteID) (*msg.StatusResp, error) {
 	return f.mgr.Recover(id)
 }
 
-// Wait implements Fabric: block until site id's current process exits.
+// Wait blocks until site id's current process exits and returns its exit
+// verdict (non-nil for a SIGKILLed child).
 func (f *ProcFabric) Wait(id core.SiteID) error {
 	p, err := f.proc(id)
 	if err != nil {
@@ -292,20 +277,6 @@ func (f *ProcFabric) Wait(id core.SiteID) error {
 	}
 	<-p.done
 	return p.err
-}
-
-// Signal implements Fabric.
-func (f *ProcFabric) Signal(id core.SiteID, sig os.Signal) error {
-	p, err := f.proc(id)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-p.done:
-		return fmt.Errorf("deploy: site %s is not running", id)
-	default:
-	}
-	return p.cmd.Process.Signal(sig)
 }
 
 func (f *ProcFabric) proc(id core.SiteID) (*childProc, error) {

@@ -156,6 +156,9 @@ func (s *ClusterSpec) Save(path string) error {
 
 // Validate checks the spec is internally consistent: a parseable address
 // map with a managing-site entry, a known policy, and placement bounds.
+// Which options combine (partial replication needs a copy-aware policy,
+// concurrency needs full replication, ...) is the site's rule to enforce:
+// site.New rejects the SiteConfig translation of a spec it cannot run.
 func (s *ClusterSpec) Validate() error {
 	addrs, sites, err := netcfg.ParseAddrs(s.Addrs)
 	if err != nil {
@@ -172,9 +175,6 @@ func (s *ClusterSpec) Validate() error {
 	}
 	if s.ReplicationDegree < 0 || s.ReplicationDegree > sites {
 		return fmt.Errorf("deploy: replication degree %d out of range 0..%d", s.ReplicationDegree, sites)
-	}
-	if s.ReplicationDegree > 0 && s.ReplicationDegree < sites && s.policyName() != "rowaa" {
-		return fmt.Errorf("deploy: partial replication requires the rowaa policy")
 	}
 	return nil
 }

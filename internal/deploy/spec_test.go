@@ -83,22 +83,28 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSpecValidate(t *testing.T) {
 	bad := []ClusterSpec{
-		{Addrs: "0=h:1,1=h:2", Items: 10},                                         // no manager entry
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 0},                                    // no items
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "nope"},               // unknown policy
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: 3},             // degree > sites
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: -1},            // negative degree
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "quorum", ReplicationDegree: 1}, // partial needs rowaa
-		{Addrs: "bogus", Items: 10},                                               // unparseable map
+		{Addrs: "0=h:1,1=h:2", Items: 10},                              // no manager entry
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 0},                         // no items
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "nope"},    // unknown policy
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: 3},  // degree > sites
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: -1}, // negative degree
+		{Addrs: "bogus", Items: 10},                                    // unparseable map
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, s)
 		}
 	}
-	good := ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10}
-	if err := good.Validate(); err != nil {
-		t.Errorf("minimal spec rejected: %v", err)
+	good := []ClusterSpec{
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10}, // minimal
+		// Partial replication under quorum: site.Config has accepted it
+		// since quorums became per-item, and the in-process soak runs it.
+		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "quorum", ReplicationDegree: 1},
+	}
+	for i, s := range good {
+		if err := s.Validate(); err != nil {
+			t.Errorf("good case %d rejected: %v", i, err)
+		}
 	}
 }
 

@@ -17,12 +17,15 @@ package experiment
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/failure"
 	"minraid/internal/policy"
+	"minraid/internal/storage"
 	"minraid/internal/txn"
 	"minraid/internal/workload"
 )
@@ -98,6 +101,44 @@ func (c Config) clusterConfig() cluster.Config {
 		ccfg.Replicas = core.RoundRobinReplication(c.Items, c.Sites, c.ReplicationDegree)
 	}
 	return ccfg
+}
+
+// dirOrTemp resolves where a run keeps its on-disk state: dir when the
+// caller named one (kept afterwards), else a fresh temporary directory
+// that the returned cleanup removes.
+func dirOrTemp(dir, pattern string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
+	}
+	tmp, err := os.MkdirTemp("", pattern)
+	if err != nil {
+		return "", nil, err
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
+}
+
+// walStoreFactory returns a cluster.Config.StoreFactory that opens one
+// write-ahead-logged store per site under dir/siteN with the given
+// options, and the function that closes every store it opened. Sites
+// never close their stores, so whoever builds the cluster owns the
+// handles.
+func walStoreFactory(dir string, opts storage.WALOptions) (func(core.SiteID) (storage.Store, error), func()) {
+	var opened []*storage.WALStore
+	factory := func(id core.SiteID) (storage.Store, error) {
+		siteOpts := opts
+		siteOpts.Dir = filepath.Join(dir, fmt.Sprintf("site%d", id))
+		s, err := storage.OpenWAL(siteOpts)
+		if err != nil {
+			return nil, err
+		}
+		opened = append(opened, s)
+		return s, nil
+	}
+	return factory, func() {
+		for _, s := range opened {
+			_ = s.Close()
+		}
+	}
 }
 
 // ScheduleResult is the outcome of driving one failure schedule with the

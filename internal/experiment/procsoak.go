@@ -1,387 +1,99 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"os"
 	"path/filepath"
-	"sync"
-	"time"
+	"strings"
 
-	"minraid/internal/cluster"
-	"minraid/internal/core"
 	"minraid/internal/deploy"
-	"minraid/internal/failure"
-	"minraid/internal/metrics"
-	"minraid/internal/msg"
-	"minraid/internal/workload"
 )
 
-// validateProc rejects soak options the process fabric cannot express.
-// Chaos, partitions and the scrubber are in-process mechanisms: chaos and
-// link cuts live inside the memory/loopback transports (a real wire has
-// its own weather), and the scrubber needs the cluster's trace plumbing.
-// The process fabric's contribution is orthogonal — failures are SIGKILL
-// and recoveries replay a WAL — so the regimes compose in principle, just
-// not in this driver yet.
+// validateProc rejects the soak options the process fabric cannot honor.
+// They all act on the in-process wire or its stores — chaos, link cuts and
+// the WAN link matrix live inside the memory/loopback transports (a real
+// wire has its own weather), the epoch batcher and the store carry are
+// cluster.Config knobs a ClusterSpec does not express — and a process
+// fleet has neither. Everything else, the scrubber included, runs through
+// the managing site and works on any fabric.
 func (c SoakConfig) validateProc() error {
-	if c.Chaos.Active() {
-		return errors.New("experiment: -fabric proc does not support chaos (real processes, real wire)")
+	var needWire []string
+	for _, opt := range []struct {
+		set  bool
+		name string
+	}{
+		{c.Chaos.Active(), "chaos (-drop/-dup/-jitter)"},
+		{c.Partitions, "-partitions"},
+		{c.WANProfile != "", "-wan"},
+		{c.CommitEpoch > 0, "-commit epoch"},
+		{c.Transport != "" && c.Transport != "tcp", "-transport " + c.Transport},
+		{c.WALDir != "", "-persist"},
+	} {
+		if opt.set {
+			needWire = append(needWire, opt.name)
+		}
 	}
-	if c.Partitions {
-		return errors.New("experiment: -fabric proc does not support the partition scheduler")
-	}
-	if c.WANProfile != "" {
-		return errors.New("experiment: -fabric proc does not support WAN profiles (the link model is in-process chaos)")
-	}
-	if c.CommitEpoch > 0 {
-		return errors.New("experiment: -fabric proc does not support epoch-batched commit yet")
-	}
-	if c.Scrub {
-		return errors.New("experiment: -fabric proc does not support the background scrubber")
-	}
-	if c.Transport != "" && c.Transport != "tcp" {
-		return fmt.Errorf("experiment: -fabric proc is always real TCP; -transport %s conflicts", c.Transport)
-	}
-	if c.WALDir != "" {
-		return errors.New("experiment: -fabric proc persists WALs under its own work dir; -wal conflicts")
+	if len(needWire) > 0 {
+		return fmt.Errorf("experiment: %s need the in-process wire; -fabric proc runs real processes over real TCP with WALs under its own work dir",
+			strings.Join(needWire, ", "))
 	}
 	return nil
 }
 
-// runProcSoak is RunSoak's dispatch target for Fabric "proc": the same
-// seeded fail/recover schedules and workload waves, but each site is a
-// raidsrv OS process, every scheduled failure is a SIGKILL, and every
-// scheduled recovery is a re-exec that replays the site's WAL before the
-// ordinary type-1 rejoin. One fabric (one fleet, one WAL tree) serves all
-// of a seed's epochs, so epoch boundaries carry real on-disk state.
-func runProcSoak(cfg SoakConfig) (*SoakResult, error) {
+// procFleets prepares RunSoak's Fabric "proc": it validates the options,
+// resolves the work dir and the raidsrv binary once, and returns the
+// per-seed fleet launcher and the cleanup. Each site of a fleet is a
+// raidsrv OS process, every scheduled failure a SIGKILL — everything
+// volatile at that site genuinely dies: lock tables, fail-lock tables,
+// session vector, socket state — and every scheduled recovery the
+// production path end to end: exec, WAL replay, persisted-session resume,
+// down-boot, then the type-1 control transaction against a live donor.
+func procFleets(cfg SoakConfig) (func(seed int64) (deploy.Fabric, error), func(), error) {
 	if err := cfg.validateProc(); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	workRoot, cleanup, err := dirOrTemp(cfg.WorkDir, "minraid-procsoak-")
+	if err != nil {
+		return nil, nil, err
 	}
 	binary := cfg.RaidsrvBin
-	workRoot := cfg.WorkDir
-	if workRoot == "" {
-		dir, err := os.MkdirTemp("", "minraid-procsoak-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		workRoot = dir
-	}
 	if binary == "" {
 		b, err := deploy.BuildRaidsrv(workRoot)
 		if err != nil {
-			return nil, err
+			cleanup()
+			return nil, nil, err
 		}
 		binary = b
 	}
 
-	res := &SoakResult{
-		AbortReasons:          make(map[string]int),
-		PartitionAbortReasons: make(map[string]int),
-		Percentiles:           &PercentileReport{Hists: make(map[string]metrics.HistogramStat), Msgs: make(map[string]uint64)},
+	base := cfg.Base
+	policyName := "rowaa"
+	if base.Policy != nil {
+		policyName = base.Policy.Name()
 	}
-	for _, seed := range cfg.Seeds {
-		if err := runProcSoakSeed(cfg, seed, binary, filepath.Join(workRoot, fmt.Sprintf("seed%d", seed)), res); err != nil {
+	concurrent := 0
+	if cfg.Concurrency > 1 {
+		concurrent = cfg.Concurrency
+	}
+	boot := func(seed int64) (deploy.Fabric, error) {
+		addrs, err := deploy.FreeLoopbackAddrs(base.Sites)
+		if err != nil {
 			return nil, err
 		}
+		return deploy.NewProcFabric(deploy.ProcConfig{
+			Spec: &deploy.ClusterSpec{
+				Addrs:             addrs,
+				Items:             base.Items,
+				PolicyName:        policyName,
+				ReplicationDegree: base.ReplicationDegree,
+				Concurrent:        concurrent,
+				AckTimeout:        deploy.Duration(base.AckTimeout),
+				LockWaitBudget:    deploy.Duration(cfg.LockWaitBudget),
+				InstantRecovery:   cfg.scrubOn(),
+				EnableType3:       base.EnableType3,
+			},
+			Binary:  binary,
+			WorkDir: filepath.Join(workRoot, fmt.Sprintf("seed%d", seed)),
+		})
 	}
-	return res, nil
-}
-
-// runProcSoakSeed boots one fleet and runs the seed's epochs against it.
-func runProcSoakSeed(cfg SoakConfig, seed int64, binary, workDir string, res *SoakResult) error {
-	base := cfg.Base
-	addrs, err := deploy.FreeLoopbackAddrs(base.Sites)
-	if err != nil {
-		return err
-	}
-	spec := &deploy.ClusterSpec{
-		Addrs:             addrs,
-		Items:             base.Items,
-		PolicyName:        policyName(base),
-		ReplicationDegree: base.ReplicationDegree,
-		Concurrent:        concurrentDegree(cfg),
-		AckTimeout:        deploy.Duration(base.AckTimeout),
-		LockWaitBudget:    deploy.Duration(cfg.LockWaitBudget),
-		EnableType3:       base.EnableType3,
-	}
-	fab, err := deploy.NewProcFabric(deploy.ProcConfig{
-		Spec:    spec,
-		Binary:  binary,
-		WorkDir: workDir,
-	})
-	if err != nil {
-		return fmt.Errorf("experiment: proc fabric seed %d: %w", seed, err)
-	}
-	defer fab.Close()
-
-	for epoch := 0; epoch < cfg.EpochsPerSeed; epoch++ {
-		er, err := runProcSoakEpoch(cfg, fab, seed, epoch)
-		if err != nil {
-			return fmt.Errorf("experiment: proc soak seed %d epoch %d: %w (site logs in %s)", seed, epoch, err, workDir)
-		}
-		res.Epochs = append(res.Epochs, *er)
-		res.Txns += er.Txns
-		res.Committed += er.Committed
-		res.Aborted += er.Aborted
-		for reason, n := range er.AbortReasons {
-			res.AbortReasons[reason] += n
-		}
-		res.DrainCopiers += er.DrainCopiers
-		if !er.AuditOK {
-			res.Violations++
-		}
-		cfg.logf("proc soak seed=%d epoch=%d: %d txns (%d committed), %d kills, %d restarts, audit=%v",
-			seed, epoch, er.Txns, er.Committed, er.Kills, er.Restarts, er.AuditOK)
-	}
-	return nil
-}
-
-// policyName renders the base policy for the spec ("" means rowaa).
-func policyName(base Config) string {
-	if base.Policy == nil {
-		return "rowaa"
-	}
-	return base.Policy.Name()
-}
-
-// concurrentDegree maps the soak concurrency to the per-site spec knob.
-func concurrentDegree(cfg SoakConfig) int {
-	if cfg.Concurrency > 1 {
-		return cfg.Concurrency
-	}
-	return 0
-}
-
-// runProcSoakEpoch is one epoch over live raidsrv processes. Failures and
-// recoveries land at their scheduled transaction numbers against a
-// write-quiescent fleet (waves barrier before schedule events, the same
-// constraint as the in-process concurrent driver) — but the failure
-// itself is a SIGKILL, so everything volatile at that site genuinely
-// dies: lock tables, fail-lock tables, session vector, socket state. The
-// recovery path is the production one end-to-end: exec, WAL replay,
-// persisted-session resume, down-boot, then the type-1 control
-// transaction against a live donor.
-func runProcSoakEpoch(cfg SoakConfig, fab *deploy.ProcFabric, seed int64, epoch int) (*EpochResult, error) {
-	base := cfg.Base
-	mgr := fab.Manager()
-	chaosSeed := epochSeed(seed, epoch)
-	er := &EpochResult{
-		Seed:                  seed,
-		Epoch:                 epoch,
-		ChaosSeed:             chaosSeed,
-		AbortReasons:          make(map[string]int),
-		PartitionAbortReasons: make(map[string]int),
-		Concurrency:           cfg.Concurrency,
-	}
-
-	rng := rand.New(rand.NewSource(chaosSeed))
-	maxDown := cfg.MaxDown
-	if maxDown == 0 {
-		// Fail-lock tables are volatile and fully replicated; a SIGKILL
-		// destroys the dead site's table but every survivor still holds a
-		// complete copy. One-at-a-time failure (the paper's experimental
-		// regime) keeps that invariant trivially; deeper simultaneous
-		// kills are opt-in.
-		maxDown = 1
-	}
-	sched, err := failure.Random(failure.RandomConfig{
-		Sites:   base.Sites,
-		Txns:    cfg.TxnsPerEpoch,
-		MaxDown: maxDown,
-	}, rng)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range sched.Events {
-		er.FailEvents = append(er.FailEvents, e.String())
-	}
-
-	gen := workload.NewUniform(base.Items, base.MaxOps, chaosSeed)
-	gen.ReadFraction = base.ReadFraction
-
-	trueUp := make([]bool, base.Sites)
-	for i := range trueUp {
-		trueUp[i] = true
-	}
-
-	restart := func(id core.SiteID) error {
-		_, err := fab.Restart(id)
-		// A blocked recovery means a donor was still settling its own
-		// failure-detection bookkeeping; with a reliable wire a short
-		// retry of just the recovery order resolves it (the child is
-		// already running, down-booted, after the exec).
-		for attempt := 0; errors.Is(err, cluster.ErrRecoveryBlocked) && attempt < 5; attempt++ {
-			er.RecoveryRetries++
-			time.Sleep(ackOrDefault(base))
-			_, err = mgr.Recover(id)
-		}
-		if err != nil {
-			return err
-		}
-		er.Restarts++
-		return nil
-	}
-
-	concurrent := cfg.Concurrency > 1
-	waveCap := 1
-	if concurrent {
-		waveCap = 4 * cfg.Concurrency
-	}
-	eventAt := func(n int) bool { return len(sched.EventsBefore(n)) > 0 }
-	fp := fnv.New64a()
-
-	for txnNum := 1; txnNum <= cfg.TxnsPerEpoch; {
-		for _, e := range sched.EventsBefore(txnNum) {
-			switch e.Action {
-			case failure.Fail:
-				if !trueUp[e.Site] || countUp(trueUp) <= 1 {
-					er.SkippedFails++
-					continue
-				}
-				if err := fab.Kill(e.Site); err != nil {
-					return nil, fmt.Errorf("%s: %w", e, err)
-				}
-				er.Kills++
-				trueUp[e.Site] = false
-			case failure.Recover:
-				if trueUp[e.Site] {
-					continue
-				}
-				if err := restart(e.Site); err != nil {
-					return nil, fmt.Errorf("%s: %w", e, err)
-				}
-				trueUp[e.Site] = true
-			}
-		}
-
-		waveEnd := txnNum
-		for waveEnd-txnNum+1 < waveCap && waveEnd+1 <= cfg.TxnsPerEpoch && !eventAt(waveEnd+1) {
-			waveEnd++
-		}
-		wave := make([]soakIssue, 0, waveEnd-txnNum+1)
-		for n := txnNum; n <= waveEnd; n++ {
-			id := mgr.NextTxnID()
-			iss := soakIssue{num: n, id: id, coord: pickCoordinator(trueUp, n), ops: gen.Next(id)}
-			wave = append(wave, iss)
-			fmt.Fprintf(fp, "%d/%d@%d:", iss.num, iss.id, iss.coord)
-			for _, op := range iss.ops {
-				fmt.Fprintf(fp, "%d,%d,%x;", op.Kind, op.Item, op.Value)
-			}
-		}
-
-		outs := make([]*msg.TxnResult, len(wave))
-		if !concurrent {
-			out, err := mgr.ExecTxn(wave[0].coord, wave[0].id, wave[0].ops)
-			if err != nil {
-				return nil, fmt.Errorf("txn %d on %s: %w", wave[0].num, wave[0].coord, err)
-			}
-			outs[0] = out
-		} else {
-			var execMu sync.Mutex
-			var execErr error
-			ol := &workload.OpenLoop{Rate: cfg.ArrivalRate, Count: len(wave), MaxInFlight: cfg.Concurrency}
-			ol.Run(func(i int) {
-				iss := wave[i]
-				out, err := mgr.ExecTxn(iss.coord, iss.id, iss.ops)
-				if err != nil {
-					execMu.Lock()
-					if execErr == nil {
-						execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-					}
-					execMu.Unlock()
-					return
-				}
-				outs[i] = out
-			})
-			if execErr != nil {
-				return nil, execErr
-			}
-		}
-		for _, out := range outs {
-			er.Txns++
-			if out.Committed {
-				er.Committed++
-			} else {
-				er.Aborted++
-				er.AbortReasons[out.AbortReason]++
-			}
-		}
-		txnNum = waveEnd + 1
-	}
-	er.WorkloadFingerprint = fp.Sum64()
-
-	// Epilogue: restart whatever the schedule left dead, then drain the
-	// fail-locks the kills accumulated (copier transactions refreshing the
-	// replayed-but-stale copies) and audit every live store.
-	for i, isUp := range trueUp {
-		if !isUp {
-			if err := restart(core.SiteID(i)); err != nil {
-				return nil, fmt.Errorf("final restart %d: %w", i, err)
-			}
-			trueUp[i] = true
-		}
-	}
-	usesFailLocks := base.Policy == nil || base.Policy.UsesFailLocks()
-	if usesFailLocks {
-		// Drain, then reconcile, then drain again: a SIGKILL can land while
-		// a fail-lock fan-out is mid-flight, leaving one survivor's table
-		// with a stray bit the others never saw (the crash-real analogue of
-		// a chaotic link eating a clear). Reconciliation re-derives every
-		// table from the actual copy versions over the manager links;
-		// another pass drains whatever it had to re-lock.
-		for pass := 0; pass < 3; pass++ {
-			copiers, remaining, err := mgr.DrainFailLocks(trueUp, base.MaxOps)
-			if err != nil {
-				return nil, fmt.Errorf("drain: %w", err)
-			}
-			er.DrainCopiers += copiers
-			er.LocksAfterDrain = remaining
-			rep, err := mgr.ReconcileSplitBrain(trueUp, ackOrDefault(base))
-			if err != nil {
-				return nil, fmt.Errorf("post-drain reconcile: %w", err)
-			}
-			if rep.Detected() {
-				er.SplitBrains++
-			}
-			er.DivergentItems += rep.DivergentItems
-			er.LocksSet += rep.LocksSet
-			er.LocksCleared += rep.LocksCleared
-			er.Repairs += rep.Repairs
-			if remaining == 0 && rep.LocksSet == 0 {
-				break
-			}
-		}
-	}
-
-	var report cluster.AuditReport
-	if usesFailLocks {
-		report, err = mgr.Audit()
-	} else {
-		report, err = mgr.AuditQuorum()
-	}
-	if err != nil {
-		return nil, err
-	}
-	er.AuditOK = report.OK() && er.LocksAfterDrain == 0
-	if !er.AuditOK {
-		er.AuditDetail = report.String()
-		if er.LocksAfterDrain > 0 {
-			er.AuditDetail = fmt.Sprintf("%s; %d fail-locks undrained at epoch end", er.AuditDetail, er.LocksAfterDrain)
-		}
-	}
-	return er, nil
-}
-
-// ackOrDefault is the retry backoff for blocked recoveries: the failure
-// detection timeout when configured, else a real-wire-scale default.
-func ackOrDefault(base Config) time.Duration {
-	if base.AckTimeout > 0 {
-		return base.AckTimeout
-	}
-	return 200 * time.Millisecond
+	return boot, cleanup, nil
 }

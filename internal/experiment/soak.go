@@ -13,6 +13,7 @@ import (
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
+	"minraid/internal/deploy"
 	"minraid/internal/failure"
 	"minraid/internal/geo"
 	"minraid/internal/metrics"
@@ -153,9 +154,26 @@ func (c SoakConfig) withDefaults() SoakConfig {
 			c.Concurrency = 1
 		}
 	}
+	if c.Fabric == "proc" && c.MaxDown == 0 {
+		// Fail-lock tables are volatile and fully replicated; a SIGKILL
+		// destroys the dead site's table but every survivor still holds a
+		// complete copy. One-at-a-time failure (the paper's experimental
+		// regime) keeps that invariant trivially; deeper simultaneous
+		// kills are opt-in.
+		c.MaxDown = 1
+	}
 	c.Chaos.ExemptManager = true
 	return c
 }
+
+// usesFailLocks reports whether the policy tracks staleness in fail-locks
+// (and so has anything to scrub, drain or audit through them).
+func (c SoakConfig) usesFailLocks() bool {
+	return c.Base.Policy == nil || c.Base.Policy.UsesFailLocks()
+}
+
+// scrubOn reports whether the continuous-heal regime is in effect.
+func (c SoakConfig) scrubOn() bool { return c.Scrub && c.usesFailLocks() }
 
 func (c SoakConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -330,43 +348,52 @@ func (r *SoakResult) String() string {
 	return b.String()
 }
 
-// epochSeed derives the chaos seed for (root seed, epoch) with a
-// splitmix64-style mix, so epochs of one root seed see unrelated fault
-// streams but remain individually re-runnable.
-func epochSeed(seed int64, epoch int) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(epoch+1)*0xBF58476D1CE4E5B9
+// splitmix64 is the splitmix64 output mix: it turns a structured counter
+// into an unrelated-looking seed.
+func splitmix64(z uint64) int64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z)
+}
+
+// epochSeed derives the chaos seed for (root seed, epoch), so epochs of
+// one root seed see unrelated fault streams but remain individually
+// re-runnable.
+func epochSeed(seed int64, epoch int) int64 {
+	return splitmix64(uint64(seed)*0x9E3779B97F4A7C15 + uint64(epoch+1)*0xBF58476D1CE4E5B9)
 }
 
 // netSeed derives the partition-schedule seed from the epoch's chaos seed
-// with one more splitmix64 round, so the link-fault stream is unrelated to
-// both the chaos decision streams and the fail/recover schedule (which
-// consume the chaos seed directly).
+// with one more round, so the link-fault stream is unrelated to both the
+// chaos decision streams and the fail/recover schedule (which consume the
+// chaos seed directly).
 func netSeed(chaosSeed int64) int64 {
-	z := uint64(chaosSeed) + 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return splitmix64(uint64(chaosSeed) + 0x9E3779B97F4A7C15)
 }
 
-// RunSoak drives the full soak: for every (seed, epoch) it builds a fresh
-// chaotic cluster, runs a generated fail/recover schedule (plus, with
-// Partitions, a generated link-fault schedule) with workload traffic,
-// heals the system, and audits copy consistency.
+// RunSoak drives the full soak: for every (seed, epoch) it runs a generated
+// fail/recover schedule (plus, with Partitions, a generated link-fault
+// schedule) with workload traffic over a deploy.Fabric, heals the system,
+// and audits copy consistency. The fabric is the only thing Fabric
+// selects: a fresh in-process cluster per epoch, or one fleet of raidsrv
+// processes per seed.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	cfg = cfg.withDefaults()
+	// boot launches a seed's process fleet; nil runs every epoch on a
+	// fresh in-process cluster.
+	var boot func(seed int64) (deploy.Fabric, error)
 	switch cfg.Fabric {
 	case "", "local":
 	case "proc":
-		return runProcSoak(cfg)
+		var cleanup func()
+		var err error
+		if boot, cleanup, err = procFleets(cfg); err != nil {
+			return nil, err
+		}
+		defer cleanup()
 	default:
 		return nil, fmt.Errorf("experiment: unknown fabric %q (want local or proc)", cfg.Fabric)
 	}
@@ -376,56 +403,80 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		Percentiles:           &PercentileReport{Hists: make(map[string]metrics.HistogramStat), Msgs: make(map[string]uint64)},
 	}
 	for _, seed := range cfg.Seeds {
-		// With persistence, item versions are transaction IDs carried in
-		// the on-disk stores; each epoch numbers transactions after the
-		// previous one so versions stay monotone across restarts.
-		var txnBase uint64
-		for epoch := 0; epoch < cfg.EpochsPerSeed; epoch++ {
-			er, pct, lastTxn, err := runSoakEpoch(cfg, seed, epoch, txnBase)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: soak seed %d epoch %d: %w", seed, epoch, err)
+		if err := runSoakSeed(cfg, seed, boot, res); err != nil {
+			if boot != nil && cfg.WorkDir != "" {
+				err = fmt.Errorf("%w (site logs under %s)", err, cfg.WorkDir)
 			}
-			if cfg.WALDir != "" {
-				txnBase = lastTxn
-			}
-			res.Epochs = append(res.Epochs, *er)
-			res.Txns += er.Txns
-			res.Committed += er.Committed
-			res.Aborted += er.Aborted
-			for reason, n := range er.AbortReasons {
-				res.AbortReasons[reason] += n
-			}
-			res.PartitionTxns += er.PartitionTxns
-			res.PartitionAborts += er.PartitionAborts
-			res.SplitBrains += er.SplitBrains
-			res.DivergentItems += er.DivergentItems
-			res.LocksSet += er.LocksSet
-			res.LocksCleared += er.LocksCleared
-			res.DrainCopiers += er.DrainCopiers
-			res.ScrubItems += er.ScrubItems
-			res.ScrubCopiers += er.ScrubCopiers
-			if er.HealTime > res.MaxHealTime {
-				res.MaxHealTime = er.HealTime
-			}
-			for reason, n := range er.PartitionAbortReasons {
-				res.PartitionAbortReasons[reason] += n
-			}
-			if !er.AuditOK {
-				res.Violations++
-			}
-			res.Percentiles.Merge(pct)
-			total := er.ChaosTotal()
-			heal := ""
-			if cfg.Scrub {
-				heal = fmt.Sprintf(", heal=%v scrub(passes=%d items=%d copiers=%d)",
-					er.HealTime.Round(time.Millisecond), er.ScrubPasses, er.ScrubItems, er.ScrubCopiers)
-			}
-			cfg.logf("soak seed=%d epoch=%d: %d txns (%d committed), %d repairs, %d net events, chaos sent=%d dropped=%d dup=%d cut=%d%s, audit=%v",
-				seed, epoch, er.Txns, er.Committed, er.Repairs, len(er.NetEvents),
-				total.Sent, total.Dropped, total.Duplicated, total.Cut, heal, er.AuditOK)
+			return nil, err
 		}
 	}
 	return res, nil
+}
+
+// runSoakSeed runs one seed's epochs and folds them into res. A process
+// fleet (one WAL tree) serves all of them, so epoch boundaries carry real
+// on-disk state.
+func runSoakSeed(cfg SoakConfig, seed int64, boot func(int64) (deploy.Fabric, error), res *SoakResult) error {
+	var fleet deploy.Fabric
+	if boot != nil {
+		var err error
+		if fleet, err = boot(seed); err != nil {
+			return fmt.Errorf("experiment: proc fabric seed %d: %w", seed, err)
+		}
+		defer fleet.Close()
+	}
+	// With persistence, item versions are transaction IDs carried in the
+	// on-disk stores; each epoch numbers transactions after the previous
+	// one so versions stay monotone across restarts.
+	var txnBase uint64
+	for epoch := 0; epoch < cfg.EpochsPerSeed; epoch++ {
+		er, pct, lastTxn, err := runSoakEpoch(cfg, seed, epoch, fleet, txnBase)
+		if err != nil {
+			return fmt.Errorf("experiment: soak seed %d epoch %d: %w", seed, epoch, err)
+		}
+		if cfg.WALDir != "" {
+			txnBase = lastTxn
+		}
+		res.Epochs = append(res.Epochs, *er)
+		res.Txns += er.Txns
+		res.Committed += er.Committed
+		res.Aborted += er.Aborted
+		for reason, n := range er.AbortReasons {
+			res.AbortReasons[reason] += n
+		}
+		res.PartitionTxns += er.PartitionTxns
+		res.PartitionAborts += er.PartitionAborts
+		res.SplitBrains += er.SplitBrains
+		res.DivergentItems += er.DivergentItems
+		res.LocksSet += er.LocksSet
+		res.LocksCleared += er.LocksCleared
+		res.DrainCopiers += er.DrainCopiers
+		res.ScrubItems += er.ScrubItems
+		res.ScrubCopiers += er.ScrubCopiers
+		if er.HealTime > res.MaxHealTime {
+			res.MaxHealTime = er.HealTime
+		}
+		for reason, n := range er.PartitionAbortReasons {
+			res.PartitionAbortReasons[reason] += n
+		}
+		if !er.AuditOK {
+			res.Violations++
+		}
+		res.Percentiles.Merge(pct)
+		total := er.ChaosTotal()
+		extra := ""
+		if cfg.Scrub {
+			extra = fmt.Sprintf(", heal=%v scrub(passes=%d items=%d copiers=%d)",
+				er.HealTime.Round(time.Millisecond), er.ScrubPasses, er.ScrubItems, er.ScrubCopiers)
+		}
+		if boot != nil {
+			extra += fmt.Sprintf(", %d kills, %d restarts", er.Kills, er.Restarts)
+		}
+		cfg.logf("soak seed=%d epoch=%d: %d txns (%d committed), %d repairs, %d net events, chaos sent=%d dropped=%d dup=%d cut=%d%s, audit=%v",
+			seed, epoch, er.Txns, er.Committed, er.Repairs, len(er.NetEvents),
+			total.Sent, total.Dropped, total.Duplicated, total.Cut, extra, er.AuditOK)
+	}
+	return nil
 }
 
 // soakIssue is one pre-generated transaction of a wave: everything about
@@ -437,10 +488,101 @@ type soakIssue struct {
 	ops   []core.Op
 }
 
-// runSoakEpoch runs one epoch on a fresh cluster (reopening persisted
-// stores when WALDir is set) and returns the epoch result, its latency
-// percentiles, and the last transaction ID allocated.
-func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*EpochResult, *PercentileReport, uint64, error) {
+// issueRun is the outcome of executing a slice of pre-generated issues:
+// the results in issue order, each transaction's service latency (from
+// actual issue), and the driver's elapsed time and scheduled-arrival
+// latencies.
+type issueRun struct {
+	outs    []*msg.TxnResult
+	service []time.Duration
+	loop    workload.OpenLoopResult
+}
+
+// execIssues executes pre-generated transactions through the managing
+// site, at most inFlight at a time (1 is the paper's serial processing),
+// paced open-loop at rate per second when positive. IDs and operations
+// were allocated serially by the caller, so the racing closures only
+// execute. The first managing-site error wins.
+func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate float64) (*issueRun, error) {
+	run := &issueRun{
+		outs:    make([]*msg.TxnResult, len(issues)),
+		service: make([]time.Duration, len(issues)),
+	}
+	var execMu sync.Mutex
+	var execErr error
+	ol := &workload.OpenLoop{Rate: rate, Count: len(issues), MaxInFlight: inFlight}
+	run.loop = ol.Run(func(i int) {
+		iss := issues[i]
+		st := time.Now()
+		out, err := mgr.ExecTxn(iss.coord, iss.id, iss.ops)
+		run.service[i] = time.Since(st)
+		if err != nil {
+			execMu.Lock()
+			if execErr == nil {
+				execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
+			}
+			execMu.Unlock()
+			return
+		}
+		run.outs[i] = out
+	})
+	if execErr != nil {
+		return nil, execErr
+	}
+	return run, nil
+}
+
+// openLocalFabric builds one epoch's in-process cluster — the chaotic
+// wire, and with WALDir the seed's persisted stores reopened — as a
+// LocalFabric. The returned function tears the cluster down and then
+// closes the WAL handles: sites never close their stores (a failed site
+// keeps its database, §1.2), so the epoch owns them and flushes the state
+// the next epoch reopens.
+func openLocalFabric(cfg SoakConfig, chaosCfg *transport.ChaosConfig, seed int64, txnBase uint64) (*deploy.LocalFabric, func(), error) {
+	ccfg := cfg.Base.clusterConfig()
+	ccfg.Chaos = chaosCfg
+	ccfg.Transport = cfg.Transport
+	if cfg.Concurrency > 1 {
+		ccfg.ConcurrentTxns = cfg.Concurrency
+	}
+	ccfg.LockWaitBudget = cfg.LockWaitBudget
+	ccfg.CommitEpoch = cfg.CommitEpoch
+	// Continuous heal: REDO-only instant recovery plus the background
+	// scrubber replace the two-step batch refresh, which is mutually
+	// exclusive with InstantRecovery by construction.
+	if cfg.scrubOn() {
+		ccfg.InstantRecovery = true
+		ccfg.BatchCopierThreshold = 0
+	}
+	closeStores := func() {}
+	if cfg.WALDir != "" {
+		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("seed%d", seed))
+		ccfg.StoreFactory, closeStores = walStoreFactory(dir, storage.WALOptions{Items: cfg.Base.Items})
+		ccfg.TxnIDBase = txnBase
+	}
+	c, err := cluster.New(ccfg)
+	if err != nil {
+		closeStores()
+		return nil, nil, err
+	}
+	fab := deploy.NewLocalFabric(c)
+	return fab, func() { fab.Close(); closeStores() }, nil
+}
+
+// runSoakEpoch runs one epoch — on fleet when the caller booted one, else
+// on a fresh in-process cluster of its own — and returns the epoch result,
+// its latency percentiles (in-process only), and the last transaction ID
+// allocated.
+//
+// Every transaction, repair, drain, reconcile and audit goes through the
+// fabric's Manager, and schedule events through its Kill/Restart, so the
+// loop is the same whether a failure is the paper's simulated one or a
+// SIGKILL. The steps that act on the in-process wire — chaos and its
+// counters, link cuts, settling lost-decision timers, per-site latency
+// histograms — use the *cluster.Cluster behind a LocalFabric and are
+// skipped on a fabric that has none (validateProc rejects the options that
+// would need them).
+func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, txnBase uint64) (*EpochResult, *PercentileReport, uint64, error) {
 	base := cfg.Base
 	chaosCfg := cfg.Chaos
 	chaosCfg.Seed = epochSeed(seed, epoch)
@@ -448,6 +590,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 		Seed:                  seed,
 		Epoch:                 epoch,
 		ChaosSeed:             chaosCfg.Seed,
+		Concurrency:           cfg.Concurrency,
 		AbortReasons:          make(map[string]int),
 		PartitionAbortReasons: make(map[string]int),
 	}
@@ -523,53 +666,19 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 		er.NetFingerprint = nsched.Fingerprint()
 	}
 
-	ccfg := base.clusterConfig()
-	ccfg.Chaos = &chaosCfg
-	ccfg.Transport = cfg.Transport
-	if cfg.Concurrency > 1 {
-		ccfg.ConcurrentTxns = cfg.Concurrency
-	}
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
-	ccfg.CommitEpoch = cfg.CommitEpoch
-	er.Concurrency = cfg.Concurrency
-	// Continuous heal: REDO-only instant recovery plus the background
-	// scrubber replace the two-step batch refresh, which is mutually
-	// exclusive with InstantRecovery by construction.
-	usesFailLocks := base.Policy == nil || base.Policy.UsesFailLocks()
-	scrubOn := cfg.Scrub && usesFailLocks
-	if scrubOn {
-		ccfg.InstantRecovery = true
-		ccfg.BatchCopierThreshold = 0
-	}
-	// Sites never close their stores (a failed site keeps its database,
-	// §1.2); the epoch owns the WAL handles and closes them after the
-	// cluster is torn down, flushing the state the next epoch reopens.
-	var walStores []*storage.WALStore
-	defer func() {
-		for _, s := range walStores {
-			_ = s.Close()
+	fab := fleet
+	var c *cluster.Cluster // the in-process wire; nil on the process fabric
+	if fab == nil {
+		local, closeLocal, err := openLocalFabric(cfg, &chaosCfg, seed, txnBase)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-	}()
-	if cfg.WALDir != "" {
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("seed%d", seed))
-		ccfg.StoreFactory = func(id core.SiteID) (storage.Store, error) {
-			s, err := storage.OpenWAL(storage.WALOptions{
-				Dir:   filepath.Join(dir, fmt.Sprintf("site%d", id)),
-				Items: base.Items,
-			})
-			if err != nil {
-				return nil, err
-			}
-			walStores = append(walStores, s)
-			return s, nil
-		}
-		ccfg.TxnIDBase = txnBase
+		defer closeLocal()
+		fab, c = local, local.Cluster()
 	}
-	c, err := cluster.New(ccfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer c.Close()
+	mgr := fab.Manager()
+	usesFailLocks := cfg.usesFailLocks()
+	scrubOn := cfg.scrubOn()
 
 	// The scrubber heals fail-locked items alongside the workload for the
 	// whole epoch; the epilogue waits on it instead of running drain
@@ -577,12 +686,12 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 	// donor path stalls one batch, not the scrub loop.
 	var scr *scrub.Scrubber
 	if scrubOn {
-		scr = scrub.New(c, scrub.Config{
+		scr = scrub.New(mgr, scrub.Config{
 			Rate:        cfg.ScrubRate,
 			BatchSize:   cfg.ScrubBatch,
 			Interval:    base.AckTimeout,
 			ExecTimeout: 10 * base.AckTimeout,
-			Tracer:      c.Tracer(),
+			Tracer:      mgr.Tracer(),
 		})
 		scr.Start()
 		defer scr.Stop()
@@ -613,15 +722,46 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 	// so their sends land in a deterministic topology era and the
 	// per-link counters stay reproducible. A WAN profile widens the
 	// budget by its propagation floor: a timer's last send still has to
-	// cross the slowest link before the era flips.
-	settleDelay := 5 * base.AckTimeout
-	if wan != nil {
-		settleDelay += 2 * wan.MaxBaseDelay()
+	// cross the slowest link before the era flips. Only the in-process
+	// wire loses decisions, so only it has anything to wait out.
+	settle := func() {}
+	if c != nil {
+		settleDelay := 5 * base.AckTimeout
+		if wan != nil {
+			settleDelay += 2 * wan.MaxBaseDelay()
+		}
+		settle = func() { time.Sleep(settleDelay) }
 	}
-	settle := func() { time.Sleep(settleDelay) }
+
+	// restart is the schedule's recover order. When a single attempt may
+	// decide (once, during a partition episode) a blocked recovery is the
+	// caller's to handle; otherwise a blocked handshake — eaten by chaos,
+	// or racing a donor still settling its own failure detection — is
+	// retried.
+	restart := func(id core.SiteID, once bool) error {
+		_, err := fab.Restart(id)
+		if errors.Is(err, cluster.ErrRecoveryBlocked) && !once {
+			// The site is back in existence either way; only the type-1
+			// recovery order needs repeating.
+			time.Sleep(base.AckTimeout / 2)
+			var n int
+			n, err = mgr.RecoverWithRetry(id, base.AckTimeout)
+			er.RecoveryRetries += 1 + n
+		}
+		if err != nil {
+			return err
+		}
+		if c == nil {
+			er.Restarts++
+		}
+		trueUp[id] = true
+		deferred[id] = false
+		kickScrub()
+		return nil
+	}
 
 	reconcile := func() (cluster.ReconcileReport, error) {
-		rep, err := c.ReconcileSplitBrain(trueUp, base.AckTimeout)
+		rep, err := mgr.ReconcileSplitBrain(trueUp, base.AckTimeout)
 		if err != nil {
 			return rep, err
 		}
@@ -643,11 +783,10 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 		}
 		return cfg.Partitions && len(nsched.EventsBefore(n)) > 0
 	}
-	concurrent := cfg.Concurrency > 1
 	// Waves are capped so false-suspicion repair still runs at a bounded
 	// interval even through an event-free stretch of the schedule.
 	waveCap := 1
-	if concurrent {
+	if cfg.Concurrency > 1 {
 		waveCap = 4 * cfg.Concurrency
 	}
 	fp := fnv.New64a()
@@ -669,14 +808,9 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 					if !d {
 						continue
 					}
-					n, err := c.RecoverWithRetry(core.SiteID(i), base.AckTimeout)
-					if err != nil {
+					if err := restart(core.SiteID(i), false); err != nil {
 						return nil, nil, 0, fmt.Errorf("deferred recover %d before txn %d: %w", i, txnNum, err)
 					}
-					er.RecoveryRetries += n
-					deferred[i] = false
-					trueUp[i] = true
-					kickScrub()
 				}
 				if _, err := reconcile(); err != nil {
 					return nil, nil, 0, fmt.Errorf("reconcile before txn %d: %w", txnNum, err)
@@ -689,12 +823,15 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 				// A deferred recovery leaves the schedule's model of the
 				// up-set ahead of reality; skip failures that would hit
 				// an already-down site or empty the up-set.
-				if !trueUp[e.Site] || countUp(trueUp) <= 1 {
+				if !trueUp[e.Site] || len(upSites(trueUp)) <= 1 {
 					er.SkippedFails++
 					continue
 				}
-				if err := c.Fail(e.Site); err != nil {
+				if err := fab.Kill(e.Site); err != nil {
 					return nil, nil, 0, fmt.Errorf("%s: %w", e, err)
+				}
+				if c == nil {
+					er.Kills++
 				}
 				trueUp[e.Site] = false
 			case failure.Recover:
@@ -702,30 +839,18 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 					// Its Fail was skipped; nothing to recover.
 					continue
 				}
-				if top != nil && top.Active() {
-					// During an episode a single attempt decides: a site
-					// cut off from every donor reports recovery blocked
-					// (§3.2) and waits for the heal.
-					_, err := c.Recover(e.Site)
-					switch {
-					case errors.Is(err, cluster.ErrRecoveryBlocked):
-						deferred[e.Site] = true
-						er.DeferredRecoveries++
-					case err != nil:
-						return nil, nil, 0, fmt.Errorf("%s: %w", e, err)
-					default:
-						trueUp[e.Site] = true
-						kickScrub()
-					}
-					continue
-				}
-				n, err := c.RecoverWithRetry(e.Site, base.AckTimeout)
-				if err != nil {
+				// During an episode a single attempt decides: a site cut
+				// off from every donor reports recovery blocked (§3.2)
+				// and waits for the heal.
+				inEpisode := top != nil && top.Active()
+				err := restart(e.Site, inEpisode)
+				switch {
+				case inEpisode && errors.Is(err, cluster.ErrRecoveryBlocked):
+					deferred[e.Site] = true
+					er.DeferredRecoveries++
+				case err != nil:
 					return nil, nil, 0, fmt.Errorf("%s: %w", e, err)
 				}
-				er.RecoveryRetries += n
-				trueUp[e.Site] = true
-				kickScrub()
 			}
 		}
 
@@ -742,7 +867,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 		}
 		wave := make([]soakIssue, 0, waveEnd-txnNum+1)
 		for n := txnNum; n <= waveEnd; n++ {
-			id := c.NextTxnID()
+			id := mgr.NextTxnID()
 			iss := soakIssue{num: n, id: id, coord: pickCoordinator(trueUp, n), ops: gen.Next(id)}
 			wave = append(wave, iss)
 			// Transaction IDs, coordinators and operations are all pure
@@ -754,38 +879,13 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 				fmt.Fprintf(fp, "%d,%d,%x;", op.Kind, op.Item, op.Value)
 			}
 		}
-
-		outs := make([]*msg.TxnResult, len(wave))
-		if !concurrent {
-			out, err := c.ExecTxn(wave[0].coord, wave[0].id, wave[0].ops)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("txn %d on %s: %w", wave[0].num, wave[0].coord, err)
-			}
-			outs[0] = out
-		} else {
-			var execMu sync.Mutex
-			var execErr error
-			ol := &workload.OpenLoop{Rate: cfg.ArrivalRate, Count: len(wave), MaxInFlight: cfg.Concurrency}
-			ol.Run(func(i int) {
-				iss := wave[i]
-				out, err := c.ExecTxn(iss.coord, iss.id, iss.ops)
-				if err != nil {
-					execMu.Lock()
-					if execErr == nil {
-						execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-					}
-					execMu.Unlock()
-					return
-				}
-				outs[i] = out
-			})
-			if execErr != nil {
-				return nil, nil, 0, execErr
-			}
+		run, err := execIssues(mgr, wave, cfg.Concurrency, cfg.ArrivalRate)
+		if err != nil {
+			return nil, nil, 0, err
 		}
 
 		inPartition := top != nil && top.Active()
-		for _, out := range outs {
+		for _, out := range run.outs {
 			er.Txns++
 			if inPartition {
 				er.PartitionTxns++
@@ -819,7 +919,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 				return !top.Affected(observer) && !top.Affected(suspect)
 			}
 		}
-		n, err := c.RepairFalseSuspicionsWhere(trueUp, eligible, base.AckTimeout)
+		n, err := mgr.RepairFalseSuspicionsWhere(trueUp, eligible, base.AckTimeout)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("repair after txn %d: %w", waveEnd, err)
 		}
@@ -836,64 +936,76 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 	}
 	for i, isUp := range trueUp {
 		if !isUp {
-			n, err := c.RecoverWithRetry(core.SiteID(i), base.AckTimeout)
-			if err != nil {
+			if err := restart(core.SiteID(i), false); err != nil {
 				return nil, nil, 0, fmt.Errorf("final recover %d: %w", i, err)
 			}
-			er.RecoveryRetries += n
-			trueUp[i] = true
-			deferred[i] = false
-			kickScrub()
 		}
 	}
-	n, err := c.RepairFalseSuspicions(trueUp, base.AckTimeout)
+	n, err := mgr.RepairFalseSuspicions(trueUp, base.AckTimeout)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	er.Repairs += n
 	settle()
-	if n, err = c.RepairFalseSuspicions(trueUp, base.AckTimeout); err != nil {
+	if n, err = mgr.RepairFalseSuspicions(trueUp, base.AckTimeout); err != nil {
 		return nil, nil, 0, err
 	}
 	er.Repairs += n
 
 	// Final reconciliation folds in whatever the late recoveries
 	// surfaced (a site that solo-committed during a cut and then failed
-	// hides its versions until it is back up), then the drain runs the
-	// copier transactions that actually refresh the stale copies. With
-	// persistence the drain also guarantees the next epoch's fresh
-	// fail-lock tables have no untracked stale on-disk copies to miss.
+	// hides its versions until it is back up).
 	if cfg.Partitions {
 		if _, err := reconcile(); err != nil {
 			return nil, nil, 0, fmt.Errorf("epilogue reconcile: %w", err)
 		}
 	}
-	if scrubOn {
-		// Continuous heal: no DrainFailLocks passes — wait for the
-		// scrubber to grind the remaining truly-up fail-locks to zero.
-		// Reconciliation between waits re-derives tables over the
-		// reliable manager links (a chaotic link may have eaten a clear
-		// fan-out, leaving a stray bit the scrubber's status scan has
-		// already seen cleared); anything it re-locks goes back to the
-		// scrubber for another round.
-		healStart := time.Now()
-		for pass := 0; pass < 3; pass++ {
+	// Stores that outlive the epoch (WAL carry in-process; always, on a
+	// process fleet) must be drained: the next epoch's fail-lock tables
+	// would otherwise have untracked stale on-disk copies to miss.
+	persistent := cfg.WALDir != "" || c == nil
+	// Then heal, reconcile, and go again if reconciliation had to re-lock
+	// anything: a clear fan-out eaten by a chaotic link — or cut short by
+	// a SIGKILL mid-flight — leaves a stray bit in one table that neither
+	// the scrubber's status scan nor the drain's per-site count can see,
+	// and reconciliation re-derives every table from the copies over the
+	// reliable manager links. Continuous heal waits for the scrubber to
+	// grind the truly-up fail-locks to zero; otherwise the drain runs the
+	// copier transactions itself.
+	var heal func() (clean bool, err error)
+	switch {
+	case scrubOn:
+		heal = func() (bool, error) {
 			scr.Kick()
-			clean := scr.WaitClean(60 * base.AckTimeout)
-			rep, err := reconcile()
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("scrub-heal reconcile: %w", err)
-			}
-			if clean && rep.LocksSet == 0 {
-				break
-			}
+			return scr.WaitClean(60 * base.AckTimeout), nil
 		}
-		er.HealTime = time.Since(healStart)
-		remaining, err := c.FailLocksRemaining(trueUp)
+	case (cfg.Partitions || persistent) && usesFailLocks:
+		heal = func() (bool, error) {
+			copiers, remaining, err := mgr.DrainFailLocks(trueUp, base.MaxOps)
+			er.DrainCopiers += copiers
+			er.LocksAfterDrain = remaining
+			return remaining == 0, err
+		}
+	}
+	healStart := time.Now()
+	for pass := 0; heal != nil && pass < 3; pass++ {
+		clean, err := heal()
 		if err != nil {
+			return nil, nil, 0, fmt.Errorf("heal: %w", err)
+		}
+		rep, err := reconcile()
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("post-heal reconcile: %w", err)
+		}
+		if clean && rep.LocksSet == 0 {
+			break
+		}
+	}
+	if scrubOn {
+		er.HealTime = time.Since(healStart)
+		if er.LocksAfterDrain, err = mgr.FailLocksRemaining(trueUp); err != nil {
 			return nil, nil, 0, fmt.Errorf("scrub-heal count: %w", err)
 		}
-		er.LocksAfterDrain = remaining
 		// Stop before the audit so no scrub batch races the final copy
 		// comparison.
 		scr.Stop()
@@ -901,35 +1013,13 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 		er.ScrubPasses = int(st.Passes)
 		er.ScrubItems = int(st.ItemsScrubbed)
 		er.ScrubCopiers = int(st.Copiers)
-	} else if (cfg.Partitions || cfg.WALDir != "") && usesFailLocks {
-		// Drain, then reconcile again: the drain's copier clear fan-outs
-		// travel chaotic site-to-site links, and a dropped clear leaves a
-		// stray bit in one table that the drain's per-site count cannot
-		// see. Reconciliation re-derives every table from the copies over
-		// the reliable manager links; another pass drains whatever it had
-		// to re-lock (a copier that aborted mid-drain).
-		for pass := 0; pass < 3; pass++ {
-			copiers, remaining, err := c.DrainFailLocks(trueUp, base.MaxOps)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("drain: %w", err)
-			}
-			er.DrainCopiers += copiers
-			er.LocksAfterDrain = remaining
-			rep, err := reconcile()
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("post-drain reconcile: %w", err)
-			}
-			if remaining == 0 && rep.LocksSet == 0 {
-				break
-			}
-		}
 	}
 
 	var report cluster.AuditReport
 	if usesFailLocks {
-		report, err = c.Audit()
+		report, err = mgr.Audit()
 	} else {
-		report, err = c.AuditQuorum()
+		report, err = mgr.AuditQuorum()
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -941,30 +1031,28 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, txnBase uint64) (*Epoch
 			er.AuditDetail = fmt.Sprintf("%s; %d fail-locks undrained at epoch end", er.AuditDetail, er.LocksAfterDrain)
 		}
 	}
-	pct := CollectPercentiles(c)
-	er.Chaos = c.ChaosStats()
-	return er, pct, c.LastTxnID(), nil
+	var pct *PercentileReport
+	if c != nil {
+		pct = CollectPercentiles(c)
+		er.Chaos = c.ChaosStats()
+	}
+	return er, pct, mgr.LastTxnID(), nil
 }
 
-// pickCoordinator round-robins over the truly-up sites, matching the
-// paper's "transactions were processed on both sites" (§3.1).
-func pickCoordinator(trueUp []bool, txnNum int) core.SiteID {
+// upSites lists the ground-truth-up sites.
+func upSites(trueUp []bool) []core.SiteID {
 	var ups []core.SiteID
 	for i, u := range trueUp {
 		if u {
 			ups = append(ups, core.SiteID(i))
 		}
 	}
-	return ups[(txnNum-1)%len(ups)]
+	return ups
 }
 
-// countUp counts the ground-truth-up sites.
-func countUp(trueUp []bool) int {
-	n := 0
-	for _, u := range trueUp {
-		if u {
-			n++
-		}
-	}
-	return n
+// pickCoordinator round-robins over the truly-up sites, matching the
+// paper's "transactions were processed on both sites" (§3.1).
+func pickCoordinator(trueUp []bool, txnNum int) core.SiteID {
+	ups := upSites(trueUp)
+	return ups[(txnNum-1)%len(ups)]
 }

@@ -2,17 +2,16 @@ package experiment
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
-	"minraid/internal/msg"
+	"minraid/internal/geo"
 	"minraid/internal/storage"
+	"minraid/internal/transport"
 	"minraid/internal/workload"
 )
 
@@ -146,15 +145,11 @@ func (r *BenchReport) String() string {
 // interleaved execution with group commit.
 func RunSoakBench(cfg SoakBenchConfig) (*BenchReport, error) {
 	cfg = cfg.withDefaults()
-	dir := cfg.WALDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "raid-bench-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, cleanup, err := dirOrTemp(cfg.WALDir, "raid-bench-")
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	report := &BenchReport{
 		Schema:        "minraid/bench_soak/v1",
@@ -164,17 +159,23 @@ func RunSoakBench(cfg SoakBenchConfig) (*BenchReport, error) {
 		MaxOps:        cfg.Base.MaxOps,
 		DelayMs:       float64(cfg.Base.Delay) / float64(time.Millisecond),
 		RateTxnPerSec: cfg.Rate,
-		LatencySource: "service",
+		LatencySource: latencySource(cfg.Rate),
 	}
-	if cfg.Rate > 0 {
-		report.LatencySource = "scheduled-arrival"
+	pass := func(name string, degree int, groupCommit bool) (*BenchMode, error) {
+		p := benchPass{
+			Mode: "serial", Dir: filepath.Join(dir, name), Txns: cfg.Txns,
+			Degree: degree, Rate: cfg.Rate, LockWaitBudget: cfg.LockWaitBudget,
+			GroupCommit: groupCommit,
+		}
+		if degree > 1 {
+			p.Mode = "concurrent"
+		}
+		return runBenchPass(cfg.Base, p)
 	}
-
-	var err error
-	if report.Serial, err = runBenchMode(cfg, filepath.Join(dir, "serial"), 1, false); err != nil {
+	if report.Serial, err = pass("serial", 1, false); err != nil {
 		return nil, fmt.Errorf("experiment: bench serial pass: %w", err)
 	}
-	if report.Concurrent, err = runBenchMode(cfg, filepath.Join(dir, "concurrent"), cfg.Concurrency, true); err != nil {
+	if report.Concurrent, err = pass("concurrent", cfg.Concurrency, true); err != nil {
 		return nil, fmt.Errorf("experiment: bench concurrent pass: %w", err)
 	}
 	if report.Serial.OpsPerSec > 0 {
@@ -183,35 +184,56 @@ func RunSoakBench(cfg SoakBenchConfig) (*BenchReport, error) {
 	return report, nil
 }
 
-// runBenchMode runs one pass: a fresh cluster over durably-logged stores
-// (Sync on; GroupCommit per mode), driven by the open-loop driver with the
-// pass's in-flight bound.
-func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool) (*BenchMode, error) {
-	base := cfg.Base
+// latencySource names what a bench's latencies measure at this pacing.
+func latencySource(rate float64) string {
+	if rate > 0 {
+		return "scheduled-arrival"
+	}
+	return "service"
+}
+
+// benchPass is one pass of either bench: what distinguishes it from the
+// other pass over the same seeded transaction stream.
+type benchPass struct {
+	// Mode labels the pass in the report; Dir holds its WAL stores.
+	Mode, Dir string
+	Txns      int
+	// Degree is the per-site interleaving degree and the driver's
+	// in-flight bound (1: the paper's serial processing); Rate paces the
+	// driver open-loop when positive.
+	Degree         int
+	Rate           float64
+	LockWaitBudget time.Duration
+	// GroupCommit batches the stores' fsyncs (Sync is always on).
+	GroupCommit bool
+	// WAN, when non-nil, replaces the flat per-hop delay with the compiled
+	// link matrix (latency and wire cost only: no drops, no dups).
+	WAN *geo.Compiled
+	// CommitEpoch, when positive, enables the epoch batcher.
+	CommitEpoch time.Duration
+}
+
+// runBenchPass runs one pass: a fresh cluster over durably-logged stores,
+// the pre-generated stream executed at the pass's in-flight bound, then a
+// consistency audit the pass must clear before its throughput means
+// anything.
+func runBenchPass(base Config, p benchPass) (*BenchMode, error) {
 	ccfg := base.clusterConfig()
-	if degree > 1 {
-		ccfg.ConcurrentTxns = degree
+	if p.Degree > 1 {
+		ccfg.ConcurrentTxns = p.Degree
 	}
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
-	var walStores []*storage.WALStore
-	defer func() {
-		for _, s := range walStores {
-			_ = s.Close()
-		}
-	}()
-	ccfg.StoreFactory = func(id core.SiteID) (storage.Store, error) {
-		s, err := storage.OpenWAL(storage.WALOptions{
-			Dir:         filepath.Join(dir, fmt.Sprintf("site%d", id)),
-			Items:       base.Items,
-			Sync:        true,
-			GroupCommit: groupCommit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		walStores = append(walStores, s)
-		return s, nil
+	ccfg.LockWaitBudget = p.LockWaitBudget
+	ccfg.CommitEpoch = p.CommitEpoch
+	if p.WAN != nil {
+		ccfg.Chaos = &transport.ChaosConfig{Seed: base.Seed, Links: p.WAN.Links, ExemptManager: true}
 	}
+	var closeStores func()
+	ccfg.StoreFactory, closeStores = walStoreFactory(p.Dir, storage.WALOptions{
+		Items:       base.Items,
+		Sync:        true,
+		GroupCommit: p.GroupCommit,
+	})
+	defer closeStores()
 	c, err := cluster.New(ccfg)
 	if err != nil {
 		return nil, err
@@ -222,7 +244,7 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 	// IDs are allocated serially here, not inside the racing closures.
 	gen := workload.NewUniform(base.Items, base.MaxOps, base.Seed)
 	gen.ReadFraction = base.ReadFraction
-	issues := make([]soakIssue, cfg.Txns)
+	issues := make([]soakIssue, p.Txns)
 	for i := range issues {
 		id := c.NextTxnID()
 		issues[i] = soakIssue{
@@ -232,43 +254,19 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 			ops:   gen.Next(id),
 		}
 	}
+	run, err := execIssues(c.Manager, issues, p.Degree, p.Rate)
+	if err != nil {
+		return nil, err
+	}
 
 	mode := &BenchMode{
-		Mode:         "serial",
-		Concurrency:  degree,
-		GroupCommit:  groupCommit,
-		Txns:         cfg.Txns,
+		Mode:         p.Mode,
+		Concurrency:  p.Degree,
+		GroupCommit:  p.GroupCommit,
+		Txns:         p.Txns,
 		AbortReasons: make(map[string]int),
 	}
-	if degree > 1 {
-		mode.Mode = "concurrent"
-	}
-
-	outs := make([]*msg.TxnResult, len(issues))
-	service := make([]time.Duration, len(issues))
-	var execMu sync.Mutex
-	var execErr error
-	ol := &workload.OpenLoop{Rate: cfg.Rate, Count: len(issues), MaxInFlight: degree}
-	res := ol.Run(func(i int) {
-		iss := issues[i]
-		st := time.Now()
-		out, err := c.ExecTxn(iss.coord, iss.id, iss.ops)
-		service[i] = time.Since(st)
-		if err != nil {
-			execMu.Lock()
-			if execErr == nil {
-				execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-			}
-			execMu.Unlock()
-			return
-		}
-		outs[i] = out
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-
-	for _, out := range outs {
+	for _, out := range run.outs {
 		if out.Committed {
 			mode.Committed++
 		} else {
@@ -276,21 +274,32 @@ func runBenchMode(cfg SoakBenchConfig, dir string, degree int, groupCommit bool)
 			mode.AbortReasons[out.AbortReason]++
 		}
 	}
-	mode.ElapsedMs = float64(res.Elapsed) / float64(time.Millisecond)
+	mode.ElapsedMs = float64(run.loop.Elapsed) / float64(time.Millisecond)
 	// Throughput counts committed transactions only: an abort did no
 	// durable work, so issued/sec would flatter a pass that thrashes on
 	// lock contention.
-	mode.OpsPerSec = float64(mode.Committed) / res.Elapsed.Seconds()
-	lat := service
-	if cfg.Rate > 0 {
-		lat = res.Latencies
+	mode.OpsPerSec = float64(mode.Committed) / run.loop.Elapsed.Seconds()
+	lat := run.service
+	if p.Rate > 0 {
+		lat = run.loop.Latencies
 	}
 	mode.P50Ms = pctileMs(lat, 0.50)
 	mode.P95Ms = pctileMs(lat, 0.95)
 	mode.P99Ms = pctileMs(lat, 0.99)
 
+	// Epoch commit answers the client once the batch fan-out is on the
+	// wire; let in-flight CommitBatch deliveries cross the slowest link
+	// and apply before comparing copies.
+	if p.CommitEpoch > 0 {
+		settle := p.CommitEpoch + 200*time.Millisecond
+		if p.WAN != nil {
+			settle += 2 * p.WAN.MaxBaseDelay()
+		}
+		time.Sleep(settle)
+	}
+
 	// The bench injects no faults, so the pass must leave every replica
-	// identical — a correctness gate on the interleaved+batched regime.
+	// identical — a correctness gate on the interleaved, batched regimes.
 	report, err := c.Audit()
 	if err != nil {
 		return nil, err

@@ -2,19 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
-	"minraid/internal/cluster"
-	"minraid/internal/core"
 	"minraid/internal/geo"
-	"minraid/internal/msg"
-	"minraid/internal/storage"
-	"minraid/internal/transport"
-	"minraid/internal/workload"
 )
 
 // WANBenchConfig parameterizes the geo-replication commit bench: the same
@@ -80,18 +72,18 @@ func (c WANBenchConfig) withDefaults() WANBenchConfig {
 // transaction stream over the identical compiled link matrix; the only
 // difference is the commit protocol.
 type WANBenchReport struct {
-	Schema        string  `json:"schema"` // "minraid/bench_wan/v1"
-	Seed          int64   `json:"seed"`
-	Sites         int     `json:"sites"`
-	Items         int     `json:"items"`
-	MaxOps        int     `json:"max_ops"`
-	Profile       string  `json:"profile"`
-	Regions       string  `json:"regions"`
-	WANFingerprint uint64 `json:"wan_fingerprint"`
-	Concurrency   int     `json:"concurrency"`
-	CommitEpochMs float64 `json:"commit_epoch_ms"`
-	RateTxnPerSec float64 `json:"rate_txn_per_sec"` // 0 = unpaced
-	LatencySource string  `json:"latency_source"`
+	Schema         string  `json:"schema"` // "minraid/bench_wan/v1"
+	Seed           int64   `json:"seed"`
+	Sites          int     `json:"sites"`
+	Items          int     `json:"items"`
+	MaxOps         int     `json:"max_ops"`
+	Profile        string  `json:"profile"`
+	Regions        string  `json:"regions"`
+	WANFingerprint uint64  `json:"wan_fingerprint"`
+	Concurrency    int     `json:"concurrency"`
+	CommitEpochMs  float64 `json:"commit_epoch_ms"`
+	RateTxnPerSec  float64 `json:"rate_txn_per_sec"` // 0 = unpaced
+	LatencySource  string  `json:"latency_source"`
 	// ROWAA is the per-transaction commit pass, Epoch the batched one.
 	ROWAA *BenchMode `json:"rowaa"`
 	Epoch *BenchMode `json:"epoch"`
@@ -162,15 +154,11 @@ func runWANBench(cfg WANBenchConfig, doROWAA, doEpoch bool) (*WANBenchReport, er
 	if err != nil {
 		return nil, err
 	}
-	dir := cfg.WALDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "raid-wanbench-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, cleanup, err := dirOrTemp(cfg.WALDir, "raid-wanbench-")
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 
 	report := &WANBenchReport{
 		Schema:         "minraid/bench_wan/v1",
@@ -184,19 +172,26 @@ func runWANBench(cfg WANBenchConfig, doROWAA, doEpoch bool) (*WANBenchReport, er
 		Concurrency:    cfg.Concurrency,
 		CommitEpochMs:  float64(cfg.CommitEpoch) / float64(time.Millisecond),
 		RateTxnPerSec:  cfg.Rate,
-		LatencySource:  "service",
-	}
-	if cfg.Rate > 0 {
-		report.LatencySource = "scheduled-arrival"
+		LatencySource:  latencySource(cfg.Rate),
 	}
 
+	// Both passes: the compiled WAN link matrix as the wire, group-commit
+	// stores, the configured degree. The commit epoch is the one
+	// difference — zero runs stock per-transaction ROWAA commit.
+	pass := func(mode string, commitEpoch time.Duration) (*BenchMode, error) {
+		return runBenchPass(cfg.Base, benchPass{
+			Mode: mode, Dir: filepath.Join(dir, mode), Txns: cfg.Txns,
+			Degree: cfg.Concurrency, Rate: cfg.Rate, LockWaitBudget: cfg.LockWaitBudget,
+			GroupCommit: true, WAN: wan, CommitEpoch: commitEpoch,
+		})
+	}
 	if doROWAA {
-		if report.ROWAA, err = runWANBenchMode(cfg, wan, filepath.Join(dir, "rowaa"), 0); err != nil {
+		if report.ROWAA, err = pass("rowaa", 0); err != nil {
 			return nil, fmt.Errorf("experiment: wan bench rowaa pass: %w", err)
 		}
 	}
 	if doEpoch {
-		if report.Epoch, err = runWANBenchMode(cfg, wan, filepath.Join(dir, "epoch"), cfg.CommitEpoch); err != nil {
+		if report.Epoch, err = pass("epoch", cfg.CommitEpoch); err != nil {
 			return nil, fmt.Errorf("experiment: wan bench epoch pass: %w", err)
 		}
 	}
@@ -204,133 +199,4 @@ func runWANBench(cfg WANBenchConfig, doROWAA, doEpoch bool) (*WANBenchReport, er
 		report.SpeedupX = report.Epoch.OpsPerSec / report.ROWAA.OpsPerSec
 	}
 	return report, nil
-}
-
-// runWANBenchMode runs one pass: a fresh cluster whose chaos layer is the
-// compiled WAN link matrix (no drops, no dups — latency and wire-cost
-// only), durably-logged group-commit stores, the open-loop driver at the
-// configured degree. commitEpoch zero runs stock ROWAA commit; positive
-// enables the epoch batcher.
-func runWANBenchMode(cfg WANBenchConfig, wan *geo.Compiled, dir string, commitEpoch time.Duration) (*BenchMode, error) {
-	base := cfg.Base
-	ccfg := base.clusterConfig()
-	chaosCfg := transport.ChaosConfig{
-		Seed:          base.Seed,
-		Links:         wan.Links,
-		ExemptManager: true,
-	}
-	ccfg.Chaos = &chaosCfg
-	ccfg.ConcurrentTxns = cfg.Concurrency
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
-	ccfg.CommitEpoch = commitEpoch
-	var walStores []*storage.WALStore
-	defer func() {
-		for _, s := range walStores {
-			_ = s.Close()
-		}
-	}()
-	ccfg.StoreFactory = func(id core.SiteID) (storage.Store, error) {
-		s, err := storage.OpenWAL(storage.WALOptions{
-			Dir:         filepath.Join(dir, fmt.Sprintf("site%d", id)),
-			Items:       base.Items,
-			Sync:        true,
-			GroupCommit: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		walStores = append(walStores, s)
-		return s, nil
-	}
-	c, err := cluster.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	// Pre-generate the stream so both passes issue bit-identical work.
-	gen := workload.NewUniform(base.Items, base.MaxOps, base.Seed)
-	gen.ReadFraction = base.ReadFraction
-	issues := make([]soakIssue, cfg.Txns)
-	for i := range issues {
-		id := c.NextTxnID()
-		issues[i] = soakIssue{
-			num:   i + 1,
-			id:    id,
-			coord: core.SiteID(i % base.Sites),
-			ops:   gen.Next(id),
-		}
-	}
-
-	mode := &BenchMode{
-		Mode:         "rowaa",
-		Concurrency:  cfg.Concurrency,
-		GroupCommit:  true,
-		Txns:         cfg.Txns,
-		AbortReasons: make(map[string]int),
-	}
-	if commitEpoch > 0 {
-		mode.Mode = "epoch"
-	}
-
-	outs := make([]*msg.TxnResult, len(issues))
-	service := make([]time.Duration, len(issues))
-	var execMu sync.Mutex
-	var execErr error
-	ol := &workload.OpenLoop{Rate: cfg.Rate, Count: len(issues), MaxInFlight: cfg.Concurrency}
-	res := ol.Run(func(i int) {
-		iss := issues[i]
-		st := time.Now()
-		out, err := c.ExecTxn(iss.coord, iss.id, iss.ops)
-		service[i] = time.Since(st)
-		if err != nil {
-			execMu.Lock()
-			if execErr == nil {
-				execErr = fmt.Errorf("txn %d on %s: %w", iss.num, iss.coord, err)
-			}
-			execMu.Unlock()
-			return
-		}
-		outs[i] = out
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-
-	for _, out := range outs {
-		if out.Committed {
-			mode.Committed++
-		} else {
-			mode.Aborted++
-			mode.AbortReasons[out.AbortReason]++
-		}
-	}
-	mode.ElapsedMs = float64(res.Elapsed) / float64(time.Millisecond)
-	mode.OpsPerSec = float64(mode.Committed) / res.Elapsed.Seconds()
-	lat := service
-	if cfg.Rate > 0 {
-		lat = res.Latencies
-	}
-	mode.P50Ms = pctileMs(lat, 0.50)
-	mode.P95Ms = pctileMs(lat, 0.95)
-	mode.P99Ms = pctileMs(lat, 0.99)
-
-	// Epoch commit answers the client once the batch fan-out is on the
-	// wire; let in-flight CommitBatch deliveries cross the slowest link
-	// and apply before comparing copies.
-	if commitEpoch > 0 {
-		time.Sleep(commitEpoch + 2*wan.MaxBaseDelay() + 200*time.Millisecond)
-	}
-
-	// No faults are injected, so the pass must leave every replica
-	// identical — the audit gate the epoch-batched commit has to clear
-	// at full concurrency before its throughput means anything.
-	report, err := c.Audit()
-	if err != nil {
-		return nil, err
-	}
-	if !report.OK() || report.StaleCopies != 0 {
-		return nil, fmt.Errorf("wan bench %s pass failed audit: %s", mode.Mode, report)
-	}
-	return mode, nil
 }

@@ -55,16 +55,18 @@ const txnIDBase = uint64(3) << 32
 const passTraceBase = uint64(4) << 32
 
 // Target is the slice of the managing-site API the scrubber drives. A
-// *cluster.Cluster satisfies it.
+// *cluster.Manager (and so a *cluster.Cluster) satisfies it.
 type Target interface {
 	// Sites returns the number of database sites.
 	Sites() int
 	// Replicas returns the current item-to-site placement; the scrubber
 	// only repairs a site's own hosted copies.
 	Replicas() *core.ReplicaMap
-	// Status queries one site's state and, with includeFailLocks, its
-	// fail-lock table snapshot; it answers even for down sites.
-	Status(id core.SiteID, includeFailLocks bool) (*msg.StatusResp, error)
+	// StatusTimeout queries one site's state and, with includeFailLocks,
+	// its fail-lock table snapshot, with a bounded reply wait. A site in
+	// the simulated failed state still answers; a crashed process does
+	// not, and must cost a pass a bounded stall, not the manager timeout.
+	StatusTimeout(id core.SiteID, includeFailLocks bool, timeout time.Duration) (*msg.StatusResp, error)
 	// ExecTxnTimeout coordinates one transaction at the given site with a
 	// bounded reply wait.
 	ExecTxnTimeout(coordinator core.SiteID, id core.TxnID, ops []core.Op, timeout time.Duration) (*msg.TxnResult, error)
@@ -83,9 +85,9 @@ type Config struct {
 	// Interval is the idle poll period between passes that found nothing
 	// to heal (default 25ms). Kick cuts it short.
 	Interval time.Duration
-	// ExecTimeout bounds the reply wait of one repair transaction, so a
-	// batch racing a site failure costs the scrubber a bounded stall
-	// (default 2s). Keep it above the cluster's ack timeout: the repair
+	// ExecTimeout bounds the reply wait of one repair transaction or
+	// status probe, so a batch racing a site failure (or a probe of a
+	// crashed process) costs the scrubber a bounded stall (default 2s). Keep it above the cluster's ack timeout: the repair
 	// itself may legitimately wait out a failure detection.
 	ExecTimeout time.Duration
 	// Metrics receives scrub timers and counters; nil allocates a private
@@ -230,7 +232,7 @@ func (s *Scrubber) WaitClean(timeout time.Duration) bool {
 func (s *Scrubber) remaining() (int, error) {
 	total := 0
 	for i := 0; i < s.t.Sites(); i++ {
-		st, err := s.t.Status(core.SiteID(i), true)
+		st, err := s.t.StatusTimeout(core.SiteID(i), true, s.cfg.ExecTimeout)
 		if err != nil {
 			return 0, err
 		}
@@ -292,9 +294,9 @@ func (s *Scrubber) pass(p *pacer) (progressed bool) {
 		default:
 		}
 		id := core.SiteID(i)
-		st, err := s.t.Status(id, true)
+		st, err := s.t.StatusTimeout(id, true, s.cfg.ExecTimeout)
 		if err != nil {
-			continue // manager link hiccup; next pass retries
+			continue // manager link hiccup or dead process; next pass retries
 		}
 		if st.State != core.StatusUp {
 			// A site that failed again mid-episode: its episode ends when

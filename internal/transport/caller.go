@@ -48,10 +48,9 @@ type delivered struct {
 // NewCaller wraps ep with the given call timeout.
 //
 // Sequence numbers are seeded from the wall clock: the TCP transport
-// suppresses reconnect duplicates by requiring strictly increasing
-// sequence numbers per sender, and a restarted process (a new raidctl
-// invocation, a rebooted raidsrv) must not reuse the numbers its
-// predecessor burned.
+// suppresses reconnect duplicates by remembering each sender's recent
+// sequence numbers, and a restarted process (a new raidctl invocation, a
+// rebooted raidsrv) must not reuse the numbers its predecessor burned.
 func NewCaller(ep Endpoint, timeout time.Duration) *Caller {
 	c := &Caller{ep: ep, timeout: timeout, pending: make(map[uint64]chan delivered)}
 	c.seq.Store(uint64(time.Now().UnixNano()))
@@ -104,9 +103,9 @@ func (c *Caller) CallTimeoutT(trace uint64, to core.SiteID, body msg.Body, timeo
 	if err := c.ep.Send(&msg.Envelope{To: to, Seq: seq, Trace: trace, Body: body}); err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	d, err := c.await(ch, timer)
+	dl := deadline{timer: time.NewTimer(timeout)}
+	defer dl.timer.Stop()
+	d, err := c.await(ch, &dl)
 	return d.env, err
 }
 
@@ -185,13 +184,13 @@ func (c *Caller) MulticastT(trace uint64, calls []Outcall) []CallResult {
 		}
 		seqs[i], chans[i] = seq, ch
 	}
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+	dl := deadline{timer: time.NewTimer(c.timeout)}
+	defer dl.timer.Stop()
 	for i := range calls {
 		if chans[i] == nil {
 			continue
 		}
-		d, err := c.await(chans[i], timer)
+		d, err := c.await(chans[i], &dl)
 		c.unregister(seqs[i])
 		if err != nil {
 			out[i].Err = err
@@ -226,14 +225,14 @@ func (c *Caller) MulticastAsyncT(trace uint64, calls []Outcall) func() []CallRes
 		}
 		seqs[i], chans[i] = seq, ch
 	}
-	timer := time.NewTimer(c.timeout)
+	dl := deadline{timer: time.NewTimer(c.timeout)}
 	return func() []CallResult {
-		defer timer.Stop()
+		defer dl.timer.Stop()
 		for i := range calls {
 			if chans[i] == nil {
 				continue
 			}
-			d, err := c.await(chans[i], timer)
+			d, err := c.await(chans[i], &dl)
 			c.unregister(seqs[i])
 			if err != nil {
 				out[i].Err = err
@@ -246,20 +245,40 @@ func (c *Caller) MulticastAsyncT(trace uint64, calls []Outcall) func() []CallRes
 	}
 }
 
-// await waits for one reply on ch or for the (shared) timer to fire.
-// The timer is not reset between calls, implementing a single deadline
+// deadline is a fan-out's shared timer plus whether it has fired. The
+// timer fires once; expired carries that across the slots still to be
+// collected, so they poll instead of racing a re-armed timer.
+type deadline struct {
+	timer   *time.Timer
+	expired bool
+}
+
+// await waits for one reply on ch or for the (shared) deadline to pass.
+// The deadline is not reset between calls, implementing a single deadline
 // across a multicast: a reply that beat the deadline sits buffered in its
 // slot's channel and is still collected after an earlier slot timed out.
-func (c *Caller) await(ch chan delivered, timer *time.Timer) (delivered, error) {
+func (c *Caller) await(ch chan delivered, dl *deadline) (delivered, error) {
+	if !dl.expired {
+		select {
+		case d, ok := <-ch:
+			if !ok || d.env == nil {
+				return delivered{}, ErrCancelled
+			}
+			return d, nil
+		case <-dl.timer.C:
+			dl.expired = true
+		}
+	}
+	// Past the deadline only what is already buffered counts. This also
+	// covers the slot that saw the timer fire: select picks at random when
+	// the reply and the timer are both ready.
 	select {
 	case d, ok := <-ch:
 		if !ok || d.env == nil {
 			return delivered{}, ErrCancelled
 		}
 		return d, nil
-	case <-timer.C:
-		// Keep the timer expired for subsequent awaits on the same timer.
-		timer.Reset(0)
+	default:
 		return delivered{}, ErrTimeout
 	}
 }

@@ -61,7 +61,7 @@ func (c *TCPConfig) fillDefaults() {
 // reaching every other site over TCP. Messages are CRC-framed (see
 // internal/wire); per-peer ordering comes from a single writer goroutine
 // per destination and TCP's own ordering; duplicate suppression on
-// reconnect comes from per-sender sequence numbers.
+// reconnect comes from remembering each sender's recent sequence numbers.
 type TCP struct {
 	cfg      TCPConfig
 	listener net.Listener
@@ -70,7 +70,7 @@ type TCP struct {
 	mu      sync.Mutex
 	writers map[core.SiteID]*tcpWriter
 	conns   map[net.Conn]bool
-	lastSeq map[core.SiteID]uint64
+	recent  map[core.SiteID]*recentSeqs
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -91,7 +91,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		listener: ln,
 		writers:  make(map[core.SiteID]*tcpWriter),
 		conns:    make(map[net.Conn]bool),
-		lastSeq:  make(map[core.SiteID]uint64),
+		recent:   make(map[core.SiteID]*recentSeqs),
 	}
 	t.ep = &tcpEndpoint{id: cfg.Self, net: t, inbox: newQueue[*msg.Envelope]()}
 	t.wg.Add(1)
@@ -188,17 +188,36 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
+// recentSeqs remembers the last sequence numbers delivered from one
+// sender. A reconnect duplicate is always recent: a writer retransmits
+// only the frame in hand, so the copy arrives first on the new connection,
+// adjacent in sender order to the original.
+type recentSeqs struct {
+	ring [64]uint64
+	next int
+}
+
 // dedup reports whether env is a duplicate of a message already delivered
-// from env.From. Sequence numbers are strictly increasing per sender, and a
-// sender retransmits only in order, so a non-increasing sequence number is
-// always a reconnect duplicate.
+// from env.From. Sequence numbers are unique per sender but need not
+// arrive increasing — a caller allocates the number before it enqueues the
+// message, so concurrent callers (interleaved transactions, a paced
+// managing site) can enqueue out of order — so a duplicate is a number
+// seen recently, not a number below the high-water mark.
 func (t *TCP) dedup(env *msg.Envelope) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if env.Seq <= t.lastSeq[env.From] {
-		return true
+	r := t.recent[env.From]
+	if r == nil {
+		r = &recentSeqs{}
+		t.recent[env.From] = r
 	}
-	t.lastSeq[env.From] = env.Seq
+	for _, seq := range r.ring {
+		if seq == env.Seq {
+			return true
+		}
+	}
+	r.ring[r.next] = env.Seq
+	r.next = (r.next + 1) % len(r.ring)
 	return false
 }
 

@@ -79,6 +79,30 @@ func TestTCPOrderingUnderLoad(t *testing.T) {
 	}
 }
 
+// TestTCPOutOfOrderSeqDelivered: a caller takes its sequence number before
+// it enqueues the message, so two concurrent callers can put a lower
+// number on the wire after a higher one. Both are distinct messages and
+// must be delivered; only a repeated number is a reconnect duplicate.
+func TestTCPOutOfOrderSeqDelivered(t *testing.T) {
+	nets := newTCPMesh(t, 2)
+	a, _ := nets[0].Endpoint(0)
+	b, _ := nets[1].Endpoint(1)
+	for _, seq := range []uint64{11, 10, 10, 12} {
+		if err := a.Send(commitEnv(1, core.TxnID(seq), seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []core.TxnID{11, 10, 12} {
+		env, ok := b.Recv()
+		if !ok {
+			t.Fatal("recv failed")
+		}
+		if got := env.Body.(*msg.Commit).Txn; got != want {
+			t.Fatalf("got txn %d, want %d (seq 10 overtaken by 11 must still arrive; its repeat must not)", got, want)
+		}
+	}
+}
+
 func TestTCPBidirectional(t *testing.T) {
 	nets := newTCPMesh(t, 3)
 	eps := make([]Endpoint, 3)
