@@ -145,6 +145,11 @@ func (h *HistogramStat) Merge(other HistogramStat) {
 	}
 }
 
+// timer projects the histogram onto the timer it extends.
+func (h *HistogramStat) timer() TimerStat {
+	return TimerStat{Count: h.Count, Total: h.Total, Min: h.Min, Max: h.Max}
+}
+
 // String implements fmt.Stringer, including the tail quantiles.
 func (h HistogramStat) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
@@ -152,10 +157,11 @@ func (h HistogramStat) String() string {
 }
 
 // Registry is a set of named timers, histograms and counters, safe for
-// concurrent use. The zero value is not usable; call NewRegistry.
+// concurrent use. A timer is its histogram's count/total/min/max, so the
+// two are one record per name. The zero value is not usable; call
+// NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
-	timers   map[string]*TimerStat
 	hists    map[string]*HistogramStat
 	counters map[string]uint64
 }
@@ -163,30 +169,16 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		timers:   make(map[string]*TimerStat),
 		hists:    make(map[string]*HistogramStat),
 		counters: make(map[string]uint64),
 	}
 }
 
-// Observe records one duration under name, updating both the timer and
-// the histogram of that name.
+// Observe records one duration under name, as both the timer and the
+// histogram of that name.
 func (r *Registry) Observe(name string, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &TimerStat{Min: d, Max: d}
-		r.timers[name] = t
-	}
-	t.Count++
-	t.Total += d
-	if d < t.Min {
-		t.Min = d
-	}
-	if d > t.Max {
-		t.Max = d
-	}
 	h, ok := r.hists[name]
 	if !ok {
 		h = &HistogramStat{Min: d, Max: d}
@@ -229,8 +221,8 @@ func (r *Registry) Counter(name string) uint64 {
 func (r *Registry) Timer(name string) TimerStat {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.timers[name]; ok {
-		return *t
+	if h, ok := r.hists[name]; ok {
+		return h.timer()
 	}
 	return TimerStat{}
 }
@@ -239,9 +231,9 @@ func (r *Registry) Timer(name string) TimerStat {
 func (r *Registry) Timers() map[string]TimerStat {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]TimerStat, len(r.timers))
-	for k, v := range r.timers {
-		out[k] = *v
+	out := make(map[string]TimerStat, len(r.hists))
+	for k, h := range r.hists {
+		out[k] = h.timer()
 	}
 	return out
 }
@@ -285,7 +277,6 @@ func (r *Registry) Counters() map[string]uint64 {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.timers = make(map[string]*TimerStat)
 	r.hists = make(map[string]*HistogramStat)
 	r.counters = make(map[string]uint64)
 }
@@ -294,8 +285,8 @@ func (r *Registry) Reset() {
 func (r *Registry) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.timers)+len(r.counters))
-	for k := range r.timers {
+	names := make([]string, 0, len(r.hists)+len(r.counters))
+	for k := range r.hists {
 		names = append(names, "T "+k)
 	}
 	for k := range r.counters {
@@ -306,11 +297,7 @@ func (r *Registry) String() string {
 	for _, n := range names {
 		kind, name := n[:1], n[2:]
 		if kind == "T" {
-			if h, ok := r.hists[name]; ok {
-				fmt.Fprintf(&b, "timer %-24s %s\n", name, h.String())
-			} else {
-				fmt.Fprintf(&b, "timer %-24s %s\n", name, (*r.timers[name]).String())
-			}
+			fmt.Fprintf(&b, "timer %-24s %s\n", name, r.hists[name].String())
 		} else {
 			fmt.Fprintf(&b, "count %-24s %d\n", name, r.counters[name])
 		}

@@ -37,7 +37,7 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 			reason := lockAbortReason(err)
 			s.mu.Lock()
 			s.stats.Aborted++
-			up := s.state == core.StatusUp
+			up := s.state.get() == core.StatusUp
 			s.mu.Unlock()
 			if up {
 				s.reg.Add(CounterAborts, 1)
@@ -56,7 +56,7 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 	elapsed := time.Since(start)
 
 	s.mu.Lock()
-	state := s.state
+	state := s.state.get()
 	if res.Committed {
 		s.stats.Committed++
 	} else {
@@ -171,7 +171,7 @@ func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
 	// hosts plus maintenance-only notices for the rest; an item with no
 	// operational copy at all cannot be written, even by ROWAA.
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		res.AbortReason = txn.AbortSiteDown
 		return res
@@ -373,7 +373,7 @@ func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
 	// committing site computes identical fail-lock bits for this
 	// transaction.
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		// Failed between phases: the other sites have committed; our
 		// copy will be repaired by fail-locks on recovery. Report abort
 		// locally (no reply is sent anyway).

@@ -175,7 +175,7 @@ func (b *epochBatcher) flush(batch []*epochTxn) {
 	// past the entry's vector means a site recovered while the entry sat
 	// in the batch — its copy would miss the write untracked. Abort those.
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		for _, e := range batch {
 			e.done <- epochOutcome{reason: txn.AbortSiteDown}
@@ -236,7 +236,7 @@ func (b *epochBatcher) flush(batch []*epochTxn) {
 	// between phases" arm — the participants commit, our copy is repaired
 	// by fail-locks on recovery, waiters report AbortSiteDown silently.
 	s.mu.Lock()
-	committedLocally := s.state == core.StatusUp
+	committedLocally := s.state.get() == core.StatusUp
 	if committedLocally {
 		for _, e := range commits {
 			for _, iv := range e.localWrites {
@@ -362,17 +362,7 @@ func (s *Site) handleCommitBatch(env *msg.Envelope, body *msg.CommitBatch) {
 			continue
 		}
 		delete(s.staged, entry.Txn)
-		if len(entry.Versions) > 0 {
-			byItem := make(map[core.ItemID]core.TxnID, len(entry.Versions))
-			for _, v := range entry.Versions {
-				byItem[v.Item] = v.Version
-			}
-			for i := range st.writes {
-				if v, ok := byItem[st.writes[i].Item]; ok {
-					st.writes[i].Version = v
-				}
-			}
-		}
+		overlayVersions(st.writes, entry.Versions)
 		for _, iv := range st.writes {
 			if _, err := s.store.Apply(iv); err != nil {
 				panic("site: applying staged write: " + err.Error())

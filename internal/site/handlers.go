@@ -115,7 +115,7 @@ func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != core.StatusUp || (lm != nil && lm != s.locks) {
+	if s.state.get() != core.StatusUp || (lm != nil && lm != s.locks) {
 		// Not operational (or failed while waiting for locks): a
 		// recovering site must not vote. No reply; the coordinator's
 		// timeout handles it.
@@ -172,7 +172,7 @@ func decisionTimeout(ackTimeout time.Duration) time.Duration { return 4 * ackTim
 func (s *Site) coordinatorLost(id core.TxnID) {
 	s.mu.Lock()
 	st, ok := s.staged[id]
-	if !ok || s.state != core.StatusUp {
+	if !ok || s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -207,19 +207,7 @@ func (s *Site) handleCommit(env *msg.Envelope, body *msg.Commit) {
 	}
 	delete(s.staged, body.Txn)
 	defer st.finish(body.Txn)
-	// Concurrent mode ships the final version numbers with the commit;
-	// overlay them onto the staged values.
-	if len(body.Versions) > 0 {
-		byItem := make(map[core.ItemID]core.TxnID, len(body.Versions))
-		for _, v := range body.Versions {
-			byItem[v.Item] = v.Version
-		}
-		for i := range st.writes {
-			if v, ok := byItem[st.writes[i].Item]; ok {
-				st.writes[i].Version = v
-			}
-		}
-	}
+	overlayVersions(st.writes, body.Versions)
 	for _, iv := range st.writes {
 		if _, err := s.store.Apply(iv); err != nil {
 			panic("site: applying staged write: " + err.Error())
@@ -240,6 +228,35 @@ func (s *Site) handleCommit(env *msg.Envelope, body *msg.Commit) {
 			defer s.wg.Done()
 			s.checkBatchTrigger()
 		}()
+	}
+}
+
+// overlayVersions stamps a commit's final version numbers onto the staged
+// writes. Concurrent mode ships them with the commit (item and version
+// only; the values travelled in the prepare); serial mode ships none and
+// the staged versions stand. Our coordinator lists versions in the order of
+// the prepare's writes, so the two zip by index; a list in any other shape
+// is matched by item.
+func overlayVersions(writes, versions []core.ItemVersion) {
+	if len(versions) == 0 {
+		return
+	}
+	aligned := len(versions) == len(writes)
+	for i := 0; aligned && i < len(writes); i++ {
+		aligned = versions[i].Item == writes[i].Item
+	}
+	if aligned {
+		for i := range writes {
+			writes[i].Version = versions[i].Version
+		}
+		return
+	}
+	for i := range writes {
+		for _, v := range versions {
+			if v.Item == writes[i].Item {
+				writes[i].Version = v.Version
+			}
+		}
 	}
 }
 
@@ -287,7 +304,7 @@ func (s *Site) handleCopyRequest(env *msg.Envelope, body *msg.CopyRequest) {
 	start := time.Now()
 	rep := s.replicaMap()
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -359,7 +376,7 @@ func (s *Site) handleClearFailLocks(env *msg.Envelope, body *msg.ClearFailLocks)
 func (s *Site) handleCtrlRecover(env *msg.Envelope, body *msg.CtrlRecover) {
 	start := time.Now()
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -407,7 +424,7 @@ func (s *Site) handleCtrlFail(env *msg.Envelope, body *msg.CtrlFail) {
 // install the pushed copies and clear the local fail-locks for them.
 func (s *Site) handleCtrlReplicate(env *msg.Envelope, body *msg.CtrlReplicate) {
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -440,7 +457,7 @@ func (s *Site) handleCtrlReplicate(env *msg.Envelope, body *msg.CtrlReplicate) {
 func (s *Site) handleCtrlLockSync(env *msg.Envelope, body *msg.CtrlLockSync) {
 	start := time.Now()
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -472,7 +489,7 @@ func (s *Site) handleCtrlRehost(env *msg.Envelope, body *msg.CtrlRehost) {
 		}
 	}
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		s.caller.Reply(env, &msg.CtrlRehostAck{OK: false, Reason: "not operational"})
 		return
@@ -503,7 +520,7 @@ func (s *Site) handleReadReq(env *msg.Envelope, body *msg.ReadReq) {
 	start := time.Now()
 	rep := s.replicaMap()
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}

@@ -19,11 +19,11 @@ import (
 // simply miss updates until recovery.
 func (s *Site) failNow() {
 	s.mu.Lock()
-	if s.state == core.StatusDown {
+	if s.state.get() == core.StatusDown {
 		s.mu.Unlock()
 		return
 	}
-	s.state = core.StatusDown
+	s.state.set(core.StatusDown)
 	s.vec.MarkDown(s.cfg.ID)
 	for id, st := range s.staged {
 		st.finish(id)
@@ -77,15 +77,15 @@ func (s *Site) versionVector() []uint64 {
 func (s *Site) recoverSite(tr uint64) bool {
 	start := time.Now()
 	s.mu.Lock()
-	if s.state == core.StatusUp {
+	if s.state.get() == core.StatusUp {
 		s.mu.Unlock()
 		return true
 	}
-	if s.state != core.StatusDown {
+	if s.state.get() != core.StatusDown {
 		s.mu.Unlock()
 		return false
 	}
-	s.state = core.StatusRecovering
+	s.state.set(core.StatusRecovering)
 	s.session++
 	session := s.session
 	s.stats.ControlType1++
@@ -117,8 +117,8 @@ func (s *Site) recoverSite(tr uint64) bool {
 	if s.cfg.PersistSession != nil {
 		if err := s.cfg.PersistSession(session); err != nil {
 			s.mu.Lock()
-			if s.state == core.StatusRecovering {
-				s.state = core.StatusDown
+			if s.state.get() == core.StatusRecovering {
+				s.state.set(core.StatusDown)
 				s.vec.MarkDown(s.cfg.ID)
 			}
 			s.mu.Unlock()
@@ -130,7 +130,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 		// Single-site system: trivially operational.
 		s.mu.Lock()
 		s.vec.MarkUp(s.cfg.ID, session)
-		s.state = core.StatusUp
+		s.state.set(core.StatusUp)
 		s.mu.Unlock()
 		s.reg.Observe(TimerCtrl1Recovering, time.Since(start))
 		s.emit(tr, trace.PhaseCtrl1, "recovering", start)
@@ -142,7 +142,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 	})
 
 	s.mu.Lock()
-	if s.state != core.StatusRecovering {
+	if s.state.get() != core.StatusRecovering {
 		// A failure order arrived while the announcement was in flight.
 		s.mu.Unlock()
 		return false
@@ -218,7 +218,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 	if !installed {
 		// Recovery blocked: without fail-locks from an operational site
 		// the out-of-date items cannot be identified. Back to down.
-		s.state = core.StatusDown
+		s.state.set(core.StatusDown)
 		s.vec.MarkDown(s.cfg.ID)
 		s.mu.Unlock()
 		return false
@@ -235,7 +235,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 		}
 	}
 	s.vec.MarkUp(s.cfg.ID, session)
-	s.state = core.StatusUp
+	s.state.set(core.StatusUp)
 	instant := s.cfg.InstantRecovery
 	armBatch := !instant && s.cfg.BatchCopierThreshold > 0
 	if armBatch {
@@ -282,7 +282,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 // miss the staleness record.
 func (s *Site) fanoutLockSync(words, vers []uint64, tr uint64) {
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -370,7 +370,7 @@ func (s *Site) announceFailure(failed []core.SiteID, tr uint64) {
 // transactions.
 func (s *Site) maybeBatchRefresh(tr uint64) {
 	s.mu.Lock()
-	if !s.batchArmed || s.state != core.StatusUp {
+	if !s.batchArmed || s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}
@@ -438,7 +438,7 @@ func (s *Site) maybeReplicate(tr uint64) {
 // to the next chunk and candidate.
 func (s *Site) maybeReplicate0(tr uint64) {
 	s.mu.Lock()
-	if s.state != core.StatusUp {
+	if s.state.get() != core.StatusUp {
 		s.mu.Unlock()
 		return
 	}

@@ -19,7 +19,9 @@
 //     for replies.
 //
 // All mutable state (vector, fail-locks, staged writes, stats) is guarded
-// by mu; the store is internally synchronized.
+// by mu; the store is internally synchronized. The receive loop itself
+// takes no lock per message: the lifecycle state it checks and the inbound
+// counter it bumps are atomics.
 package site
 
 import (
@@ -356,8 +358,10 @@ type Site struct {
 	// via replicaMap and uses that snapshot throughout.
 	replicas atomic.Pointer[core.ReplicaMap]
 
-	mu      sync.Mutex
-	state   core.Status
+	mu sync.Mutex
+	// state changes only under mu, so a handler holding mu sees it stand
+	// still; the receive loop reads it without.
+	state   atomicStatus
 	session core.SessionNum
 	vec     core.SessionVector
 	flocks  *core.FailLockTable
@@ -392,9 +396,12 @@ type Site struct {
 	// seq as a false duplicate. An exact-match window suffices because a
 	// chaos duplicate trails its original by at most the link's in-flight
 	// backlog. Replies bypass this (their Seq belongs to the requester's
-	// stream); Caller.Deliver already drops duplicate replies. Touched
-	// only by the run goroutine.
-	reqSeen map[core.SiteID]*seqWindow
+	// stream); Caller.Deliver already drops duplicate replies. Indexed by
+	// the sender's SiteID; touched only by the run goroutine.
+	reqSeen [1 << 8]*seqWindow
+	// msgsIn counts inbound messages (SiteStats.MsgsIn); only the run
+	// goroutine adds to it.
+	msgsIn atomic.Uint64
 
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -428,7 +435,6 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 		caller:  transport.NewCaller(ep, cfg.AckTimeout),
 		reg:     cfg.Metrics,
 		tracer:  cfg.Tracer,
-		state:   state,
 		session: session,
 		vec:     core.NewSessionVector(cfg.Sites),
 		flocks:  core.NewFailLockTable(cfg.Items, cfg.Sites),
@@ -436,9 +442,8 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 		store:   cfg.Store,
 		locks:   newLockManager(cfg),
 		txnGate: make(chan struct{}, gate),
-
-		reqSeen: make(map[core.SiteID]*seqWindow),
 	}
+	s.state.set(state)
 	if cfg.StartDown {
 		s.vec.MarkDown(cfg.ID)
 	}
@@ -515,7 +520,7 @@ func (s *Site) Start() {
 func (s *Site) Stop() {
 	s.stopOnce.Do(func() {
 		s.mu.Lock()
-		s.state = core.StatusTerminating
+		s.state.set(core.StatusTerminating)
 		s.mu.Unlock()
 		s.caller.CancelAll()
 		if s.epoch != nil {
@@ -539,11 +544,8 @@ func (s *Site) run() {
 		if !ok {
 			return
 		}
-		s.mu.Lock()
-		s.stats.MsgsIn++
-		state := s.state
-		s.mu.Unlock()
-
+		s.msgsIn.Add(1)
+		state := s.state.get()
 		if state == core.StatusTerminating {
 			return
 		}
@@ -557,7 +559,7 @@ func (s *Site) run() {
 		if env.Seq != 0 {
 			w := s.reqSeen[env.From]
 			if w == nil {
-				w = newSeqWindow(seqWindowSize)
+				w = new(seqWindow)
 				s.reqSeen[env.From] = w
 			}
 			if !w.add(env.Seq) {
@@ -568,41 +570,38 @@ func (s *Site) run() {
 	}
 }
 
+// atomicStatus is a core.Status that can be read without a lock.
+type atomicStatus struct{ v atomic.Uint32 }
+
+func (a *atomicStatus) get() core.Status   { return core.Status(a.v.Load()) }
+func (a *atomicStatus) set(st core.Status) { a.v.Store(uint32(st)) }
+
 // seqWindowSize bounds per-sender duplicate-suppression memory. It only
 // needs to exceed the number of messages a link can hold between an
 // original and its chaos duplicate (the duplicate is re-sent immediately
 // after the original, so that backlog is the per-link queue depth).
 const seqWindowSize = 1024
 
-// seqWindow is a fixed-capacity set of recently seen sequence numbers:
-// membership via map, FIFO eviction via ring.
+// seqWindow remembers recently seen sequence numbers in a ring indexed by
+// the number itself: seq lives in slot seq mod seqWindowSize until another
+// number takes the slot. Membership is an exact match on one slot — no
+// map, no scan, no watermark. A number is forgotten only when one a
+// multiple of seqWindowSize away arrives, and a sender's numbers come off
+// one rising counter, so that is at least seqWindowSize of its sends
+// later. The zero value is an empty window; it relies on seq 0 never
+// being added (the receive loop skips unsequenced messages).
 type seqWindow struct {
-	seen map[uint64]struct{}
-	ring []uint64
-	next int
+	ring [seqWindowSize]uint64
 }
 
-func newSeqWindow(capacity int) *seqWindow {
-	return &seqWindow{
-		seen: make(map[uint64]struct{}, capacity),
-		ring: make([]uint64, 0, capacity),
-	}
-}
-
-// add records seq and reports true, or reports false if seq was already
-// in the window (a duplicate). Oldest entries are evicted at capacity.
+// add records seq and reports true, or reports false if seq is already in
+// the window (a duplicate).
 func (w *seqWindow) add(seq uint64) bool {
-	if _, dup := w.seen[seq]; dup {
+	slot := &w.ring[seq%seqWindowSize]
+	if *slot == seq {
 		return false
 	}
-	if len(w.ring) < cap(w.ring) {
-		w.ring = append(w.ring, seq)
-	} else {
-		delete(w.seen, w.ring[w.next])
-		w.ring[w.next] = seq
-		w.next = (w.next + 1) % len(w.ring)
-	}
-	w.seen[seq] = struct{}{}
+	*slot = seq
 	return true
 }
 
@@ -621,11 +620,7 @@ func adminAllowed(env *msg.Envelope) bool {
 }
 
 // State returns the site's current lifecycle state.
-func (s *Site) State() core.Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
+func (s *Site) State() core.Status { return s.state.get() }
 
 // Session returns the site's current session number.
 func (s *Site) Session() core.SessionNum {
@@ -654,7 +649,14 @@ func (s *Site) FailLockCount(id core.SiteID) int {
 func (s *Site) Stats() msg.SiteStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked returns the counter block with the message counts, which
+// live outside it, filled in; callers hold mu.
+func (s *Site) statsLocked() msg.SiteStats {
 	st := s.stats
+	st.MsgsIn = s.msgsIn.Load()
 	st.MsgsOut = s.caller.Sent()
 	return st
 }
@@ -699,13 +701,12 @@ func (s *Site) statusRespLocked(includeFailLocks bool) *msg.StatusResp {
 	}
 	resp := &msg.StatusResp{
 		Site:           s.cfg.ID,
-		State:          s.state,
+		State:          s.state.get(),
 		Session:        s.session,
 		Vector:         s.vec.Records(),
 		FailLockCounts: counts,
-		Stats:          s.stats,
+		Stats:          s.statsLocked(),
 	}
-	resp.Stats.MsgsOut = s.caller.Sent()
 	if includeFailLocks {
 		resp.FailLocks = s.flocks.Snapshot()
 	}

@@ -13,9 +13,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 )
 
 // ID identifies one traced activity. Transaction traces use the
@@ -82,7 +84,9 @@ type Recorder struct {
 	events  []Event
 	next    int
 	wrapped bool
-	kinds   map[string]uint64
+	// kinds counts messages by wire kind; every send bumps one, so they
+	// are atomics indexed by the kind byte, not a map under mu.
+	kinds [1 << 8]atomic.Uint64
 }
 
 // NewRecorder returns a recorder holding up to capacity events
@@ -91,10 +95,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		events: make([]Event, capacity),
-		kinds:  make(map[string]uint64),
-	}
+	return &Recorder{events: make([]Event, capacity)}
 }
 
 // Record appends one event, evicting the oldest when full.
@@ -123,25 +124,24 @@ func (r *Recorder) Emit(id ID, site core.SiteID, phase, kind string, start time.
 
 // CountMessage increments the per-message-kind counter. Transports call
 // this once per envelope sent.
-func (r *Recorder) CountMessage(kind string) {
+func (r *Recorder) CountMessage(kind msg.Kind) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.kinds[kind]++
-	r.mu.Unlock()
+	r.kinds[kind].Add(1)
 }
 
-// MessageCounts returns a snapshot of the per-kind message counters.
+// MessageCounts returns a snapshot of the message counters, keyed by kind
+// name; kinds never sent are absent.
 func (r *Recorder) MessageCounts() map[string]uint64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.kinds))
-	for k, v := range r.kinds {
-		out[k] = v
+	out := make(map[string]uint64)
+	for k := range r.kinds {
+		if n := r.kinds[k].Load(); n > 0 {
+			out[msg.Kind(k).String()] = n
+		}
 	}
 	return out
 }
@@ -194,8 +194,10 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.next = 0
 	r.wrapped = false
-	r.kinds = make(map[string]uint64)
 	r.mu.Unlock()
+	for k := range r.kinds {
+		r.kinds[k].Store(0)
+	}
 }
 
 // Span is the reconstructed timeline of one traced activity.

@@ -1,20 +1,20 @@
 package trace
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{})
 	r.Emit(1, 0, PhaseCoord, "", time.Now())
-	r.CountMessage("commit")
+	r.CountMessage(msg.KindCommit)
 	r.Reset()
 	if r.Events() != nil || r.MessageCounts() != nil {
 		t.Error("nil recorder returned data")
@@ -85,9 +85,9 @@ func TestRingEviction(t *testing.T) {
 
 func TestMessageCounts(t *testing.T) {
 	r := NewRecorder(8)
-	r.CountMessage("commit")
-	r.CountMessage("commit")
-	r.CountMessage("prepare")
+	r.CountMessage(msg.KindCommit)
+	r.CountMessage(msg.KindCommit)
+	r.CountMessage(msg.KindPrepare)
 	got := r.MessageCounts()
 	if got["commit"] != 2 || got["prepare"] != 1 {
 		t.Errorf("counts = %v", got)
@@ -131,7 +131,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Record(Event{TraceID: ID(g), At: time.Now()})
-				r.CountMessage(fmt.Sprintf("k%d", g%3))
+				r.CountMessage(msg.KindPrepare + msg.Kind(g%3))
 				_ = r.Events()
 				_ = r.Span(ID(g))
 			}

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"minraid/internal/core"
@@ -146,26 +147,63 @@ type Chaos struct {
 	inner Network
 	cfg   ChaosConfig
 
-	mu       sync.Mutex
-	eps      map[core.SiteID]*chaosEndpoint
-	links    map[LinkID]*chaosLink
-	downs    map[LinkID]bool
-	cutStats map[LinkID]LinkStats
-	closed   bool
-	wg       sync.WaitGroup
+	// rows is the directed-link table, one row per sender, made when the
+	// sender is first named (by Endpoint or SetLinkDown). A row never
+	// changes hands once published, so Send reads it without a lock.
+	rows [chaosSlots]atomic.Pointer[chaosRow]
+
+	mu     sync.Mutex // guards eps and closed, and serializes making rows and pipelines
+	eps    map[core.SiteID]*chaosEndpoint
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// chaosSlots is the side of the link table: every possible database site,
+// then the managing site.
+const chaosSlots = core.MaxSites + 1
+
+// chaosSlot returns id's index into the link table, or ok=false for an ID
+// that can name no site.
+func chaosSlot(id core.SiteID) (slot int, ok bool) { return siteSlot(id, core.MaxSites) }
+
+// chaosRow is one sender's links, by destination slot.
+type chaosRow [chaosSlots]chaosRoute
+
+// chaosRoute is everything Send needs to know about one directed link,
+// resolved once.
+type chaosRoute struct {
+	down atomic.Bool   // administratively cut (SetLinkDown)
+	cut  atomic.Uint64 // messages discarded while down
+	// exempt marks a link that bypasses fault injection: manager links
+	// under ExemptManager, and any link whose effective (per-link or
+	// global) config injects nothing — so a Links map that touches some
+	// links leaves the others byte-for-byte pass-throughs, exactly like a
+	// fully inactive config does.
+	exempt bool
+	// link is the fault pipeline, started by the link's first message.
+	link atomic.Pointer[chaosLink]
 }
 
 // NewChaos wraps inner with seeded fault injection. Closing the returned
 // network closes inner too.
 func NewChaos(inner Network, cfg ChaosConfig) *Chaos {
-	return &Chaos{
-		inner:    inner,
-		cfg:      cfg,
-		eps:      make(map[core.SiteID]*chaosEndpoint),
-		links:    make(map[LinkID]*chaosLink),
-		downs:    make(map[LinkID]bool),
-		cutStats: make(map[LinkID]LinkStats),
+	return &Chaos{inner: inner, cfg: cfg, eps: make(map[core.SiteID]*chaosEndpoint)}
+}
+
+// rowLocked returns from's row of the link table, making it on first use;
+// slot is from's. Callers hold mu.
+func (c *Chaos) rowLocked(from core.SiteID, slot int) *chaosRow {
+	if row := c.rows[slot].Load(); row != nil {
+		return row
 	}
+	row := new(chaosRow)
+	for t := range row {
+		to := slotSite(t, core.MaxSites)
+		manager := from == core.ManagingSite || to == core.ManagingSite
+		row[t].exempt = c.cfg.ExemptManager && manager || !c.cfg.linkChaos(from, to).active()
+	}
+	c.rows[slot].Store(row)
+	return row
 }
 
 // SetLinkDown administratively cuts (or restores) the directed link
@@ -175,30 +213,15 @@ func NewChaos(inner Network, cfg ChaosConfig) *Chaos {
 // is unchanged. This is the hook the netsched partition scheduler
 // drives; it works even when no probabilistic fault is configured.
 func (c *Chaos) SetLinkDown(from, to core.SiteID, down bool) {
-	key := LinkID{From: from, To: to}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if down {
-		c.downs[key] = true
-	} else {
-		delete(c.downs, key)
+	f, okFrom := chaosSlot(from)
+	t, okTo := chaosSlot(to)
+	if !okFrom || !okTo {
+		return
 	}
-}
-
-// cutDrop reports whether from->to is administratively down, counting
-// the discarded message when it is.
-func (c *Chaos) cutDrop(from, to core.SiteID) bool {
-	key := LinkID{From: from, To: to}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.downs[key] {
-		return false
-	}
-	s := c.cutStats[key]
-	s.Sent++
-	s.Cut++
-	c.cutStats[key] = s
-	return true
+	row := c.rowLocked(from, f)
+	c.mu.Unlock()
+	row[t].down.Store(down)
 }
 
 // Endpoint implements Network.
@@ -216,6 +239,9 @@ func (c *Chaos) Endpoint(id core.SiteID) (Endpoint, error) {
 		return nil, err
 	}
 	ep := &chaosEndpoint{net: c, inner: inner}
+	if slot, ok := chaosSlot(id); ok {
+		ep.row = c.rowLocked(id, slot)
+	}
 	c.eps[id] = ep
 	return ep, nil
 }
@@ -229,30 +255,46 @@ func (c *Chaos) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, l := range c.links {
-		l.q.close()
-	}
+	c.eachRoute(func(_ LinkID, r *chaosRoute) {
+		if l := r.link.Load(); l != nil {
+			l.q.close()
+		}
+	})
 	c.mu.Unlock()
 	c.wg.Wait()
 	return c.inner.Close()
 }
 
-// Stats snapshots every link's decision counters, folding in messages
-// discarded by administrative cuts.
+// eachRoute calls fn for every link of every row made so far.
+func (c *Chaos) eachRoute(fn func(LinkID, *chaosRoute)) {
+	for f := range c.rows {
+		row := c.rows[f].Load()
+		if row == nil {
+			continue
+		}
+		for t := range row {
+			fn(LinkID{From: slotSite(f, core.MaxSites), To: slotSite(t, core.MaxSites)}, &row[t])
+		}
+	}
+}
+
+// Stats snapshots the decision counters of every link that was offered a
+// message, folding in messages discarded by administrative cuts.
 func (c *Chaos) Stats() map[LinkID]LinkStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[LinkID]LinkStats, len(c.links)+len(c.cutStats))
-	for id, l := range c.links {
-		l.mu.Lock()
-		out[id] = l.stats
-		l.mu.Unlock()
-	}
-	for id, s := range c.cutStats {
-		merged := out[id]
-		merged.Add(s)
-		out[id] = merged
-	}
+	out := make(map[LinkID]LinkStats)
+	c.eachRoute(func(id LinkID, r *chaosRoute) {
+		l, cut := r.link.Load(), r.cut.Load()
+		if l == nil && cut == 0 {
+			return
+		}
+		s := LinkStats{Sent: cut, Cut: cut}
+		if l != nil {
+			l.mu.Lock()
+			s.Add(l.stats)
+			l.mu.Unlock()
+		}
+		out[id] = s
+	})
 	return out
 }
 
@@ -265,42 +307,29 @@ func (c *Chaos) TotalStats() LinkStats {
 	return total
 }
 
-// exempt reports whether the directed link from->to bypasses fault
-// injection: manager links under ExemptManager, and any link whose
-// effective (per-link or global) config injects nothing — so a Links
-// map that touches some links leaves the others byte-for-byte
-// pass-throughs, exactly like a fully inactive config does.
-func (c *Chaos) exempt(from, to core.SiteID) bool {
-	if c.cfg.ExemptManager && (from == core.ManagingSite || to == core.ManagingSite) {
-		return true
-	}
-	return !c.cfg.linkChaos(from, to).active()
-}
-
-// linkFor returns the fault pipeline for from->to, creating it (and its
-// forwarder goroutine) on first use.
-func (c *Chaos) linkFor(from, to core.SiteID, inner Endpoint) (*chaosLink, error) {
-	key := LinkID{From: from, To: to}
+// startLink returns the fault pipeline of the link r describes, starting
+// it (and its forwarder goroutine) if the link has none yet.
+func (c *Chaos) startLink(r *chaosRoute, from, to core.SiteID, inner Endpoint) (*chaosLink, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
-	l, ok := c.links[key]
-	if !ok {
-		l = &chaosLink{
-			cfg:   c.cfg.linkChaos(from, to),
-			rng:   rand.New(rand.NewSource(linkSeed(c.cfg.Seed, from, to))),
-			inner: inner,
-			q:     newQueue[chaosItem](),
-		}
-		c.links[key] = l
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			l.run()
-		}()
+	if l := r.link.Load(); l != nil {
+		return l, nil
 	}
+	l := &chaosLink{
+		cfg:   c.cfg.linkChaos(from, to),
+		rng:   rand.New(rand.NewSource(linkSeed(c.cfg.Seed, from, to))),
+		inner: inner,
+		q:     newQueue[chaosItem](),
+	}
+	r.link.Store(l)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		l.run()
+	}()
 	return l, nil
 }
 
@@ -398,6 +427,7 @@ func (l *chaosLink) run() {
 type chaosEndpoint struct {
 	net   *Chaos
 	inner Endpoint
+	row   *chaosRow // this site's links; nil if its ID can name no site
 }
 
 // ID implements Endpoint.
@@ -408,20 +438,28 @@ func (ep *chaosEndpoint) ID() core.SiteID { return ep.inner.ID() }
 // pipeline and Send reports acceptance, with delivery best-effort from
 // there on — exactly the contract a lossy wire offers.
 func (ep *chaosEndpoint) Send(env *msg.Envelope) error {
-	from := ep.inner.ID()
+	to, ok := chaosSlot(env.To)
+	if !ok || ep.row == nil {
+		return ep.inner.Send(env) // no such link: the inner network's error to report
+	}
+	r := &ep.row[to]
 	// Administrative cuts apply before exemption: a scheduler-cut link
 	// drops everything even when no probabilistic fault is configured.
 	// Send still reports acceptance — a cut wire is silence, not an
 	// error the sender can observe.
-	if ep.net.cutDrop(from, env.To) {
+	if r.down.Load() {
+		r.cut.Add(1)
 		return nil
 	}
-	if ep.net.exempt(from, env.To) {
+	if r.exempt {
 		return ep.inner.Send(env)
 	}
-	l, err := ep.net.linkFor(from, env.To, ep.inner)
-	if err != nil {
-		return err
+	l := r.link.Load()
+	if l == nil {
+		var err error
+		if l, err = ep.net.startLink(r, ep.inner.ID(), env.To, ep.inner); err != nil {
+			return err
+		}
 	}
 	if !l.q.push(chaosItem{env: env, at: time.Now()}) {
 		return ErrClosed

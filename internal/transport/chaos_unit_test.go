@@ -48,6 +48,16 @@ func TestChaosDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%v\n%v", a, b)
 	}
+	// The decisions as drawn when links were looked up in maps under a
+	// network-wide lock (captured at that commit): a change to how Send
+	// finds its link must leave every draw where it was.
+	golden := map[LinkID]LinkStats{
+		{From: 0, To: 1}: {Sent: 300, Dropped: 78, Duplicated: 57, JitterTotal: 109789303},
+		{From: 1, To: 2}: {Sent: 300, Dropped: 85, Duplicated: 42, JitterTotal: 110929497},
+	}
+	if !reflect.DeepEqual(a, golden) {
+		t.Fatalf("decision stream moved:\n got %v\nwant %v", a, golden)
+	}
 	total := LinkStats{}
 	for _, s := range a {
 		total.Add(s)

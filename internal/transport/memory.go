@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,40 +22,60 @@ type MemoryConfig struct {
 }
 
 // Memory is an in-process Network. Messages are serialized through the
-// wire codec on send and deserialized on delivery, so sites share no
-// mutable state — the same isolation real processes would have — and every
+// wire codec and deserialized again on send, so sites share no mutable
+// state — the same isolation real processes would have — and every
 // experiment exercises the real encoding path ("real transaction
 // processing on real sites with real message passing").
 //
-// Delivery is FIFO per (sender, receiver) link, satisfying the paper's
-// ordered-reliable-messaging assumption. Independent links proceed in
-// parallel, as Ethernet or the Unix IPC of the original system would.
+// The network runs no goroutine of its own: Send puts the decoded envelope
+// into the destination's inbox on the sender's goroutine, and the inbox
+// holds it until Delay after that moment (see queue). One message is one
+// hand-off, sender to receiver. An inbox releases messages in the order
+// they were put in, which orders all traffic to one destination and so,
+// within it, each (sender, receiver) link — the paper's ordered-reliable-
+// messaging assumption. Sends to different destinations share nothing but
+// read-only tables, so independent links proceed in parallel, as Ethernet
+// or the Unix IPC of the original system would.
 type Memory struct {
 	cfg MemoryConfig
+	// eps holds every site's endpoint, the managing site's last; routes is
+	// the directed-link table, the from->to link at from*len(eps)+to. Both
+	// are built by NewMemory and never resized, so Send reads them without
+	// a lock.
+	eps    []*memEndpoint
+	routes []memRoute
 
-	mu        sync.Mutex
-	endpoints map[core.SiteID]*memEndpoint
-	links     map[linkKey]*memLink
-	down      map[linkKey]bool
-	credits   map[linkKey]int // remaining deliveries before the link drops
-	closed    bool
-
+	closed atomic.Bool
 	sent   atomic.Uint64
 	tracer atomic.Pointer[trace.Recorder]
-	wg     sync.WaitGroup
 }
 
-type linkKey struct{ from, to core.SiteID }
-
-type memLink struct {
-	q *queue[memItem]
+// memRoute is the fault-injection state of one directed link.
+type memRoute struct {
+	down atomic.Bool
+	// credits is the number of messages the link still delivers before it
+	// drops everything; negative means no limit.
+	credits atomic.Int64
 }
 
-// memItem is one in-flight message on a link: the encoded bytes plus the
-// moment it was sent, from which the delivery deadline is derived.
-type memItem struct {
-	buf []byte
-	at  time.Time
+// admit reports whether the link delivers one more message, spending a
+// credit if it is limited.
+func (r *memRoute) admit() bool {
+	if r.down.Load() {
+		return false // partitioned: silently dropped
+	}
+	for {
+		c := r.credits.Load()
+		if c < 0 {
+			return true
+		}
+		if c == 0 {
+			return false // budget exhausted: silently dropped
+		}
+		if r.credits.CompareAndSwap(c, c-1) {
+			return true
+		}
+	}
 }
 
 // NewMemory returns an in-process network for cfg.
@@ -64,51 +83,45 @@ func NewMemory(cfg MemoryConfig) *Memory {
 	if cfg.Sites <= 0 || cfg.Sites > core.MaxSites {
 		panic(fmt.Sprintf("transport: site count %d out of range", cfg.Sites))
 	}
-	return &Memory{
-		cfg:       cfg,
-		endpoints: make(map[core.SiteID]*memEndpoint),
-		links:     make(map[linkKey]*memLink),
-		down:      make(map[linkKey]bool),
-		credits:   make(map[linkKey]int),
+	n := cfg.Sites + 1
+	m := &Memory{cfg: cfg, eps: make([]*memEndpoint, n), routes: make([]memRoute, n*n)}
+	for i := range m.routes {
+		m.routes[i].credits.Store(-1)
 	}
+	for i := range m.eps {
+		m.eps[i] = &memEndpoint{
+			id:    slotSite(i, cfg.Sites),
+			net:   m,
+			out:   m.routes[i*n : (i+1)*n],
+			inbox: newDelayQueue[*msg.Envelope](cfg.Delay),
+		}
+	}
+	return m
 }
+
+// slot returns id's index into eps, or ok=false if the network has no such
+// site.
+func (m *Memory) slot(id core.SiteID) (slot int, ok bool) { return siteSlot(id, m.cfg.Sites) }
 
 // Endpoint implements Network.
 func (m *Memory) Endpoint(id core.SiteID) (Endpoint, error) {
-	if !m.valid(id) {
+	slot, ok := m.slot(id)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSite, id)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	if ep, ok := m.endpoints[id]; ok {
-		return ep, nil
-	}
-	ep := &memEndpoint{id: id, net: m, inbox: newQueue[*msg.Envelope]()}
-	m.endpoints[id] = ep
-	return ep, nil
+	return m.eps[slot], nil
 }
 
-// Close implements Network.
+// Close implements Network. It does not wait for messages still inside
+// their Delay; they are discarded with the network.
 func (m *Memory) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if m.closed.Swap(true) {
 		return nil
 	}
-	m.closed = true
-	for _, l := range m.links {
-		l.q.close()
-	}
-	eps := make([]*memEndpoint, 0, len(m.endpoints))
-	for _, ep := range m.endpoints {
-		eps = append(eps, ep)
-	}
-	m.mu.Unlock()
-	m.wg.Wait()
-	for _, ep := range eps {
+	for _, ep := range m.eps {
 		ep.inbox.close()
 	}
 	return nil
@@ -123,16 +136,23 @@ func (m *Memory) MessagesSent() uint64 { return m.sent.Load() }
 // kind. A nil recorder disables counting.
 func (m *Memory) SetTracer(r *trace.Recorder) { m.tracer.Store(r) }
 
+// route returns the from->to entry of the link table, or nil if either end
+// is not a site of this network.
+func (m *Memory) route(from, to core.SiteID) *memRoute {
+	f, ok1 := m.slot(from)
+	t, ok2 := m.slot(to)
+	if !ok1 || !ok2 {
+		return nil
+	}
+	return &m.eps[f].out[t]
+}
+
 // SetLinkDown makes the directed link from->to silently drop messages
 // (true) or deliver normally (false). Used by tests and partition studies;
 // the paper's experiments fail whole sites instead.
 func (m *Memory) SetLinkDown(from, to core.SiteID, isDown bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if isDown {
-		m.down[linkKey{from, to}] = true
-	} else {
-		delete(m.down, linkKey{from, to})
+	if r := m.route(from, to); r != nil {
+		r.down.Store(isDown)
 	}
 }
 
@@ -141,111 +161,50 @@ func (m *Memory) SetLinkDown(from, to core.SiteID, isDown bool) {
 // protocol failures (e.g. a participant that acks phase one and vanishes
 // before phase two). A negative n removes the limit.
 func (m *Memory) SetLinkDropAfter(from, to core.SiteID, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 0 {
-		delete(m.credits, linkKey{from, to})
-		return
-	}
-	m.credits[linkKey{from, to}] = n
-}
-
-func (m *Memory) valid(id core.SiteID) bool {
-	return id == core.ManagingSite || int(id) < m.cfg.Sites
-}
-
-// send enqueues encoded bytes on the from->to link, creating the link and
-// its delivery goroutine on first use.
-func (m *Memory) send(from, to core.SiteID, buf []byte) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return ErrClosed
-	}
-	key := linkKey{from, to}
-	if m.down[key] {
-		m.mu.Unlock()
-		return nil // partitioned: silently dropped
-	}
-	if credits, limited := m.credits[key]; limited {
-		if credits <= 0 {
-			m.mu.Unlock()
-			return nil // budget exhausted: silently dropped
-		}
-		m.credits[key] = credits - 1
-	}
-	l, ok := m.links[key]
-	if !ok {
-		l = &memLink{q: newQueue[memItem]()}
-		m.links[key] = l
-		m.wg.Add(1)
-		go m.deliver(l, to)
-	}
-	m.mu.Unlock()
-	// Count only messages the link actually accepted: a push that lost the
-	// race with Close is dropped during shutdown and must not inflate the
-	// experiments' message-complexity columns.
-	if l.q.push(memItem{buf: buf, at: time.Now()}) {
-		m.sent.Add(1)
-	}
-	return nil
-}
-
-// deliver pumps one link: pops encoded messages in FIFO order, holds each
-// until its delivery deadline, decodes and hands the envelope to the
-// destination inbox.
-//
-// The deadline is sendTime + Delay, so Delay behaves as per-message
-// *latency*: k messages queued to one destination all complete after ~1
-// Delay, pipelined as they would be on a real wire. (Sleeping Delay per pop
-// instead would space deliveries Delay apart, turning the paper's 9 ms
-// per-message cost into a bandwidth limit of one message per 9 ms per
-// link.) Per-link FIFO order is preserved: the single goroutine delivers in
-// pop order, and send timestamps on a link are non-decreasing.
-func (m *Memory) deliver(l *memLink, to core.SiteID) {
-	defer m.wg.Done()
-	for {
-		it, ok := l.q.pop()
-		if !ok {
-			return
-		}
-		if m.cfg.Delay > 0 {
-			if d := m.cfg.Delay - time.Since(it.at); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		env, err := msg.Unmarshal(it.buf)
-		if err != nil {
-			// A memory link cannot corrupt data; an error here is a
-			// programming bug in the codec and must be loud.
-			panic(fmt.Sprintf("transport: undecodable message on memory link: %v", err))
-		}
-		m.mu.Lock()
-		ep := m.endpoints[to]
-		m.mu.Unlock()
-		if ep != nil {
-			ep.inbox.push(env)
-		}
+	if r := m.route(from, to); r != nil {
+		r.credits.Store(int64(max(n, -1)))
 	}
 }
 
 type memEndpoint struct {
 	id    core.SiteID
 	net   *Memory
+	out   []memRoute // this site's row of the link table, by destination slot
 	inbox *queue[*msg.Envelope]
 }
 
 // ID implements Endpoint.
 func (ep *memEndpoint) ID() core.SiteID { return ep.id }
 
-// Send implements Endpoint.
+// Send implements Endpoint: encode, decode, and hand the copy to the
+// destination's inbox, all on the caller's goroutine.
 func (ep *memEndpoint) Send(env *msg.Envelope) error {
-	if !ep.net.valid(env.To) {
+	m := ep.net
+	to, ok := m.slot(env.To)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSite, env.To)
 	}
 	env.From = ep.id
-	ep.net.tracer.Load().CountMessage(env.Body.Kind().String())
-	return ep.net.send(ep.id, env.To, msg.Marshal(env))
+	m.tracer.Load().CountMessage(env.Body.Kind())
+	if m.closed.Load() {
+		return ErrClosed
+	}
+	if !ep.out[to].admit() {
+		return nil
+	}
+	decoded, err := msg.Unmarshal(msg.Marshal(env))
+	if err != nil {
+		// A memory link cannot corrupt data; an error here is a
+		// programming bug in the codec and must be loud.
+		panic(fmt.Sprintf("transport: undecodable message on memory link: %v", err))
+	}
+	// Count only messages the inbox actually accepted: a push that lost the
+	// race with Close, or went to a site that has detached, is dropped and
+	// must not inflate the experiments' message-complexity columns.
+	if m.eps[to].inbox.push(decoded) {
+		m.sent.Add(1)
+	}
+	return nil
 }
 
 // Recv implements Endpoint.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -180,32 +181,43 @@ func TestMemoryEndpointIdempotent(t *testing.T) {
 	}
 }
 
+// Close wakes a blocked Recv at once — also when what Recv is waiting for
+// is a message still inside its Delay, which is discarded, not waited out.
 func TestMemoryCloseUnblocksRecv(t *testing.T) {
-	net := NewMemory(MemoryConfig{Sites: 1})
-	a, _ := net.Endpoint(0)
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := a.Recv()
-		done <- ok
-	}()
-	time.Sleep(5 * time.Millisecond)
-	net.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Error("Recv returned ok after close")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Recv never unblocked")
-	}
-	if err := a.Send(commitEnv(0, 1, 1)); err != ErrClosed {
-		t.Errorf("send after close: %v", err)
-	}
-	if _, err := net.Endpoint(0); err != ErrClosed {
-		t.Errorf("endpoint after close: %v", err)
-	}
-	if err := net.Close(); err != nil {
-		t.Errorf("double close: %v", err)
+	for _, delay := range []time.Duration{0, time.Hour} {
+		t.Run(delay.String(), func(t *testing.T) {
+			net := NewMemory(MemoryConfig{Sites: 1, Delay: delay})
+			a, _ := net.Endpoint(0)
+			if delay > 0 {
+				if err := a.Send(commitEnv(0, 1, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan bool, 1)
+			go func() {
+				_, ok := a.Recv()
+				done <- ok
+			}()
+			time.Sleep(5 * time.Millisecond)
+			net.Close()
+			select {
+			case ok := <-done:
+				if ok {
+					t.Error("Recv returned ok after close")
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Recv never unblocked")
+			}
+			if err := a.Send(commitEnv(0, 1, 1)); err != ErrClosed {
+				t.Errorf("send after close: %v", err)
+			}
+			if _, err := net.Endpoint(0); err != ErrClosed {
+				t.Errorf("endpoint after close: %v", err)
+			}
+			if err := net.Close(); err != nil {
+				t.Errorf("double close: %v", err)
+			}
+		})
 	}
 }
 
@@ -250,35 +262,134 @@ func TestMemoryLinkDown(t *testing.T) {
 	}
 }
 
+// Delivery order is the order senders reach the destination's inbox, so
+// with several goroutines sending at once — several sites, and several
+// goroutines of one site, as a coordinator and its receive loop are — each
+// goroutine's messages must still arrive in the order it sent them.
 func TestMemoryConcurrentSenders(t *testing.T) {
-	net := NewMemory(MemoryConfig{Sites: 4})
-	defer net.Close()
-	dst, _ := net.Endpoint(3)
-	const perSender = 200
-	var wg sync.WaitGroup
-	for s := 0; s < 3; s++ {
-		ep, _ := net.Endpoint(core.SiteID(s))
-		wg.Add(1)
-		go func(ep Endpoint) {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				ep.Send(commitEnv(3, core.TxnID(i), uint64(i+1)))
+	for _, delay := range []time.Duration{0, 200 * time.Microsecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			net := NewMemory(MemoryConfig{Sites: 4, Delay: delay})
+			defer net.Close()
+			dst, _ := net.Endpoint(3)
+			const (
+				perSender = 200
+				perSite   = 2 // goroutines sharing one site's endpoint
+			)
+			var wg sync.WaitGroup
+			for s := 0; s < 3; s++ {
+				ep, _ := net.Endpoint(core.SiteID(s))
+				for g := 0; g < perSite; g++ {
+					wg.Add(1)
+					go func(ep Endpoint, g int) {
+						defer wg.Done()
+						for i := 0; i < perSender; i++ {
+							// Trace tells the site's goroutines apart.
+							env := commitEnv(3, core.TxnID(i), uint64(i+1))
+							env.Trace = uint64(g)
+							ep.Send(env)
+						}
+					}(ep, g)
+				}
 			}
-		}(ep)
+			defer wg.Wait()
+			type stream struct {
+				from core.SiteID
+				g    uint64
+			}
+			next := map[stream]core.TxnID{}
+			for i := 0; i < 3*perSite*perSender; i++ {
+				env, ok := dst.Recv()
+				if !ok {
+					t.Fatal("recv failed")
+				}
+				st := stream{env.From, env.Trace}
+				if got := env.Body.(*msg.Commit).Txn; got != next[st] {
+					t.Fatalf("sender %v/%d: got txn %d, want %d", st.from, st.g, got, next[st])
+				}
+				next[st]++
+			}
+		})
 	}
-	wg.Wait()
-	// All messages arrive; per-sender order is preserved.
-	next := map[core.SiteID]core.TxnID{}
-	for i := 0; i < 3*perSender; i++ {
-		env, ok := dst.Recv()
-		if !ok {
+}
+
+// The network is passive: it starts no goroutine, whatever the Delay, so a
+// message's only hand-off is from its sender to whoever calls Recv.
+func TestMemoryStartsNoGoroutine(t *testing.T) {
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			net := NewMemory(MemoryConfig{Sites: 3, Delay: delay})
+			defer net.Close()
+			ids := []core.SiteID{0, 1, 2, core.ManagingSite}
+			for _, from := range ids {
+				ep, err := net.Endpoint(from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, to := range ids {
+					if err := ep.Send(commitEnv(to, 1, 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before the sends, %d after", before, after)
+			}
+			for _, to := range ids {
+				ep, _ := net.Endpoint(to)
+				for range ids {
+					if _, ok := ep.Recv(); !ok {
+						t.Fatalf("a message to %v was lost", to)
+					}
+				}
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before the deliveries, %d after", before, after)
+			}
+		})
+	}
+}
+
+// With no Delay, Send is delivery: the message is in the destination's
+// inbox when Send returns, not on its way there.
+func TestMemorySendDeliversBeforeReturning(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2})
+	defer net.Close()
+	a, _ := net.Endpoint(0)
+	b, _ := net.Endpoint(1)
+	for i := 1; i <= 3; i++ {
+		if err := a.Send(commitEnv(1, core.TxnID(i), uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.(*memEndpoint).inbox.len(); got != 1 {
+			t.Fatalf("send %d returned with %d messages in the inbox, want 1", i, got)
+		}
+		if env, ok := b.Recv(); !ok || env.Seq != uint64(i) {
+			t.Fatalf("recv %d: %v %v", i, env, ok)
+		}
+	}
+}
+
+// One Send and Recv of a Commit allocates the encoding, the decoded
+// envelope and its body, and nothing per message for queueing or routing.
+func TestMemorySendRecvAllocs(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2})
+	defer net.Close()
+	a, _ := net.Endpoint(0)
+	b, _ := net.Endpoint(1)
+	env := commitEnv(1, 9, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := a.Send(env); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := b.Recv(); !ok {
 			t.Fatal("recv failed")
 		}
-		want := next[env.From]
-		if got := env.Body.(*msg.Commit).Txn; got != want {
-			t.Fatalf("sender %v: got txn %d, want %d", env.From, got, want)
-		}
-		next[env.From]++
+	})
+	const ceiling = 5
+	if allocs > ceiling {
+		t.Fatalf("Send+Recv of a Commit allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -305,7 +305,7 @@ func (ep *tcpEndpoint) ID() core.SiteID { return ep.id }
 // Send implements Endpoint.
 func (ep *tcpEndpoint) Send(env *msg.Envelope) error {
 	env.From = ep.id
-	ep.net.cfg.Tracer.CountMessage(env.Body.Kind().String())
+	ep.net.cfg.Tracer.CountMessage(env.Body.Kind())
 	if env.To == ep.id {
 		// Loopback without touching the socket layer, but still through
 		// the codec for isolation.

@@ -2,8 +2,9 @@
 //
 // Two implementations are provided:
 //
-//   - Memory: all sites in one process, per-link FIFO delivery with an
-//     optional fixed per-hop latency. This reproduces the paper's setup,
+//   - Memory: all sites in one process, delivered on the sender's
+//     goroutine into the receiver's inbox, in order per destination, with
+//     an optional fixed per-hop latency. This reproduces the paper's setup,
 //     where "database sites were implemented as Unix processes (on one
 //     processor with one process per site)" and inter-site communication
 //     reduced to interprocess communication with a measured cost of nine
@@ -60,4 +61,25 @@ type Network interface {
 	Endpoint(id core.SiteID) (Endpoint, error)
 	// Close shuts the whole network down.
 	Close() error
+}
+
+// siteSlot returns id's index in a table laid out as the database sites
+// 0..sites-1 followed by the managing site, or ok=false if id is neither.
+// Memory and Chaos index their dense link tables with it.
+func siteSlot(id core.SiteID, sites int) (slot int, ok bool) {
+	switch {
+	case id == core.ManagingSite:
+		return sites, true
+	case int(id) < sites:
+		return int(id), true
+	}
+	return 0, false
+}
+
+// slotSite is the inverse of siteSlot.
+func slotSite(slot, sites int) core.SiteID {
+	if slot == sites {
+		return core.ManagingSite
+	}
+	return core.SiteID(slot)
 }
