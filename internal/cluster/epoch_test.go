@@ -127,7 +127,7 @@ func TestEpochCommitSurvivesParticipantFailure(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				res, err := c.ExecTxn(0, c.NextTxnID(), []core.Op{core.Write(core.ItemID(i % 12), []byte{byte(i)})})
+				res, err := c.ExecTxn(0, c.NextTxnID(), []core.Op{core.Write(core.ItemID(i%12), []byte{byte(i)})})
 				if err != nil {
 					t.Error(err)
 					return

@@ -27,7 +27,7 @@ func TestRebalanceRetiresLostSite(t *testing.T) {
 	// Writes during the outage: items hosted by site 1 commit on their
 	// surviving host and fail-lock the down copy.
 	for i := 0; i < items; i++ {
-		res, err := c.Exec(0, []core.Op{core.Write(core.ItemID(i), val(100 + i))})
+		res, err := c.Exec(0, []core.Op{core.Write(core.ItemID(i), val(100+i))})
 		if err != nil || !res.Committed {
 			t.Fatalf("outage write %d: %v %v", i, res, err)
 		}
@@ -81,7 +81,7 @@ func TestRebalanceRetiresLostSite(t *testing.T) {
 	}
 	// The shrunken system keeps taking writes and stays consistent.
 	for i := 0; i < items; i++ {
-		res, err := c.Exec(3, []core.Op{core.Write(core.ItemID(i), val(200 + i))})
+		res, err := c.Exec(3, []core.Op{core.Write(core.ItemID(i), val(200+i))})
 		if err != nil || !res.Committed {
 			t.Fatalf("post-rebalance write %d: %v %v", i, res, err)
 		}

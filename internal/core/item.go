@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // OpKind distinguishes the two operation types of the paper's workload
 // model: "an operation was defined to be a read or write of a database data
@@ -49,27 +52,47 @@ func (o Op) String() string {
 
 // WriteSet returns the distinct items written by ops, in first-written
 // order.
-func WriteSet(ops []Op) []ItemID {
-	seen := make(map[ItemID]bool, len(ops))
-	var out []ItemID
-	for _, op := range ops {
-		if op.Kind == OpWrite && !seen[op.Item] {
-			seen[op.Item] = true
-			out = append(out, op.Item)
-		}
-	}
-	return out
-}
+func WriteSet(ops []Op) []ItemID { return itemSet(ops, OpWrite) }
 
 // ReadSet returns the distinct items read by ops, in first-read order.
-func ReadSet(ops []Op) []ItemID {
-	seen := make(map[ItemID]bool, len(ops))
-	var out []ItemID
-	for _, op := range ops {
-		if op.Kind == OpRead && !seen[op.Item] {
-			seen[op.Item] = true
-			out = append(out, op.Item)
+func ReadSet(ops []Op) []ItemID { return itemSet(ops, OpRead) }
+
+// setScanLimit is the operation count up to which itemSet finds duplicates
+// by scanning its result (transactions have about ten operations); longer
+// lists use a map.
+const setScanLimit = 32
+
+// itemSet returns the distinct items of the operations of the given kind,
+// in order of first occurrence; nil if there are none.
+func itemSet(ops []Op, kind OpKind) []ItemID {
+	n := 0
+	for i := range ops {
+		if ops[i].Kind == kind {
+			n++
 		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ItemID, 0, n)
+	var seen map[ItemID]bool
+	if len(ops) > setScanLimit {
+		seen = make(map[ItemID]bool, n)
+	}
+	for i := range ops {
+		if ops[i].Kind != kind {
+			continue
+		}
+		item := ops[i].Item
+		if seen != nil {
+			if seen[item] {
+				continue
+			}
+			seen[item] = true
+		} else if slices.Contains(out, item) {
+			continue
+		}
+		out = append(out, item)
 	}
 	return out
 }

@@ -21,11 +21,21 @@
 // the global waits-for graph. Detection runs only when a transaction is
 // forced to wait — the contended path, where its cost is already dwarfed
 // by the wait itself.
+//
+// The table has two indexes. Per item, an entry lists the holders (one
+// writer, or the readers of the item: a short slice scanned linearly, backed
+// by an array inside the entry) and the FIFO queue of waiters; an emptied
+// entry goes to its stripe's free list. Per transaction, one record lists the
+// items it has acquired or queued on, written before any grant or queue so
+// that Release — which visits exactly those items — can never miss one, even
+// racing a timed-out acquisition. An uncontended acquire and release
+// allocates nothing.
 package lockmgr
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,13 +77,26 @@ var (
 // degrees while keeping the all-stripes deadlock sweep cheap.
 const defaultStripes = 16
 
-// maxStripes caps the shard count so a transaction's touched-stripe set
-// fits in one uint64 bitmask.
+// maxStripes caps the shard count so the stripes of one lock set fit in one
+// uint64 (TryAcquireAll locks them together, in index order).
 const maxStripes = 64
 
-// txnShards shards the touched-stripe index by transaction ID, so
-// recording a touch doesn't reintroduce a global mutex.
+// txnShards shards the per-transaction records by transaction ID, so
+// recording a lock set doesn't reintroduce a global mutex.
 const txnShards = 16
+
+// Inline capacities: a lock set, a transaction's record and an item's holders
+// of at most these sizes live in arrays inside their owner (the stack, the
+// record, the entry); larger ones spill to the heap.
+const (
+	inlineWants   = 16
+	inlineItems   = 8
+	inlineHolders = 4
+)
+
+// maxFree bounds each free list (entries per stripe, records per txn shard);
+// beyond it, emptied values are left to the garbage collector.
+const maxFree = 64
 
 // request is one waiting acquisition.
 type request struct {
@@ -83,10 +106,24 @@ type request struct {
 	ready chan error // buffered(1); nil error = granted
 }
 
-// lockState is the per-item lock table entry.
+// holder is one granted lock on an item.
+type holder struct {
+	txn  core.TxnID
+	mode Mode
+}
+
+// lockState is the per-item lock table entry. It exists only while the item
+// has a holder or a waiter.
 type lockState struct {
-	holders map[core.TxnID]Mode
+	holders []holder // unordered; starts on inline
 	queue   []*request
+	inline  [inlineHolders]holder
+}
+
+// want is one element of a lock set: an item and the mode to take it in.
+type want struct {
+	item core.ItemID
+	mode Mode
 }
 
 // stripe is one shard of the lock table. Its mutex guards every field;
@@ -94,16 +131,21 @@ type lockState struct {
 type stripe struct {
 	mu    sync.Mutex
 	items map[core.ItemID]*lockState
-	held  map[core.TxnID]map[core.ItemID]Mode // reverse index, this stripe's items only
-	waits map[core.TxnID]*request             // at most one wait per txn globally
+	free  []*lockState            // emptied entries, at most maxFree
+	waits map[core.TxnID]*request // at most one wait per txn globally
 }
 
-// txnShard is one shard of the touched-stripe index: for each live
-// transaction, a bitmask of the stripes it has acquired (or queued) on,
-// so Release visits only those stripes instead of all of them.
+// txnRecord lists the items one live transaction has acquired or queued on.
+type txnRecord struct {
+	items  []core.ItemID // distinct; starts on inline
+	inline [inlineItems]core.ItemID
+}
+
+// txnShard is one shard of the per-transaction index.
 type txnShard struct {
-	mu      sync.Mutex
-	touched map[core.TxnID]uint64
+	mu   sync.Mutex
+	recs map[core.TxnID]*txnRecord
+	free []*txnRecord // at most maxFree
 }
 
 // Manager is a strict-2PL lock manager. All methods are safe for
@@ -124,9 +166,8 @@ func New(timeout time.Duration) *Manager {
 }
 
 // NewSharded returns a manager with an explicit stripe count, rounded up
-// to a power of two, at least 1 and at most 64 (the touched-stripe
-// bitmask width). A single stripe reproduces the original
-// fully-serialized table (useful for comparison benchmarks).
+// to a power of two, at least 1 and at most 64. A single stripe reproduces
+// the original fully-serialized table (useful for comparison benchmarks).
 func NewSharded(timeout time.Duration, stripes int) *Manager {
 	n := 1
 	for n < stripes && n < maxStripes {
@@ -136,12 +177,11 @@ func NewSharded(timeout time.Duration, stripes int) *Manager {
 	for i := range m.stripes {
 		m.stripes[i] = &stripe{
 			items: make(map[core.ItemID]*lockState),
-			held:  make(map[core.TxnID]map[core.ItemID]Mode),
 			waits: make(map[core.TxnID]*request),
 		}
 	}
 	for i := range m.txns {
-		m.txns[i].touched = make(map[core.TxnID]uint64)
+		m.txns[i].recs = make(map[core.TxnID]*txnRecord)
 	}
 	return m
 }
@@ -159,37 +199,97 @@ func (m *Manager) stripeFor(item core.ItemID) *stripe {
 	return m.stripes[m.stripeIdx(item)]
 }
 
-// markTouched records that txn has acquired or queued on stripe idx.
-func (m *Manager) markTouched(txn core.TxnID, idx int) {
+// record adds the items of wants to txn's record, creating it if needed.
+// Callers record before they grant or queue, so Release always finds every
+// item the transaction may hold or wait on.
+func (m *Manager) record(txn core.TxnID, wants []want) {
 	sh := &m.txns[uint64(txn)%txnShards]
 	sh.mu.Lock()
-	sh.touched[txn] |= 1 << idx
+	rec := sh.recs[txn]
+	if rec == nil {
+		if n := len(sh.free); n > 0 {
+			rec, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			rec = new(txnRecord)
+			rec.items = rec.inline[:0]
+		}
+		sh.recs[txn] = rec
+	}
+	for _, w := range wants {
+		if !slices.Contains(rec.items, w.item) {
+			rec.items = append(rec.items, w.item)
+		}
+	}
 	sh.mu.Unlock()
 }
 
-// takeTouched returns and clears txn's touched-stripe bitmask.
-func (m *Manager) takeTouched(txn core.TxnID) uint64 {
+// takeRecord removes txn's record and returns its items appended to dst.
+func (m *Manager) takeRecord(txn core.TxnID, dst []core.ItemID) []core.ItemID {
 	sh := &m.txns[uint64(txn)%txnShards]
 	sh.mu.Lock()
-	mask := sh.touched[txn]
-	delete(sh.touched, txn)
+	if rec := sh.recs[txn]; rec != nil {
+		delete(sh.recs, txn)
+		dst = append(dst, rec.items...)
+		if len(sh.free) < maxFree {
+			rec.items = rec.items[:0]
+			sh.free = append(sh.free, rec)
+		}
+	}
 	sh.mu.Unlock()
-	return mask
+	return dst
 }
 
-// lockAll locks every stripe in index order (the canonical order that
-// makes cross-stripe operations mutually deadlock-free).
-func (m *Manager) lockAll() {
-	for _, s := range m.stripes {
-		s.mu.Lock()
+// allStripes selects every stripe in lockStripes.
+const allStripes = ^uint64(0)
+
+// lockStripes locks the stripes whose bit is set in mask, in index order
+// (the canonical order that makes cross-stripe operations mutually
+// deadlock-free).
+func (m *Manager) lockStripes(mask uint64) {
+	for i, s := range m.stripes {
+		if mask&(1<<i) != 0 {
+			s.mu.Lock()
+		}
 	}
 }
 
-// unlockAll releases every stripe.
-func (m *Manager) unlockAll() {
-	for _, s := range m.stripes {
-		s.mu.Unlock()
+// unlockStripes releases the stripes lockStripes(mask) locked.
+func (m *Manager) unlockStripes(mask uint64) {
+	for i, s := range m.stripes {
+		if mask&(1<<i) != 0 {
+			s.mu.Unlock()
+		}
 	}
+}
+
+// lockSet appends to dst the distinct items of shared and exclusive in
+// ascending item order; an item in both is wanted once, exclusively.
+func lockSet(dst []want, shared, exclusive []core.ItemID) []want {
+	for _, it := range exclusive {
+		dst = insertWant(dst, want{it, Exclusive})
+	}
+	for _, it := range shared {
+		dst = insertWant(dst, want{it, Shared})
+	}
+	return dst
+}
+
+// insertWant keeps ws sorted by item; a repeated item keeps the stronger mode.
+func insertWant(ws []want, w want) []want {
+	i := len(ws)
+	for i > 0 && ws[i-1].item > w.item {
+		i--
+	}
+	if i > 0 && ws[i-1].item == w.item {
+		if w.mode == Exclusive {
+			ws[i-1].mode = Exclusive
+		}
+		return ws
+	}
+	ws = append(ws, w)
+	copy(ws[i+1:], ws[i:])
+	ws[i] = w
+	return ws
 }
 
 // Acquire obtains item in mode for txn, blocking until granted, deadlock,
@@ -197,11 +297,14 @@ func (m *Manager) unlockAll() {
 // Exclusive over a held Shared upgrades (waiting for other readers to
 // drain).
 func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
-	idx := m.stripeIdx(item)
-	st := m.stripes[idx]
-	// Recorded before grant/queue so Release always sees the stripe even
-	// if it races a timed-out acquisition.
-	m.markTouched(txn, idx)
+	w := [1]want{{item, mode}}
+	m.record(txn, w[:])
+	return m.acquire(txn, item, mode)
+}
+
+// acquire is Acquire for an item already in txn's record.
+func (m *Manager) acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
+	st := m.stripeFor(item)
 	st.mu.Lock()
 	if m.closed.Load() {
 		st.mu.Unlock()
@@ -209,16 +312,11 @@ func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 	}
 	ls := st.lockState(item)
 
-	if cur, ok := ls.holders[txn]; ok {
-		if cur == Exclusive || mode == Shared {
-			st.mu.Unlock()
-			return nil // already strong enough
-		}
-		// Upgrade request: proceed to queue with upgrade semantics.
-	}
-
-	if st.grantable(ls, txn, mode) {
-		st.grant(ls, txn, item, mode)
+	// A lock already held strongly enough is grantable with nothing to
+	// change; an upgrade that is not goes to the queue with upgrade
+	// semantics.
+	if ls.grantable(txn, mode) {
+		ls.grant(txn, mode)
 		st.mu.Unlock()
 		return nil
 	}
@@ -261,57 +359,64 @@ func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 // order (a canonical order removes one class of deadlocks). On any error,
 // locks already held by txn are NOT released; call Release.
 func (m *Manager) AcquireAll(txn core.TxnID, shared, exclusive []core.ItemID) error {
-	type want struct {
-		item core.ItemID
-		mode Mode
-	}
-	var wants []want
-	ex := make(map[core.ItemID]bool, len(exclusive))
-	for _, it := range exclusive {
-		if !ex[it] {
-			ex[it] = true
-			wants = append(wants, want{it, Exclusive})
-		}
-	}
-	for _, it := range shared {
-		if !ex[it] {
-			wants = append(wants, want{it, Shared})
-		}
-	}
-	for i := 1; i < len(wants); i++ {
-		for j := i; j > 0 && wants[j].item < wants[j-1].item; j-- {
-			wants[j], wants[j-1] = wants[j-1], wants[j]
-		}
-	}
+	var buf [inlineWants]want
+	wants := lockSet(buf[:0], shared, exclusive)
+	m.record(txn, wants)
 	for _, w := range wants {
-		if err := m.Acquire(txn, w.item, w.mode); err != nil {
+		if err := m.acquire(txn, w.item, w.mode); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// TryAcquireAll takes the whole set if every lock in it can be granted at
+// once, and reports whether it did. It never waits and never overtakes a
+// queued waiter; when it fails it leaves nothing behind — no lock, no table
+// entry, no record — so the caller owes no Release. Locks txn already holds
+// are kept (and upgraded where the set asks, if txn is the sole holder).
+func (m *Manager) TryAcquireAll(txn core.TxnID, shared, exclusive []core.ItemID) bool {
+	var buf [inlineWants]want
+	wants := lockSet(buf[:0], shared, exclusive)
+	var stripes uint64 // the set's stripes, held together for the check and the grants
+	for _, w := range wants {
+		stripes |= 1 << m.stripeIdx(w.item)
+	}
+	m.lockStripes(stripes)
+	defer m.unlockStripes(stripes)
+	if m.closed.Load() {
+		return false
+	}
+	for _, w := range wants {
+		if ls := m.stripeFor(w.item).items[w.item]; ls != nil && !ls.grantable(txn, w.mode) {
+			return false
+		}
+	}
+	m.record(txn, wants)
+	for _, w := range wants {
+		m.stripeFor(w.item).lockState(w.item).grant(txn, w.mode)
+	}
+	return true
+}
+
 // Release drops every lock txn holds and cancels any wait, waking queued
 // transactions that become grantable. Strict 2PL: call exactly once, at
 // commit or abort.
 func (m *Manager) Release(txn core.TxnID) {
-	mask := m.takeTouched(txn)
-	for i, st := range m.stripes {
-		if mask&(1<<i) == 0 {
-			continue
-		}
+	var buf [inlineItems]core.ItemID
+	for _, item := range m.takeRecord(txn, buf[:0]) {
+		st := m.stripeFor(item)
 		st.mu.Lock()
 		if req, ok := st.waits[txn]; ok {
 			st.dropWaiter(req)
 		}
-		items := st.held[txn]
-		delete(st.held, txn)
-		for item := range items {
-			ls := st.items[item]
-			delete(ls.holders, txn)
-			st.promote(ls, item)
+		if ls := st.items[item]; ls != nil && ls.drop(txn) {
+			st.promote(ls)
 			if len(ls.holders) == 0 && len(ls.queue) == 0 {
 				delete(st.items, item)
+				if len(st.free) < maxFree {
+					st.free = append(st.free, ls)
+				}
 			}
 		}
 		st.mu.Unlock()
@@ -323,14 +428,18 @@ func (m *Manager) Holds(txn core.TxnID, item core.ItemID) (Mode, bool) {
 	st := m.stripeFor(item)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	mode, ok := st.held[txn][item]
-	return mode, ok
+	if ls := st.items[item]; ls != nil {
+		if i := ls.holderIdx(txn); i >= 0 {
+			return ls.holders[i].mode, true
+		}
+	}
+	return 0, false
 }
 
 // Stats returns the number of locked items and waiting transactions.
 func (m *Manager) Stats() (lockedItems, waiters int) {
-	m.lockAll()
-	defer m.unlockAll()
+	m.lockStripes(allStripes)
+	defer m.unlockStripes(allStripes)
 	for _, st := range m.stripes {
 		lockedItems += len(st.items)
 		waiters += len(st.waits)
@@ -343,8 +452,8 @@ func (m *Manager) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
-	m.lockAll()
-	defer m.unlockAll()
+	m.lockStripes(allStripes)
+	defer m.unlockStripes(allStripes)
 	for _, st := range m.stripes {
 		for _, req := range st.waits {
 			req.ready <- ErrClosed
@@ -361,51 +470,69 @@ func (m *Manager) Close() {
 func (st *stripe) lockState(item core.ItemID) *lockState {
 	ls, ok := st.items[item]
 	if !ok {
-		ls = &lockState{holders: make(map[core.TxnID]Mode)}
+		if n := len(st.free); n > 0 {
+			ls, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			ls = new(lockState)
+			ls.holders = ls.inline[:0]
+		}
 		st.items[item] = ls
 	}
 	return ls
 }
 
-// grantable reports whether txn could hold item in mode right now,
-// ignoring the queue (queue fairness is handled by promote). Callers hold
-// the stripe mutex.
-func (st *stripe) grantable(ls *lockState, txn core.TxnID, mode Mode) bool {
-	// Fairness: a new shared request must not overtake a queued upgrade
-	// or exclusive request (starvation).
-	if len(ls.queue) > 0 {
-		// Exception: an upgrade by the sole holder bypasses the queue
-		// check below via the holders loop.
-		if _, holder := ls.holders[txn]; !holder {
-			return false
+// holderIdx returns txn's position in holders, or -1.
+func (ls *lockState) holderIdx(txn core.TxnID) int {
+	for i := range ls.holders {
+		if ls.holders[i].txn == txn {
+			return i
 		}
 	}
-	for other, otherMode := range ls.holders {
-		if other == txn {
-			continue
-		}
-		if mode == Exclusive || otherMode == Exclusive {
+	return -1
+}
+
+// drop removes txn from holders and reports whether it was there.
+func (ls *lockState) drop(txn core.TxnID) bool {
+	i := ls.holderIdx(txn)
+	if i < 0 {
+		return false
+	}
+	last := len(ls.holders) - 1
+	ls.holders[i] = ls.holders[last]
+	ls.holders = ls.holders[:last]
+	return true
+}
+
+// compatible reports whether txn holding the item in mode conflicts with
+// no holder other than txn itself.
+func (ls *lockState) compatible(txn core.TxnID, mode Mode) bool {
+	for _, h := range ls.holders {
+		if h.txn != txn && (mode == Exclusive || h.mode == Exclusive) {
 			return false
 		}
 	}
 	return true
 }
 
-// grant records txn holding item in mode. Callers hold the stripe mutex.
-func (st *stripe) grant(ls *lockState, txn core.TxnID, item core.ItemID, mode Mode) {
-	if cur, ok := ls.holders[txn]; !ok || mode == Exclusive || cur == Exclusive {
-		if cur, ok := ls.holders[txn]; ok && cur == Exclusive {
-			mode = Exclusive // never downgrade
-		}
-		ls.holders[txn] = mode
+// grantable reports whether txn could hold the item in mode right now.
+// Fairness: a request from a transaction that holds nothing here must not
+// overtake a queued upgrade or exclusive request (starvation); a holder —
+// re-acquiring, or the sole holder upgrading — blocks on other holders
+// only, not on the queue. Callers hold the stripe mutex.
+func (ls *lockState) grantable(txn core.TxnID, mode Mode) bool {
+	if len(ls.queue) > 0 && ls.holderIdx(txn) < 0 {
+		return false
 	}
-	held := st.held[txn]
-	if held == nil {
-		held = make(map[core.ItemID]Mode)
-		st.held[txn] = held
-	}
-	if cur, ok := held[item]; !ok || cur != Exclusive {
-		held[item] = ls.holders[txn]
+	return ls.compatible(txn, mode)
+}
+
+// grant records txn holding the item in mode, never downgrading. Callers
+// hold the stripe mutex.
+func (ls *lockState) grant(txn core.TxnID, mode Mode) {
+	if i := ls.holderIdx(txn); i < 0 {
+		ls.holders = append(ls.holders, holder{txn, mode})
+	} else if mode == Exclusive {
+		ls.holders[i].mode = Exclusive
 	}
 }
 
@@ -414,13 +541,13 @@ func (st *stripe) grant(ls *lockState, txn core.TxnID, item core.ItemID, mode Mo
 // blocking preserves fairness). Upgrades are considered regardless of
 // position, since they block on other holders, not on the queue. Callers
 // hold the stripe mutex.
-func (st *stripe) promote(ls *lockState, item core.ItemID) {
+func (st *stripe) promote(ls *lockState) {
 	for {
 		advanced := false
 		// First: any waiting upgrade whose only blockers are gone.
 		for i, req := range ls.queue {
-			if _, holder := ls.holders[req.txn]; holder && compatibleIgnoringSelf(ls, req) {
-				st.grant(ls, req.txn, item, req.mode)
+			if ls.holderIdx(req.txn) >= 0 && ls.compatible(req.txn, req.mode) {
+				ls.grant(req.txn, req.mode)
 				ls.queue = append(ls.queue[:i:i], ls.queue[i+1:]...)
 				delete(st.waits, req.txn)
 				req.ready <- nil
@@ -436,36 +563,22 @@ func (st *stripe) promote(ls *lockState, item core.ItemID) {
 			return
 		}
 		head := ls.queue[0]
-		if !compatibleIgnoringSelf(ls, head) {
+		if !ls.compatible(head.txn, head.mode) {
 			return
 		}
-		st.grant(ls, head.txn, item, head.mode)
+		ls.grant(head.txn, head.mode)
 		ls.queue = ls.queue[1:]
 		delete(st.waits, head.txn)
 		head.ready <- nil
 	}
 }
 
-// compatibleIgnoringSelf reports whether req conflicts with any holder
-// other than its own transaction. Callers hold the stripe mutex.
-func compatibleIgnoringSelf(ls *lockState, req *request) bool {
-	for other, otherMode := range ls.holders {
-		if other == req.txn {
-			continue
-		}
-		if req.mode == Exclusive || otherMode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
 // detectDeadlock locks all stripes, builds the global waits-for graph,
 // and aborts the victim of any cycle found. Runs after a transaction
 // queues (the only event that can close a cycle).
 func (m *Manager) detectDeadlock() {
-	m.lockAll()
-	defer m.unlockAll()
+	m.lockStripes(allStripes)
+	defer m.unlockStripes(allStripes)
 	victim := m.findDeadlockVictimLocked()
 	if victim == core.NoTxn {
 		return
@@ -492,15 +605,15 @@ func (m *Manager) findDeadlockVictimLocked() core.TxnID {
 		}
 		for _, ls := range st.items {
 			for _, req := range ls.queue {
-				for holder, holderMode := range ls.holders {
-					if holder == req.txn {
+				for _, h := range ls.holders {
+					if h.txn == req.txn {
 						continue
 					}
-					if req.mode == Exclusive || holderMode == Exclusive {
+					if req.mode == Exclusive || h.mode == Exclusive {
 						if edges == nil {
 							edges = make(map[core.TxnID][]core.TxnID)
 						}
-						edges[req.txn] = append(edges[req.txn], holder)
+						edges[req.txn] = append(edges[req.txn], h.txn)
 					}
 				}
 			}
@@ -576,7 +689,7 @@ func (st *stripe) dropWaiter(req *request) {
 		if q == req {
 			ls.queue = append(ls.queue[:i:i], ls.queue[i+1:]...)
 			// Removing a waiter can unblock the queue behind it.
-			st.promote(ls, req.item)
+			st.promote(ls)
 			return
 		}
 	}

@@ -24,6 +24,7 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 	start := time.Now()
 	t := txn.Txn{ID: body.Txn, Ops: body.Ops}
 	tr := env.Trace
+	reads := core.ReadSet(t.Ops)
 
 	// Concurrent mode: strict 2PL — shared locks on the read set,
 	// exclusive on the write set, held until the transaction completes.
@@ -32,7 +33,7 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 	// (contention, or a distributed cycle only the timeout can break).
 	if s.concurrent() {
 		lm := s.lockManager()
-		if err := lm.AcquireAll(t.ID, core.ReadSet(t.Ops), core.WriteSet(t.Ops)); err != nil {
+		if err := lm.AcquireAll(t.ID, reads, core.WriteSet(t.Ops)); err != nil {
 			lm.Release(t.ID)
 			reason := lockAbortReason(err)
 			s.mu.Lock()
@@ -52,7 +53,7 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 		defer lm.Release(t.ID)
 	}
 
-	res := s.executeTxn(t, tr)
+	res := s.executeTxn(t, reads, tr)
 	elapsed := time.Since(start)
 
 	s.mu.Lock()
@@ -102,10 +103,10 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 	}
 }
 
-// executeTxn is the coordinator's transaction body. The structure follows
-// Appendix A.1: copier transactions first, then reads, then the two-phase
-// commit of the written items.
-func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
+// executeTxn is the coordinator's transaction body; reads is t's read set.
+// The structure follows Appendix A.1: copier transactions first, then
+// reads, then the two-phase commit of the written items.
+func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result {
 	res := txn.Result{Txn: t.ID}
 	if err := t.Validate(s.cfg.Items); err != nil {
 		res.AbortReason = txn.AbortInvalid
@@ -115,7 +116,7 @@ func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
 	// "if transaction contains read operation for a fail-locked copy then
 	// run copier transaction" (Appendix A.1).
 	if s.pol.UsesFailLocks() && !s.cfg.DisableFailLockMaintenance {
-		stale := s.staleReadItems(t)
+		stale := s.staleReadItems(reads)
 		if len(stale) > 0 {
 			n, reason := s.runCopiers(stale, t.ID, false, tr)
 			res.Copiers += n
@@ -130,7 +131,7 @@ func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
 	if s.pol.LocalRead() {
 		// Partial replication: fetch items this site does not host from
 		// an up-to-date hosting site (read-one of an available copy).
-		remote, reason := s.remoteReads(t, tr)
+		remote, reason := s.remoteReads(t.ID, reads, tr)
 		if reason != "" {
 			res.AbortReason = reason
 			return res
@@ -151,12 +152,12 @@ func (s *Site) executeTxn(t txn.Txn, tr uint64) txn.Result {
 			res.Reads = append(res.Reads, iv)
 		}
 	} else {
-		reads, ok := s.quorumRead(t, tr)
+		got, ok := s.quorumRead(t, reads, tr)
 		if !ok {
 			res.AbortReason = txn.AbortNoQuorum
 			return res
 		}
-		res.Reads = reads
+		res.Reads = got
 	}
 
 	writes := t.WriteVersions()
@@ -470,9 +471,9 @@ func (s *Site) markLostParticipants(lost []core.SiteID, writes []core.ItemVersio
 	}
 }
 
-// remoteReads fetches fresh copies of the transaction's read items this
-// site does not host, from up-to-date hosting sites. It returns an empty
-// map under full replication. On failure it returns the abort reason.
+// remoteReads fetches fresh copies of the items of the transaction's read
+// set this site does not host, from up-to-date hosting sites. It returns an
+// empty map under full replication. On failure it returns the abort reason.
 //
 // A failed donor does not fail the read while other candidates remain:
 // each round fans out to one donor per pending item, and items whose
@@ -482,13 +483,13 @@ func (s *Site) markLostParticipants(lost []core.SiteID, writes []core.ItemVersio
 // every up-to-date hosting site does the transaction abort — with
 // AbortDonorDown if a donor loss forced the exhaustion, AbortNoDonor
 // when no candidate existed at all.
-func (s *Site) remoteReads(t txn.Txn, tr uint64) (map[core.ItemID]core.ItemVersion, string) {
+func (s *Site) remoteReads(id core.TxnID, reads []core.ItemID, tr uint64) (map[core.ItemID]core.ItemVersion, string) {
 	rep := s.replicaMap()
 	if rep.IsFull() {
 		return nil, ""
 	}
 	var pending []core.ItemID
-	for _, item := range core.ReadSet(t.Ops) {
+	for _, item := range reads {
 		if !rep.IsHost(item, s.cfg.ID) {
 			pending = append(pending, item)
 		}
@@ -526,7 +527,7 @@ func (s *Site) remoteReads(t txn.Txn, tr uint64) (map[core.ItemID]core.ItemVersi
 		// stay deterministic.
 		calls := make([]transport.Outcall, len(order))
 		for i, donor := range order {
-			calls[i] = transport.Outcall{To: donor, Body: &msg.ReadReq{Txn: t.ID, Items: byDonor[donor], RequireFresh: true}}
+			calls[i] = transport.Outcall{To: donor, Body: &msg.ReadReq{Txn: id, Items: byDonor[donor], RequireFresh: true}}
 		}
 		pending = pending[:0]
 		var announce []core.SiteID
@@ -589,16 +590,15 @@ func (s *Site) pickDonorLocked(rep *core.ReplicaMap, item core.ItemID, excluded 
 	return 0, false
 }
 
-// staleReadItems returns the distinct items the transaction reads whose
-// local copies are fail-locked for this site. Items this site does not
-// host are excluded: there is no local copy to refresh (remoteReads
-// serves them instead).
-func (s *Site) staleReadItems(t txn.Txn) []core.ItemID {
+// staleReadItems returns the items of the read set whose local copies are
+// fail-locked for this site. Items this site does not host are excluded:
+// there is no local copy to refresh (remoteReads serves them instead).
+func (s *Site) staleReadItems(reads []core.ItemID) []core.ItemID {
 	rep := s.replicaMap()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []core.ItemID
-	for _, item := range core.ReadSet(t.Ops) {
+	for _, item := range reads {
 		if rep.IsHost(item, s.cfg.ID) && s.flocks.IsSet(item, s.cfg.ID) {
 			out = append(out, item)
 		}
@@ -767,8 +767,7 @@ func (s *Site) fanoutClears(targets []core.SiteID, body *msg.ClearFailLocks, tr 
 // Under full replication every degree equals the site count and every
 // site answers for every item, so this reduces exactly to the old
 // global-majority check.
-func (s *Site) quorumRead(t txn.Txn, tr uint64) ([]core.ItemVersion, bool) {
-	readSet := core.ReadSet(t.Ops)
+func (s *Site) quorumRead(t txn.Txn, readSet []core.ItemID, tr uint64) ([]core.ItemVersion, bool) {
 	if len(readSet) == 0 {
 		return nil, true
 	}

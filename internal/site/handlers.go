@@ -1,6 +1,7 @@
 package site
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -21,16 +22,7 @@ func (s *Site) handle(env *msg.Envelope) {
 		s.wg.Add(1)
 		go s.coordinate(env, body)
 	case *msg.Prepare:
-		if s.concurrent() {
-			// Lock acquisition may block; keep the receive loop free.
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.handlePrepare(env, body)
-			}()
-		} else {
-			s.handlePrepare(env, body)
-		}
+		s.handlePrepare(env, body)
 	case *msg.Commit:
 		s.handleCommit(env, body)
 	case *msg.CommitBatch:
@@ -83,10 +75,11 @@ func (s *Site) handle(env *msg.Envelope) {
 // coordinating site; send ack to coordinating site" (Appendix A.2). The
 // writes are staged until commit or abort.
 //
-// The prepare carries the coordinator's nominal session vector; if its
-// entry for this site names a different session, the coordinator formed
-// its write set before this site's most recent failure/recovery transition
-// and must abort (status change during execution).
+// Concurrent mode takes exclusive locks on this copy of the write set
+// before staging — the participant half of distributed 2PL. The receive
+// loop may try for them but never waits: locks that are free are taken and
+// the prepare is staged inline, as in serial mode; a prepare that has to
+// wait is handed to a goroutine.
 func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 	for _, iv := range body.Writes {
 		if int(iv.Item) >= s.cfg.Items {
@@ -94,59 +87,71 @@ func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 			return
 		}
 	}
-
-	// Concurrent mode: take exclusive locks on this copy of the write
-	// set before staging — the participant half of distributed 2PL. A
-	// deadlock or timeout is a retriable NACK, with the reason preserved
-	// so the coordinator's abort keeps the two distinguishable.
-	var lm *lockmgr.Manager
-	if s.concurrent() {
-		lm = s.lockManager()
-		items := make([]core.ItemID, 0, len(body.Writes))
-		for _, iv := range body.Writes {
-			items = append(items, iv.Item)
-		}
-		if err := lm.AcquireAll(body.Txn, nil, items); err != nil {
-			lm.Release(body.Txn)
-			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: lockAbortReason(err)})
-			return
-		}
+	lm := s.lockManager() // nil in serial mode: nothing to take
+	var buf [8]core.ItemID
+	if lm == nil || lm.TryAcquireAll(body.Txn, nil, writeItems(buf[:0], body.Writes)) {
+		s.stagePrepare(env, body, lm)
+		return
 	}
+	s.wg.Add(1)
+	go s.prepareAfterLocks(env, body, lm)
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state.get() != core.StatusUp || (lm != nil && lm != s.locks) {
-		// Not operational (or failed while waiting for locks): a
-		// recovering site must not vote. No reply; the coordinator's
-		// timeout handles it.
-		if lm != nil {
-			lm.Release(body.Txn)
+// prepareAfterLocks waits for the prepare's locks, then stages it. A
+// deadlock or timeout is a retriable NACK, with the reason preserved so the
+// coordinator's abort keeps the two distinguishable; a manager closed under
+// the wait means this site failed, and a failed site does not vote.
+func (s *Site) prepareAfterLocks(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Manager) {
+	defer s.wg.Done()
+	if err := lm.AcquireAll(body.Txn, nil, writeItems(nil, body.Writes)); err != nil {
+		lm.Release(body.Txn)
+		if !errors.Is(err, lockmgr.ErrClosed) {
+			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: lockAbortReason(err)})
 		}
 		return
 	}
-	if int(s.cfg.ID) < len(body.Vector) {
-		if got := body.Vector[s.cfg.ID].Session; got != s.session {
-			if lm != nil {
-				lm.Release(body.Txn)
-			}
-			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: txn.AbortStaleSession})
-			return
-		}
+	s.stagePrepare(env, body, lm)
+}
+
+// writeItems appends the items of writes to dst.
+func writeItems(dst []core.ItemID, writes []core.ItemVersion) []core.ItemID {
+	for _, iv := range writes {
+		dst = append(dst, iv.Item)
 	}
+	return dst
+}
+
+// stagePrepare stages a prepare whose locks (if any) are held in lm, and
+// votes. mu is released before the vote is sent.
+//
+// The prepare carries the coordinator's nominal session vector; if its
+// entry for this site names a different session, the coordinator formed
+// its write set before this site's most recent failure/recovery transition
+// and must abort (status change during execution).
+func (s *Site) stagePrepare(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Manager) {
+	s.mu.Lock()
+	// Not operational (or failed while waiting for locks): a recovering
+	// site must not vote. No reply; the coordinator's timeout handles it.
+	up := s.state.get() == core.StatusUp && lm == s.locks.Load()
 	// Reject a prepare whose vector predates a recovery this site knows
 	// about: the coordinator chose its write set before learning that a
 	// site rejoined, so that site would silently miss the write without a
 	// fail-lock. This is the session numbers' stated purpose —
 	// "determining if the status of a site has changed during the
 	// execution of a transaction" (§1.1) — generalized to every entry.
-	for k := 0; k < s.vec.Len() && k < len(body.Vector); k++ {
-		if body.Vector[k].Session < s.vec.Session(core.SiteID(k)) {
-			if lm != nil {
-				lm.Release(body.Txn)
-			}
-			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: txn.AbortStaleSession})
-			return
+	stale := int(s.cfg.ID) < len(body.Vector) && body.Vector[s.cfg.ID].Session != s.session
+	for k := 0; !stale && k < s.vec.Len() && k < len(body.Vector); k++ {
+		stale = body.Vector[k].Session < s.vec.Session(core.SiteID(k))
+	}
+	if !up || stale {
+		s.mu.Unlock()
+		if lm != nil {
+			lm.Release(body.Txn)
 		}
+		if up {
+			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: txn.AbortStaleSession})
+		}
+		return
 	}
 	st := &stagedTxn{writes: body.Writes, maintOnly: body.MaintOnly, vector: body.Vector, start: time.Now(), coord: env.From, trace: env.Trace, lm: lm}
 	s.staged[body.Txn] = st
@@ -158,6 +163,7 @@ func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 	st.timer = time.AfterFunc(decisionTimeout(s.caller.Timeout()), func() {
 		s.coordinatorLost(body.Txn)
 	})
+	s.mu.Unlock()
 	s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: true})
 	s.emit(env.Trace, trace.PhasePrepare, fmt.Sprintf("writes=%d", len(body.Writes)), st.start)
 }

@@ -30,11 +30,11 @@ func (s *Site) failNow() {
 	}
 	s.staged = make(map[core.TxnID]*stagedTxn)
 	s.batchArmed = false
-	if s.locks != nil {
+	if lm := s.locks.Load(); lm != nil {
 		// A crashed process loses its lock table: fail every waiter and
 		// start the next session with a fresh manager.
-		s.locks.Close()
-		s.locks = newLockManager(s.cfg)
+		lm.Close()
+		s.locks.Store(newLockManager(s.cfg))
 	}
 	s.mu.Unlock()
 	if s.epoch != nil {

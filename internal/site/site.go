@@ -9,7 +9,9 @@
 //
 //   - one receive loop (run) that dispatches inbound messages; participant
 //     and control handlers execute inline, in arrival order, which gives
-//     the paper's serial, in-order message processing;
+//     the paper's serial, in-order message processing (in concurrent mode a
+//     prepare whose locks are not free waits for them on a goroutine of its
+//     own: the loop never waits for a lock);
 //   - one transaction executor at a time (txnGate), so database
 //     transactions, recovery and batch refresh are serialized exactly as
 //     in the paper ("transactions were processed serially", §1.2,
@@ -379,8 +381,8 @@ type Site struct {
 	txnGate chan struct{}
 	// locks is the strict-2PL manager; non-nil only in concurrent mode.
 	// Replaced wholesale on simulated failure (process lock state dies
-	// with the process).
-	locks *lockmgr.Manager
+	// with the process): swapped under mu, read without.
+	locks atomic.Pointer[lockmgr.Manager]
 	// epoch batches commit fan-outs; non-nil only when CommitEpoch > 0.
 	epoch *epochBatcher
 
@@ -440,10 +442,10 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 		flocks:  core.NewFailLockTable(cfg.Items, cfg.Sites),
 		staged:  make(map[core.TxnID]*stagedTxn),
 		store:   cfg.Store,
-		locks:   newLockManager(cfg),
 		txnGate: make(chan struct{}, gate),
 	}
 	s.state.set(state)
+	s.locks.Store(newLockManager(cfg))
 	if cfg.StartDown {
 		s.vec.MarkDown(cfg.ID)
 	}
@@ -485,11 +487,7 @@ func (s *Site) concurrent() bool { return s.cfg.ConcurrentTxns > 1 }
 // lockManager returns the current 2PL manager instance. Simulated failure
 // replaces it (a real crash would lose lock state), so callers capture the
 // instance once per transaction.
-func (s *Site) lockManager() *lockmgr.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locks
-}
+func (s *Site) lockManager() *lockmgr.Manager { return s.locks.Load() }
 
 // ID returns the site's identity.
 func (s *Site) ID() core.SiteID { return s.cfg.ID }
