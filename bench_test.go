@@ -20,11 +20,18 @@ package minraid_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"minraid"
+	"minraid/internal/cluster"
+	"minraid/internal/core"
+	"minraid/internal/geo"
+	"minraid/internal/storage"
+	"minraid/internal/transport"
+	"minraid/internal/workload"
 )
 
 // benchAckTimeout is deliberately generous: across tens of thousands of
@@ -348,3 +355,105 @@ func BenchmarkConcurrency(b *testing.B) {
 }
 
 func atomicAdd(p *int32) int32 { return atomic.AddInt32(p, 1) }
+
+// Extension: per-transaction ROWAA commit against epoch-batched commit on
+// the same WAN — the premise of epoch-based commit (PAPERS.md, arXiv
+// 2602.21566) and the one comparison the benchmark/ workloads do not make
+// (they run wan3 with epochs only). The shape is frozen so runs compare
+// across commits: 6 sites over the wan3 link matrix compiled from seed
+// 1987, 256 items (few enough write-write conflicts that the commit
+// protocol is measured, not the lock timeout), the paper's uniform
+// workload at up to 5 operations, 8 transactions in flight, fsync'ing
+// group-commit logs, 2 ms epochs. Both modes replay the identical stream.
+// Lock-timeout aborts are part of the regime and only commits count
+// towards txn/s; the replicas must audit clean afterwards. Pass
+// -benchtime=200x: one iteration is one transaction.
+func BenchmarkCommitMode(b *testing.B) {
+	const (
+		sites, items, maxOps, inFlight = 6, 256, 5, 8
+		seed                           = 1987
+		epoch                          = 2 * time.Millisecond
+	)
+	profile, err := geo.Lookup("wan3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wan, err := geo.Compile(profile, sites, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name  string
+		epoch time.Duration
+	}{{"rowaa", 0}, {"epoch", epoch}} {
+		b.Run(mode.name, func(b *testing.B) {
+			dir := b.TempDir()
+			var stores []*storage.WALStore
+			c, err := cluster.New(cluster.Config{
+				Sites: sites, Items: items,
+				ConcurrentTxns: inFlight,
+				CommitEpoch:    mode.epoch,
+				// No fault is injected: keep the failure detector out of
+				// the measurement, and give lock waits room for WAN
+				// prepare round trips.
+				AckTimeout:     2 * time.Second,
+				LockWaitBudget: 100 * time.Millisecond,
+				Chaos:          &transport.ChaosConfig{Seed: seed, Links: wan.Links, ExemptManager: true},
+				StoreFactory: func(id core.SiteID) (storage.Store, error) {
+					s, err := storage.OpenWAL(storage.WALOptions{
+						Dir: filepath.Join(dir, fmt.Sprintf("site%d", id)), Items: items,
+						Sync: true, GroupCommit: true,
+					})
+					if err == nil {
+						stores = append(stores, s)
+					}
+					return s, err
+				},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Sites never close their stores; the benchmark owns them.
+			b.Cleanup(func() {
+				c.Close()
+				for _, s := range stores {
+					s.Close()
+				}
+			})
+			// IDs and operations are fixed before the clock starts, so
+			// the racing issuers only execute.
+			gen := workload.NewUniform(items, maxOps, seed)
+			ids := make([]core.TxnID, b.N)
+			ops := make([][]core.Op, b.N)
+			for i := range ids {
+				ids[i] = c.NextTxnID()
+				ops[i] = gen.Next(ids[i])
+			}
+			var committed atomic.Int64
+			loop := workload.OpenLoop{Count: b.N, MaxInFlight: inFlight}
+			b.ResetTimer()
+			res := loop.Run(func(i int) {
+				out, err := c.ExecTxn(core.SiteID(i%sites), ids[i], ops[i])
+				if err != nil {
+					b.Error(err)
+				} else if out.Committed {
+					committed.Add(1)
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(committed.Load())/res.Elapsed.Seconds(), "txn/s")
+			b.ReportMetric(float64(int64(b.N)-committed.Load())/float64(b.N), "aborts/op")
+
+			// Epoch commit answers the client once the batch fan-out is on
+			// the wire: let it cross the slowest link and apply.
+			time.Sleep(epoch + 200*time.Millisecond + 2*wan.MaxBaseDelay())
+			report, err := c.Audit()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !report.OK() || report.StaleCopies != 0 {
+				b.Fatalf("audit after %s commit: %s", mode.name, report)
+			}
+		})
+	}
+}

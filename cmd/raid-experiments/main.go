@@ -20,24 +20,29 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"minraid/internal/core"
 	"minraid/internal/experiment"
 	"minraid/internal/plot"
 )
 
+// parseArgs parses args into fs unless they name the soak subcommand, which
+// owns its own flag set. A positional argument is an error: flag parsing
+// stops at it, and `raid-experiments bnch` would run every experiment.
+func parseArgs(fs *flag.FlagSet, args []string) (soak bool, err error) {
+	if len(args) > 0 && args[0] == "soak" {
+		return true, nil
+	}
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
+	if fs.NArg() > 0 {
+		return false, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return false, nil
+}
+
 func main() {
-	// Subcommand dispatch happens before flag parsing so each subcommand
-	// owns its own flag set.
-	if len(os.Args) > 1 && os.Args[1] == "soak" {
-		runSoak(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		runBench(os.Args[2:])
-		return
-	}
 	var (
 		run   = flag.String("run", "all", "which experiment: all, e1, f1, f2, f3, ext")
 		delay = flag.Duration("delay", 0, "per-hop communication cost (9ms reproduces the paper's hardware)")
@@ -45,7 +50,15 @@ func main() {
 		csv   = flag.String("csv", "", "directory to write figure CSVs into")
 		pct   = flag.Bool("percentiles", false, "also print p50/p95/p99 latency tables per event class")
 	)
-	flag.Parse()
+	soak, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "raid-experiments: %v\nusage: raid-experiments [flags] | raid-experiments soak [flags]   (-h lists the flags)\n", err)
+		os.Exit(2)
+	}
+	if soak {
+		runSoak(os.Args[2:])
+		return
+	}
 
 	cfg := experiment.Config{Seed: *seed, Delay: *delay}
 	want := func(name string) bool { return *run == "all" || *run == name }
@@ -221,18 +234,6 @@ func runExtensions(cfg experiment.Config, pct bool) {
 		fail(err)
 	}
 	fmt.Println(rd)
-
-	// The concurrency sweep needs non-zero message costs to be
-	// meaningful; inject a small delay when the run is otherwise free.
-	ccfg := cfg
-	if ccfg.Delay == 0 {
-		ccfg.Delay = 500 * time.Microsecond
-	}
-	cs, err := experiment.RunConcurrencySweep(ccfg, nil, 4, 50)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println(cs)
 }
 
 func writeCSV(dir, name string, series []plot.Series) {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 )
 
 // RecoverWithRetry recovers a site, retrying when the donor handshake is
@@ -13,18 +15,25 @@ import (
 // site-to-site links, which may be chaotic). Returns the number of
 // blocked attempts retried.
 func (c *Manager) RecoverWithRetry(id core.SiteID, ackTimeout time.Duration) (int, error) {
+	n, _, err := c.recoverWithRetry(id, ackTimeout)
+	return n, err
+}
+
+// recoverWithRetry also returns the site's status reply to the last attempt.
+func (c *Manager) recoverWithRetry(id core.SiteID, ackTimeout time.Duration) (int, *msg.StatusResp, error) {
 	const attempts = 8
+	var st *msg.StatusResp
 	var err error
 	for i := 0; i < attempts; i++ {
-		if _, err = c.Recover(id); err == nil {
-			return i, nil
+		if st, err = c.Recover(id); err == nil {
+			return i, st, nil
 		}
 		if !errors.Is(err, ErrRecoveryBlocked) {
-			return i, err
+			return i, st, err
 		}
 		time.Sleep(ackTimeout / 2)
 	}
-	return attempts, err
+	return attempts, st, err
 }
 
 // RepairFalseSuspicions probes every truly-up site's session vector and,
@@ -48,6 +57,9 @@ func (c *Manager) RepairFalseSuspicions(trueUp []bool, ackTimeout time.Duration)
 func (c *Manager) RepairFalseSuspicionsWhere(trueUp []bool, eligible func(observer, suspect core.SiteID) bool, ackTimeout time.Duration) (int, error) {
 	repairs := 0
 	maxRounds := 2 * len(trueUp)
+	// Per round: who suspected whom, and the suspect's session as the
+	// observer recorded it and as the repair left it.
+	var rounds []string
 	for round := 0; round < maxRounds; round++ {
 		suspect := core.SiteID(0)
 		found := false
@@ -67,6 +79,7 @@ func (c *Manager) RepairFalseSuspicionsWhere(trueUp []bool, eligible func(observ
 					}
 					suspect = core.SiteID(b)
 					found = true
+					rounds = append(rounds, fmt.Sprintf("%s suspects %s (session %d", core.SiteID(a), suspect, rec.Session))
 					break probe
 				}
 			}
@@ -77,10 +90,12 @@ func (c *Manager) RepairFalseSuspicionsWhere(trueUp []bool, eligible func(observ
 		if err := c.Fail(suspect); err != nil {
 			return repairs, err
 		}
-		if _, err := c.RecoverWithRetry(suspect, ackTimeout); err != nil {
+		_, st, err := c.recoverWithRetry(suspect, ackTimeout)
+		if err != nil {
 			return repairs, err
 		}
+		rounds[round] += fmt.Sprintf(" -> %d)", st.Session)
 		repairs++
 	}
-	return repairs, fmt.Errorf("cluster: false-suspicion repair did not converge after %d rounds", maxRounds)
+	return repairs, fmt.Errorf("cluster: false-suspicion repair did not converge after %d rounds: %s", maxRounds, strings.Join(rounds, ", "))
 }

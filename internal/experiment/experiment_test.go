@@ -384,28 +384,3 @@ func TestReportStrings(t *testing.T) {
 		t.Errorf("ClearSharePct = %v", cop.ClearSharePct())
 	}
 }
-
-func TestConcurrencySweep(t *testing.T) {
-	rep, err := RunConcurrencySweep(Config{
-		Seed: 31, Delay: 200 * time.Microsecond, AckTimeout: 100 * time.Millisecond,
-	}, []int{1, 4}, 4, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	serial, conc := rep.Rows[0], rep.Rows[1]
-	if serial.Committed != 100 {
-		t.Errorf("serial committed %d/100", serial.Committed)
-	}
-	// Disjoint working sets: almost everything commits at degree 4 too.
-	if conc.Committed+conc.LockAborts != 100 {
-		t.Errorf("degree-4 accounting: %d + %d != 100", conc.Committed, conc.LockAborts)
-	}
-	// With real message costs, interleaving must raise throughput.
-	if conc.TxnPerSecond <= serial.TxnPerSecond {
-		t.Errorf("no concurrency gain: serial %.0f txn/s, degree 4 %.0f txn/s",
-			serial.TxnPerSecond, conc.TxnPerSecond)
-	}
-}

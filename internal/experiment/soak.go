@@ -488,34 +488,19 @@ type soakIssue struct {
 	ops   []core.Op
 }
 
-// issueRun is the outcome of executing a slice of pre-generated issues:
-// the results in issue order, each transaction's service latency (from
-// actual issue), and the driver's elapsed time and scheduled-arrival
-// latencies.
-type issueRun struct {
-	outs    []*msg.TxnResult
-	service []time.Duration
-	loop    workload.OpenLoopResult
-}
-
 // execIssues executes pre-generated transactions through the managing
 // site, at most inFlight at a time (1 is the paper's serial processing),
 // paced open-loop at rate per second when positive. IDs and operations
 // were allocated serially by the caller, so the racing closures only
-// execute. The first managing-site error wins.
-func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate float64) (*issueRun, error) {
-	run := &issueRun{
-		outs:    make([]*msg.TxnResult, len(issues)),
-		service: make([]time.Duration, len(issues)),
-	}
+// execute. Results are in issue order; the first managing-site error wins.
+func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate float64) ([]*msg.TxnResult, error) {
+	outs := make([]*msg.TxnResult, len(issues))
 	var execMu sync.Mutex
 	var execErr error
 	ol := &workload.OpenLoop{Rate: rate, Count: len(issues), MaxInFlight: inFlight}
-	run.loop = ol.Run(func(i int) {
+	ol.Run(func(i int) {
 		iss := issues[i]
-		st := time.Now()
 		out, err := mgr.ExecTxn(iss.coord, iss.id, iss.ops)
-		run.service[i] = time.Since(st)
 		if err != nil {
 			execMu.Lock()
 			if execErr == nil {
@@ -524,12 +509,12 @@ func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate flo
 			execMu.Unlock()
 			return
 		}
-		run.outs[i] = out
+		outs[i] = out
 	})
 	if execErr != nil {
 		return nil, execErr
 	}
-	return run, nil
+	return outs, nil
 }
 
 // openLocalFabric builds one epoch's in-process cluster — the chaotic
@@ -879,13 +864,13 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 				fmt.Fprintf(fp, "%d,%d,%x;", op.Kind, op.Item, op.Value)
 			}
 		}
-		run, err := execIssues(mgr, wave, cfg.Concurrency, cfg.ArrivalRate)
+		outs, err := execIssues(mgr, wave, cfg.Concurrency, cfg.ArrivalRate)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 
 		inPartition := top != nil && top.Active()
-		for _, out := range run.outs {
+		for _, out := range outs {
 			er.Txns++
 			if inPartition {
 				er.PartitionTxns++
