@@ -1,8 +1,7 @@
 // Netcluster: the same ROWAA protocol over real TCP sockets — three sites
-// listening on loopback ports, exchanging CRC-framed messages, plus a
-// managing endpoint driving transactions, a failure and a recovery. This
-// is the single-binary version of the cmd/raidsrv + cmd/raidctl
-// deployment.
+// and the managing site on loopback ports, exchanging CRC-framed messages,
+// through a write, a failure, a recovery and an audit. This is the
+// single-binary version of the cmd/raidsrv + cmd/raidctl deployment.
 //
 //	go run ./examples/netcluster
 package main
@@ -10,137 +9,47 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/msg"
-	"minraid/internal/site"
-	"minraid/internal/transport"
-)
-
-const (
-	sites = 3
-	items = 30
 )
 
 func main() {
-	// Bind each site's listener on an ephemeral loopback port.
-	nets := make([]*transport.TCP, sites)
-	addrs := make(map[core.SiteID]string)
-	for i := 0; i < sites; i++ {
-		id := core.SiteID(i)
-		n, err := transport.NewTCP(transport.TCPConfig{
-			Self:  id,
-			Addrs: map[core.SiteID]string{id: "127.0.0.1:0"},
-		})
-		must(err)
-		nets[i] = n
-		addrs[id] = n.Addr()
-	}
-	mgrNet, err := transport.NewTCP(transport.TCPConfig{
-		Self:  core.ManagingSite,
-		Addrs: map[core.SiteID]string{core.ManagingSite: "127.0.0.1:0"},
-	})
+	c, err := cluster.New(cluster.Config{Sites: 3, Items: 30, Transport: "tcp"})
 	must(err)
-	addrs[core.ManagingSite] = mgrNet.Addr()
+	defer c.Close()
 
-	// Distribute the full address map and start the sites.
-	for i := 0; i < sites; i++ {
-		for id, a := range addrs {
-			nets[i].SetAddr(id, a)
-		}
-	}
-	for id, a := range addrs {
-		mgrNet.SetAddr(id, a)
-	}
-	var running []*site.Site
-	for i := 0; i < sites; i++ {
-		s, err := site.New(site.Config{ID: core.SiteID(i), Sites: sites, Items: items}, nets[i])
+	exec := func(coord core.SiteID, ops ...core.Op) *msg.TxnResult {
+		res, err := c.Exec(coord, ops)
 		must(err)
-		s.Start()
-		running = append(running, s)
-		fmt.Printf("site %d listening on %s\n", i, addrs[core.SiteID(i)])
-	}
-	defer func() {
-		for _, s := range running {
-			s.Stop()
-		}
-		for _, n := range nets {
-			n.Close()
-		}
-		mgrNet.Close()
-	}()
-
-	ep, err := mgrNet.Endpoint(core.ManagingSite)
-	must(err)
-	caller := transport.NewCaller(ep, 5*time.Second)
-	go func() {
-		for {
-			env, ok := ep.Recv()
-			if !ok {
-				return
-			}
-			caller.Deliver(env)
-		}
-	}()
-
-	exec := func(coord core.SiteID, id core.TxnID, ops []core.Op) *msg.TxnResult {
-		reply, err := caller.Call(coord, &msg.ClientTxn{Txn: id, Ops: ops})
-		must(err)
-		return reply.Body.(*msg.TxnResult)
+		return res
 	}
 
 	// Replicate a write over real sockets, read it back elsewhere.
-	res := exec(0, 1, []core.Op{core.Write(5, []byte("over tcp"))})
-	fmt.Printf("txn 1: committed=%v in %.2fms\n", res.Committed, float64(res.ElapsedNanos)/1e6)
-	res = exec(2, 2, []core.Op{core.Read(5)})
-	fmt.Printf("txn 2 read via site 2: %q\n", res.Reads[0].Value)
+	res := exec(0, core.Write(5, []byte("over tcp")))
+	fmt.Printf("txn %d: committed=%v in %.2fms\n", res.Txn, res.Committed, float64(res.ElapsedNanos)/1e6)
+	res = exec(2, core.Read(5))
+	fmt.Printf("txn %d read via site 2: %q\n", res.Txn, res.Reads[0].Value)
 
 	// Fail site 1, detect, keep going, recover.
-	_, err = caller.Call(1, &msg.FailSim{})
-	must(err)
-	res = exec(0, 3, []core.Op{core.Write(6, []byte("detect"))})
-	fmt.Printf("txn 3 (detection): committed=%v reason=%q\n", res.Committed, res.AbortReason)
-	res = exec(0, 4, []core.Op{core.Write(6, []byte("while down"))})
-	fmt.Printf("txn 4: committed=%v with site 1 down\n", res.Committed)
+	must(c.Fail(1))
+	res = exec(0, core.Write(6, []byte("detect")))
+	fmt.Printf("txn %d (detection): committed=%v reason=%q\n", res.Txn, res.Committed, res.AbortReason)
+	res = exec(0, core.Write(6, []byte("while down")))
+	fmt.Printf("txn %d: committed=%v with site 1 down\n", res.Txn, res.Committed)
 
-	reply, err := caller.Call(1, &msg.RecoverSim{})
+	st, err := c.Recover(1)
 	must(err)
-	st := reply.Body.(*msg.StatusResp)
 	fmt.Printf("site 1 recovered: state=%s session=%d\n", st.State, st.Session)
 
-	res = exec(1, 5, []core.Op{core.Read(6)})
-	fmt.Printf("txn 5 read on recovered site: %q (%d copier)\n", res.Reads[0].Value, res.Copiers)
+	res = exec(1, core.Read(6))
+	fmt.Printf("txn %d read on recovered site: %q (%d copier)\n", res.Txn, res.Reads[0].Value, res.Copiers)
 
 	// Audit over the sockets.
-	report, err := cluster.Audit(&prober{caller: caller})
+	report, err := c.Audit()
 	must(err)
 	fmt.Println(report)
-}
-
-// prober adapts the TCP caller to the shared audit.
-type prober struct{ caller *transport.Caller }
-
-func (p *prober) Sites() int { return sites }
-func (p *prober) Items() int { return items }
-
-func (p *prober) Replicas() *core.ReplicaMap { return core.FullReplication(items, sites) }
-
-func (p *prober) Status(id core.SiteID, incl bool) (*msg.StatusResp, error) {
-	reply, err := p.caller.Call(id, &msg.StatusReq{IncludeFailLocks: incl})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Body.(*msg.StatusResp), nil
-}
-
-func (p *prober) Dump(id core.SiteID) ([]core.ItemVersion, error) {
-	reply, err := p.caller.Call(id, &msg.DumpReq{First: 0, Last: items - 1})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Body.(*msg.DumpResp).Items, nil
 }
 
 func must(err error) {

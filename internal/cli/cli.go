@@ -1,5 +1,10 @@
-// Package cli holds the small parsing and formatting helpers shared by
-// the interactive managing-site commands (cmd/minraid, cmd/raidctl).
+// Package cli holds the parsing and formatting helpers of the managing-site
+// console, cmd/raidctl:
+//
+//	raidctl {-addrs MAP | -config FILE} [-local] [VERB ARGS...]
+//
+// one verb per invocation, or with no verb a REPL reading verbs from stdin;
+// -local runs the spec's sites in-process instead of dialing raidsrv.
 package cli
 
 import (
@@ -62,7 +67,7 @@ func ParseSite(arg string, sites int) (core.SiteID, error) {
 	return core.SiteID(n), nil
 }
 
-// FormatResult renders a transaction outcome the way both CLIs print it.
+// FormatResult renders a transaction outcome as raidctl prints it.
 func FormatResult(res *msg.TxnResult) string {
 	var b strings.Builder
 	if !res.Committed {

@@ -15,6 +15,7 @@ import (
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/msg"
+	"minraid/internal/trace"
 	"minraid/internal/transport"
 )
 
@@ -60,9 +61,8 @@ type ProcFabric struct {
 	workDir      string
 	startTimeout time.Duration
 
-	tcp *transport.TCP
-	mgr *cluster.Manager
-	wg  sync.WaitGroup
+	mgr      *cluster.Manager
+	closeMgr func()
 
 	mu     sync.Mutex
 	procs  []*childProc
@@ -98,39 +98,13 @@ func NewProcFabric(cfg ProcConfig) (*ProcFabric, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	addrs, sites, err := spec.AddrMap()
-	if err != nil {
-		return nil, err
-	}
 	specPath := filepath.Join(cfg.WorkDir, "spec.json")
 	if err := spec.Save(specPath); err != nil {
 		return nil, fmt.Errorf("deploy: write spec: %w", err)
 	}
 
-	tcp, err := transport.NewTCP(transport.TCPConfig{Self: core.ManagingSite, Addrs: addrs})
+	mgr, closeMgr, err := spec.DialManager(cfg.ManagerTimeout, 0)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: manager transport: %w", err)
-	}
-	ep, err := tcp.Endpoint(core.ManagingSite)
-	if err != nil {
-		tcp.Close()
-		return nil, err
-	}
-	pol, err := spec.Policy()
-	if err != nil {
-		tcp.Close()
-		return nil, err
-	}
-	caller := transport.NewCaller(ep, cfg.ManagerTimeout)
-	mgr, err := cluster.NewManager(caller, cluster.ManagerConfig{
-		Sites:    sites,
-		Items:    spec.Items,
-		Policy:   pol,
-		Timeout:  cfg.ManagerTimeout,
-		Replicas: spec.Replicas(),
-	})
-	if err != nil {
-		tcp.Close()
 		return nil, err
 	}
 	f := &ProcFabric{
@@ -138,23 +112,11 @@ func NewProcFabric(cfg ProcConfig) (*ProcFabric, error) {
 		binary:       cfg.Binary,
 		workDir:      cfg.WorkDir,
 		startTimeout: cfg.StartTimeout,
-		tcp:          tcp,
 		mgr:          mgr,
-		procs:        make([]*childProc, sites),
+		closeMgr:     closeMgr,
+		procs:        make([]*childProc, spec.Sites()),
 	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		for {
-			env, ok := ep.Recv()
-			if !ok {
-				return
-			}
-			caller.Deliver(env)
-		}
-	}()
-
-	for i := 0; i < sites; i++ {
+	for i := range f.procs {
 		if err := f.startChild(core.SiteID(i), false); err != nil {
 			f.Close()
 			return nil, err
@@ -328,10 +290,62 @@ func (f *ProcFabric) Close() error {
 			<-p.done
 		}
 	}
-	f.mgr.Caller().CancelAll()
-	f.tcp.Close()
-	f.wg.Wait()
+	f.closeMgr()
 	return nil
+}
+
+// DialManager opens the managing site of the fleet the spec describes, over
+// TCP from the spec's m= address: the transport, its caller, a Manager
+// with the spec's placement, and the receive loop that hands replies to the
+// caller. The first transaction ID it allocates is txnIDBase+1. Its trace
+// recorder holds only the manager's own inject spans — the sites' events
+// stay in their processes. The returned close cancels in-flight calls,
+// closes the transport and waits for the receive loop to exit.
+func (s *ClusterSpec) DialManager(timeout time.Duration, txnIDBase uint64) (*cluster.Manager, func(), error) {
+	sc, err := s.SiteConfig(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	addrs, _, _ := s.AddrMap() // SiteConfig parsed it already
+	tcp, err := transport.NewTCP(transport.TCPConfig{Self: core.ManagingSite, Addrs: addrs})
+	if err != nil {
+		return nil, nil, fmt.Errorf("deploy: manager transport: %w", err)
+	}
+	ep, err := tcp.Endpoint(core.ManagingSite)
+	if err != nil {
+		tcp.Close()
+		return nil, nil, err
+	}
+	caller := transport.NewCaller(ep, timeout)
+	mgr, err := cluster.NewManager(caller, cluster.ManagerConfig{
+		Sites:     sc.Sites,
+		Items:     sc.Items,
+		Policy:    sc.Policy,
+		Timeout:   timeout,
+		Replicas:  sc.Replicas,
+		Tracer:    trace.NewRecorder(1 << 10),
+		TxnIDBase: txnIDBase,
+	})
+	if err != nil {
+		tcp.Close()
+		return nil, nil, err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			env, ok := ep.Recv()
+			if !ok {
+				return
+			}
+			caller.Deliver(env)
+		}
+	}()
+	return mgr, func() {
+		caller.CancelAll()
+		tcp.Close()
+		<-done
+	}, nil
 }
 
 // FreeLoopbackAddrs allocates sites+1 distinct free TCP ports on the

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/netcfg"
 	"minraid/internal/policy"
@@ -155,28 +156,14 @@ func (s *ClusterSpec) Save(path string) error {
 }
 
 // Validate checks the spec is internally consistent: a parseable address
-// map with a managing-site entry, a known policy, and placement bounds.
-// Which options combine (partial replication needs a copy-aware policy,
-// concurrency needs full replication, ...) is the site's rule to enforce:
-// site.New rejects the SiteConfig translation of a spec it cannot run.
+// map with a managing-site entry, a known policy, placement bounds, and
+// options that combine (partial replication needs a copy-aware policy,
+// concurrency needs full replication, ...). The last is the site's rule,
+// checked by site.Config.Validate on the SiteConfig translation, so a spec
+// passes only if every site of the fleet could start from it.
 func (s *ClusterSpec) Validate() error {
-	addrs, sites, err := netcfg.ParseAddrs(s.Addrs)
-	if err != nil {
-		return err
-	}
-	if _, ok := addrs[core.ManagingSite]; !ok {
-		return fmt.Errorf("deploy: address map needs an m= entry for the managing site")
-	}
-	if s.Items <= 0 {
-		return fmt.Errorf("deploy: %d items out of range", s.Items)
-	}
-	if _, ok := policy.ByName(s.policyName()); !ok {
-		return fmt.Errorf("deploy: unknown policy %q", s.PolicyName)
-	}
-	if s.ReplicationDegree < 0 || s.ReplicationDegree > sites {
-		return fmt.Errorf("deploy: replication degree %d out of range 0..%d", s.ReplicationDegree, sites)
-	}
-	return nil
+	_, err := s.SiteConfig(0)
+	return err
 }
 
 func (s *ClusterSpec) policyName() string {
@@ -230,29 +217,66 @@ func (s *ClusterSpec) WALDir(id core.SiteID) string {
 	return filepath.Join(s.WALRoot, fmt.Sprintf("site-%d", id))
 }
 
-// SiteConfig translates the spec into site id's configuration — the same
-// translation whether the site runs in-process or inside raidsrv. The
-// caller supplies the store and crash-restart state (initial session,
-// StartDown, PersistSession), which are deployment-shape-specific.
+// SiteConfig validates the spec and translates it into site id's
+// configuration — the same translation whether the site runs in-process
+// or inside raidsrv. The caller supplies the store and crash-restart state
+// (initial session, StartDown, PersistSession), which are
+// deployment-shape-specific.
 func (s *ClusterSpec) SiteConfig(id core.SiteID) (site.Config, error) {
+	addrs, sites, err := netcfg.ParseAddrs(s.Addrs)
+	if err != nil {
+		return site.Config{}, err
+	}
+	if _, ok := addrs[core.ManagingSite]; !ok {
+		return site.Config{}, fmt.Errorf("deploy: address map needs an m= entry for the managing site")
+	}
+	if s.Items <= 0 {
+		return site.Config{}, fmt.Errorf("deploy: %d items out of range", s.Items)
+	}
+	if s.ReplicationDegree < 0 || s.ReplicationDegree > sites {
+		return site.Config{}, fmt.Errorf("deploy: replication degree %d out of range 0..%d", s.ReplicationDegree, sites)
+	}
 	p, err := s.Policy()
 	if err != nil {
 		return site.Config{}, err
 	}
-	var replicas *core.ReplicaMap
-	if sites := s.Sites(); s.ReplicationDegree > 0 && s.ReplicationDegree < sites {
-		replicas = core.RoundRobinReplication(s.Items, sites, s.ReplicationDegree)
-	}
-	return site.Config{
+	cfg := site.Config{
 		ID:              id,
-		Sites:           s.Sites(),
+		Sites:           sites,
 		Items:           s.Items,
 		Policy:          p,
 		AckTimeout:      time.Duration(s.AckTimeout),
 		InstantRecovery: s.InstantRecovery,
 		EnableType3:     s.EnableType3,
-		Replicas:        replicas,
+		Replicas:        s.Replicas(),
 		ConcurrentTxns:  s.Concurrent,
 		LockWaitBudget:  time.Duration(s.LockWaitBudget),
+	}
+	return cfg, cfg.Validate()
+}
+
+// ClusterConfig translates the spec into an in-process cluster running the
+// sites SiteConfig describes, on the memory transport: the address map
+// contributes only the site count. A WAL root is rejected rather than
+// ignored — in-process sites keep no session file, so a durable store
+// could not rejoin after a restart the way a raidsrv process does.
+func (s *ClusterSpec) ClusterConfig() (cluster.Config, error) {
+	if s.WALRoot != "" {
+		return cluster.Config{}, fmt.Errorf("deploy: wal_root (-wal) needs raidsrv processes; an in-process cluster keeps memory stores")
+	}
+	sc, err := s.SiteConfig(0)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	return cluster.Config{
+		Sites:           sc.Sites,
+		Items:           sc.Items,
+		Policy:          sc.Policy,
+		AckTimeout:      sc.AckTimeout,
+		InstantRecovery: sc.InstantRecovery,
+		EnableType3:     sc.EnableType3,
+		Replicas:        sc.Replicas,
+		ConcurrentTxns:  sc.ConcurrentTxns,
+		LockWaitBudget:  sc.LockWaitBudget,
 	}, nil
 }

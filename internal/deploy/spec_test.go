@@ -4,18 +4,23 @@ import (
 	"flag"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/site"
 )
 
+// testSpec sets every field to a non-default value a fleet can run: the
+// degree equals the site count because concurrency and type-3 both need
+// full replication.
 func testSpec() *ClusterSpec {
 	return &ClusterSpec{
 		Addrs:             "0-2=host:7000-7002,m=host:7009",
 		Items:             40,
 		PolicyName:        "rowaa",
-		ReplicationDegree: 2,
+		ReplicationDegree: 3,
 		Concurrent:        4,
 		AckTimeout:        Duration(250 * time.Millisecond),
 		LockWaitBudget:    Duration(100 * time.Millisecond),
@@ -82,17 +87,28 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	bad := []ClusterSpec{
-		{Addrs: "0=h:1,1=h:2", Items: 10},                              // no manager entry
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 0},                         // no items
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "nope"},    // unknown policy
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: 3},  // degree > sites
-		{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: -1}, // negative degree
-		{Addrs: "bogus", Items: 10},                                    // unparseable map
+	partialConcurrent := *testSpec()
+	partialConcurrent.ReplicationDegree, partialConcurrent.EnableType3 = 2, false
+	bad := []struct {
+		spec ClusterSpec
+		want string // a fragment of the error naming the rule
+	}{
+		{ClusterSpec{Addrs: "0=h:1,1=h:2", Items: 10}, "m= entry"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 0}, "items out of range"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "nope"}, "unknown policy"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: 3}, "replication degree"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, ReplicationDegree: -1}, "replication degree"},
+		{ClusterSpec{Addrs: "bogus", Items: 10}, "netcfg"},
+		// Rules only the site knows: site.New would refuse every site of
+		// these fleets, so the spec must be refused before any starts.
+		{partialConcurrent, "concurrent mode requires full replication"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, PolicyName: "rowa", ReplicationDegree: 1}, "partial replication requires a copy-aware policy"},
+		{ClusterSpec{Addrs: "0=h:1,1=h:2,m=h:9", Items: 10, AckTimeout: Duration(time.Second), LockWaitBudget: Duration(time.Second)}, "lock-wait budget"},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, s)
+	for i, c := range bad {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want one naming %q", i, err, c.want)
 		}
 	}
 	good := []ClusterSpec{
@@ -104,6 +120,81 @@ func TestSpecValidate(t *testing.T) {
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("good case %d rejected: %v", i, err)
+		}
+	}
+}
+
+// TestClusterConfigMatchesSiteConfig pins raidctl -local to what raidsrv
+// runs: the in-process cluster and a spec-built site agree on every field
+// the two configurations share.
+func TestClusterConfigMatchesSiteConfig(t *testing.T) {
+	full := *testSpec()
+	full.WALRoot = ""
+	partial := ClusterSpec{Addrs: "0-3=h:1-4,m=h:9", Items: 20, PolicyName: "quorum", ReplicationDegree: 2}
+	for _, spec := range []ClusterSpec{full, partial} {
+		cc, err := spec.ClusterConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spec.SiteConfig(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := site.Config{
+			Sites:           cc.Sites,
+			Items:           cc.Items,
+			Policy:          cc.Policy,
+			AckTimeout:      cc.AckTimeout,
+			InstantRecovery: cc.InstantRecovery,
+			EnableType3:     cc.EnableType3,
+			Replicas:        cc.Replicas,
+			ConcurrentTxns:  cc.ConcurrentTxns,
+			LockWaitBudget:  cc.LockWaitBudget,
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("local translation diverged:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
+// TestClusterConfigHonoursOrRejectsEveryField changes one spec field at a
+// time: the in-process translation must either change with it or refuse it
+// by its JSON name, never drop it silently. A new spec field fails here
+// until it is given a case.
+func TestClusterConfigHonoursOrRejectsEveryField(t *testing.T) {
+	base := ClusterSpec{Addrs: "0-2=h:1-3,m=h:9", Items: 30}
+	change := map[string]func(*ClusterSpec){
+		"addrs":              func(s *ClusterSpec) { s.Addrs = "0-3=h:1-4,m=h:9" },
+		"items":              func(s *ClusterSpec) { s.Items = 40 },
+		"policy":             func(s *ClusterSpec) { s.PolicyName = "quorum" },
+		"replication_degree": func(s *ClusterSpec) { s.ReplicationDegree = 2 },
+		"concurrent":         func(s *ClusterSpec) { s.Concurrent = 4 },
+		"ack_timeout":        func(s *ClusterSpec) { s.AckTimeout = Duration(100 * time.Millisecond) },
+		"lock_wait_budget":   func(s *ClusterSpec) { s.LockWaitBudget = Duration(10 * time.Millisecond) },
+		"instant_recovery":   func(s *ClusterSpec) { s.InstantRecovery = true },
+		"enable_type3":       func(s *ClusterSpec) { s.EnableType3 = true },
+		"wal_root":           func(s *ClusterSpec) { s.WALRoot = "/data" },
+	}
+	want, err := base.ClusterConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		fn, ok := change[name]
+		if !ok {
+			t.Errorf("spec field %q has no case: decide whether the in-process translation honours or rejects it", name)
+			continue
+		}
+		s := base
+		fn(&s)
+		got, err := s.ClusterConfig()
+		switch {
+		case err != nil && !strings.Contains(err.Error(), name):
+			t.Errorf("%s: rejected without naming the field: %v", name, err)
+		case err == nil && reflect.DeepEqual(got, want):
+			t.Errorf("%s: silently ignored by the in-process translation", name)
 		}
 	}
 }

@@ -235,7 +235,12 @@ type Config struct {
 	PersistSession func(core.SessionNum) error
 }
 
-func (c *Config) fillDefaults() error {
+// Validate reports whether a site can run this configuration — the rules
+// New enforces — after applying New's scalar defaults to a copy. It
+// allocates neither store, registry nor replica map, so a deployment can
+// vet a spec before any site exists.
+func (c Config) Validate() error {
+	c.defaultScalars()
 	if c.Sites <= 0 || c.Sites > core.MaxSites {
 		return fmt.Errorf("site: %d sites out of range", c.Sites)
 	}
@@ -245,20 +250,8 @@ func (c *Config) fillDefaults() error {
 	if c.Items <= 0 {
 		return fmt.Errorf("site: %d items out of range", c.Items)
 	}
-	if c.Policy == nil {
-		c.Policy = policy.ROWAA{}
-	}
-	if c.Store == nil {
-		c.Store = storage.NewMemStore(c.Items, nil)
-	}
-	if c.Store.Items() != c.Items {
+	if c.Store != nil && c.Store.Items() != c.Items {
 		return fmt.Errorf("site: store holds %d items, config says %d", c.Store.Items(), c.Items)
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 250 * time.Millisecond
-	}
-	if c.LockWaitBudget <= 0 {
-		c.LockWaitBudget = c.AckTimeout / 2
 	}
 	if c.LockWaitBudget >= c.AckTimeout {
 		return fmt.Errorf("site: lock-wait budget %v must stay under the ack timeout %v (a lock wait must not look like a site failure)", c.LockWaitBudget, c.AckTimeout)
@@ -272,30 +265,22 @@ func (c *Config) fillDefaults() error {
 	if c.Type3Batch < 0 {
 		return fmt.Errorf("site: type-3 batch size %d out of range", c.Type3Batch)
 	}
-	if c.Type3Batch == 0 {
-		c.Type3Batch = 16
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
-	}
-	if c.Replicas == nil {
-		c.Replicas = core.FullReplication(c.Items, c.Sites)
-	}
-	if c.Replicas.Items() != c.Items || c.Replicas.Sites() != c.Sites {
+	if c.Replicas != nil && (c.Replicas.Items() != c.Items || c.Replicas.Sites() != c.Sites) {
 		return fmt.Errorf("site: replica map is %dx%d, config is %dx%d",
 			c.Replicas.Items(), c.Replicas.Sites(), c.Items, c.Sites)
 	}
-	if !c.Replicas.IsFull() && c.Policy.Name() != "rowaa" && c.Policy.Name() != "quorum" {
+	full := c.Replicas == nil || c.Replicas.IsFull()
+	if !full && c.Policy.Name() != "rowaa" && c.Policy.Name() != "quorum" {
 		return fmt.Errorf("site: partial replication requires a copy-aware policy (rowaa or quorum), not %s", c.Policy.Name())
 	}
-	if !c.Replicas.IsFull() && c.EnableType3 {
+	if !full && c.EnableType3 {
 		return fmt.Errorf("site: type-3 control transactions require full replication (dynamic replica maps are out of scope)")
 	}
 	if c.ConcurrentTxns > 1 {
 		if c.Policy.Name() != "rowaa" {
 			return fmt.Errorf("site: concurrent mode requires the rowaa policy, not %s", c.Policy.Name())
 		}
-		if !c.Replicas.IsFull() {
+		if !full {
 			return fmt.Errorf("site: concurrent mode requires full replication")
 		}
 	}
@@ -306,6 +291,39 @@ func (c *Config) fillDefaults() error {
 		if c.CommitEpoch >= c.AckTimeout {
 			return fmt.Errorf("site: commit epoch %v must stay under the ack timeout %v (a batched commit must not look like a lost coordinator)", c.CommitEpoch, c.AckTimeout)
 		}
+	}
+	return nil
+}
+
+// defaultScalars fills the defaults the rules in Validate depend on.
+func (c *Config) defaultScalars() {
+	if c.Policy == nil {
+		c.Policy = policy.ROWAA{}
+	}
+	if c.AckTimeout <= 0 {
+		c.AckTimeout = 250 * time.Millisecond
+	}
+	if c.LockWaitBudget <= 0 {
+		c.LockWaitBudget = c.AckTimeout / 2
+	}
+}
+
+func (c *Config) fillDefaults() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	c.defaultScalars()
+	if c.Store == nil {
+		c.Store = storage.NewMemStore(c.Items, nil)
+	}
+	if c.Type3Batch == 0 {
+		c.Type3Batch = 16
+	}
+	if c.Metrics == nil {
+		c.Metrics = metrics.NewRegistry()
+	}
+	if c.Replicas == nil {
+		c.Replicas = core.FullReplication(c.Items, c.Sites)
 	}
 	return nil
 }

@@ -77,11 +77,18 @@ func TestConfigValidation(t *testing.T) {
 		{ID: 0, Sites: 2, Items: 5, Store: storage.NewMemStore(3, nil)}, // size mismatch
 	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d validates", i)
+		}
 		if _, err := New(cfg, net); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	s, err := New(Config{ID: 0, Sites: 2, Items: 5}, net)
+	good := Config{ID: 0, Sites: 2, Items: 5}
+	if allocs := testing.AllocsPerRun(10, func() { _ = good.Validate() }); allocs != 0 {
+		t.Errorf("Validate made %v allocations; it must build no store, registry or replica map", allocs)
+	}
+	s, err := New(good, net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,61 +253,19 @@ func Scenario1Schedule() Schedule { return failure.Scenario1() }
 // failures, 160 transactions).
 func Scenario2Schedule() Schedule { return failure.Scenario2() }
 
-// Experiments. Each Run* reproduces one table or figure of the paper; see
-// DESIGN.md's experiment index and EXPERIMENTS.md for a captured run.
+// Experiments. The paper's tables and figures are reproduced by
+// `raid-experiments -run e1|f1|f2|f3`; see DESIGN.md's experiment index and
+// EXPERIMENTS.md for a captured run.
 type (
 	// ExperimentConfig parameterizes the experiment harness.
 	ExperimentConfig = experiment.Config
 	// ScheduleResult is the outcome of driving one failure schedule.
 	ScheduleResult = experiment.ScheduleResult
-	// PercentileReport is the tail-latency view of a run: per-event-class
-	// latency histograms merged across sites plus message counts.
-	PercentileReport = experiment.PercentileReport
 )
-
-// CollectPercentiles merges every site's latency histograms and the
-// network's message counts; call before Close.
-func CollectPercentiles(c *Cluster) *PercentileReport {
-	return experiment.CollectPercentiles(c)
-}
 
 // RunSchedule drives an arbitrary failure schedule with the paper's
 // workload and returns per-transaction fail-lock series and abort
 // accounting.
 func RunSchedule(cfg ExperimentConfig, sched Schedule, capTxns int) (*ScheduleResult, error) {
 	return experiment.RunSchedule(cfg, sched, capTxns)
-}
-
-// RunOverheadFailLocks reproduces the §2.2.1 fail-lock-maintenance
-// overhead table.
-func RunOverheadFailLocks(cfg ExperimentConfig, warmup, measured int) (*experiment.FailLockOverheadReport, error) {
-	return experiment.RunOverheadFailLocks(cfg, warmup, measured)
-}
-
-// RunOverheadControl reproduces the §2.2.2 control-transaction cost table.
-func RunOverheadControl(cfg ExperimentConfig, rounds int) (*experiment.ControlOverheadReport, error) {
-	return experiment.RunOverheadControl(cfg, rounds)
-}
-
-// RunOverheadCopier reproduces the §2.2.3 copier-transaction cost table.
-func RunOverheadCopier(cfg ExperimentConfig, rounds int) (*experiment.CopierOverheadReport, error) {
-	return experiment.RunOverheadCopier(cfg, rounds)
-}
-
-// RunFigure1 reproduces Figure 1 (data availability during failure and
-// recovery).
-func RunFigure1(cfg ExperimentConfig, capTxns int) (*experiment.Figure1Report, error) {
-	return experiment.RunFigure1(cfg, capTxns)
-}
-
-// RunFigure2 reproduces Figure 2 (scenario 1: alternating failures on two
-// sites).
-func RunFigure2(cfg ExperimentConfig) (*experiment.ScenarioReport, error) {
-	return experiment.RunFigure2(cfg)
-}
-
-// RunFigure3 reproduces Figure 3 (scenario 2: rolling failures over four
-// sites).
-func RunFigure3(cfg ExperimentConfig) (*experiment.ScenarioReport, error) {
-	return experiment.RunFigure3(cfg)
 }
