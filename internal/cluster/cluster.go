@@ -3,9 +3,13 @@
 // "provide[s] interactive control of system actions ... used to cause
 // sites to fail and recover and to initiate a database transaction to a
 // site" (§1.2). The managing-site control plane itself — transaction
-// injection, fail/recover orders, audits, reconciliation, repair — lives
-// in Manager, which is pure request/response messaging and also drives
-// fleets of raidsrv OS processes over real TCP (internal/deploy).
+// injection, fail/recover orders, audits, reconciliation, repair and
+// healing — lives in Manager, which is pure request/response messaging and
+// also drives fleets of raidsrv OS processes over real TCP
+// (internal/deploy). Healing is one per-site step — probe the table, list
+// the site's own fail-locked copies, read them in batched transactions
+// there — run to completion by DrainFailLocks or continuously, paced, by a
+// background Scrubber.
 package cluster
 
 import (
@@ -45,20 +49,8 @@ type Config struct {
 	DisableFailLockMaintenance bool
 	// BatchCopierThreshold enables two-step recovery on every site.
 	BatchCopierThreshold float64
-	// InstantRecovery selects REDO-only recovery on every site: a
-	// recovering site is operational the moment the type-1 announcement
-	// installs its fail-lock set, serving clean reads immediately and
-	// fail-locked reads through demand copiers, with the remaining stale
-	// set left for the background scrubber (internal/scrub) instead of
-	// the threshold/batch two-step. Mutually exclusive with
-	// BatchCopierThreshold.
-	InstantRecovery bool
 	// EnableType3 enables type-3 control transactions on every site.
 	EnableType3 bool
-	// Type3Batch bounds the items one type-3 replication push carries;
-	// larger endangered sets are chunked with the backup site re-chosen
-	// per chunk (0: the site default).
-	Type3Batch int
 	// StoreFactory supplies per-site stores (nil: in-memory, as in the
 	// paper).
 	StoreFactory func(id core.SiteID) (storage.Store, error)
@@ -173,9 +165,7 @@ func New(cfg Config) (*Cluster, error) {
 			AckTimeout:                 cfg.AckTimeout,
 			DisableFailLockMaintenance: cfg.DisableFailLockMaintenance,
 			BatchCopierThreshold:       cfg.BatchCopierThreshold,
-			InstantRecovery:            cfg.InstantRecovery,
 			EnableType3:                cfg.EnableType3,
-			Type3Batch:                 cfg.Type3Batch,
 			Replicas:                   cfg.Replicas,
 			ConcurrentTxns:             cfg.ConcurrentTxns,
 			LockWaitBudget:             cfg.LockWaitBudget,

@@ -50,11 +50,12 @@ type ManagerConfig struct {
 
 // Manager is the managing site's control plane: transaction injection,
 // fail/recover orders, status probes, consistency audits, split-brain
-// reconciliation, false-suspicion repair, fail-lock drains and
-// permanent-loss rebalancing. Every operation is pure request/response
-// messaging through one transport.Caller, so the same Manager drives an
-// in-process cluster over the memory transport and a fleet of raidsrv
-// OS processes over real TCP (internal/deploy.ProcFabric) identically.
+// reconciliation, false-suspicion repair, healing (fail-lock drains and
+// the background scrubber) and permanent-loss rebalancing. Every
+// operation is pure request/response messaging through one
+// transport.Caller, so the same Manager drives an in-process cluster over
+// the memory transport and a fleet of raidsrv OS processes over real TCP
+// (internal/deploy.ProcFabric) identically.
 //
 // Cluster embeds a Manager; standalone deployments build one with
 // NewManager around a caller whose receive loop delivers replies.
@@ -215,20 +216,13 @@ func (c *Manager) Shutdown(id core.SiteID) error {
 // Status queries a site's replicated-copy-control state. Works even on a
 // failed site (out-of-band instrumentation).
 func (c *Manager) Status(id core.SiteID, includeFailLocks bool) (*msg.StatusResp, error) {
-	reply, err := c.caller.Call(id, &msg.StatusReq{IncludeFailLocks: includeFailLocks})
-	if err != nil {
-		return nil, fmt.Errorf("%w: status of %s: %v", ErrNoResponse, id, err)
-	}
-	st, ok := reply.Body.(*msg.StatusResp)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unexpected reply %s to status", reply.Body.Kind())
-	}
-	return st, nil
+	return c.StatusTimeout(id, includeFailLocks, 0)
 }
 
-// StatusTimeout is Status with a per-call reply deadline, for probes that
-// poll a site which may be down (a restarting raidsrv process) and must
-// not stall for the full manager timeout per attempt.
+// StatusTimeout is Status with a per-call reply deadline (non-positive
+// falls back to the manager timeout), for probes that poll a site which
+// may be down (a restarting raidsrv process) and must not stall for the
+// full manager timeout per attempt.
 func (c *Manager) StatusTimeout(id core.SiteID, includeFailLocks bool, timeout time.Duration) (*msg.StatusResp, error) {
 	if timeout <= 0 {
 		timeout = c.timeout

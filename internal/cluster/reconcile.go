@@ -269,115 +269,3 @@ func (c *Manager) installLocks(holder, site core.SiteID, items []core.ItemID, se
 	}
 	return nil
 }
-
-// DrainFailLocks refreshes every fail-locked copy held by a truly-up site
-// by coordinating read transactions at that site: reading a fail-locked
-// local copy runs a demand copier against an up-to-date donor and the
-// clear fan-out propagates the cleared bit everywhere (§1.2). maxOps
-// bounds the reads batched into one transaction. It returns the number of
-// copier refreshes run and how many (item, truly-up site) locks remain —
-// zero on a healed, fully-recovered system; locks for genuinely down
-// sites are correct state and are not counted or drained.
-//
-// Passes repeat until a pass makes no progress — it ran no copier and the
-// lock population did not shrink. A fixed pass count is not enough: a
-// donor refuses a copy request while its own copy of the item is
-// fail-locked, so divergent tables can chain heals (each pass unblocks
-// exactly one more donor) arbitrarily deep, one pass per link.
-func (c *Manager) DrainFailLocks(trueUp []bool, maxOps int) (copiers, remaining int, err error) {
-	if maxOps <= 0 {
-		maxOps = 8
-	}
-	// Every productive pass clears at least one (item, site) lock, so the
-	// lock population bounds the passes; the cap only guards the loop
-	// against an unforeseen live-lock.
-	maxPasses := c.sites*c.items + 2
-	prevTotal := -1
-	for pass := 0; pass < maxPasses; pass++ {
-		total, passCopiers := 0, 0
-		for i := 0; i < c.sites; i++ {
-			if !trueUp[i] {
-				continue
-			}
-			id := core.SiteID(i)
-			locked, err := c.lockedItems(id)
-			if err != nil {
-				return copiers, 0, err
-			}
-			total += len(locked)
-			for start := 0; start < len(locked); start += maxOps {
-				end := start + maxOps
-				if end > len(locked) {
-					end = len(locked)
-				}
-				ops := make([]core.Op, 0, end-start)
-				for _, item := range locked[start:end] {
-					ops = append(ops, core.Read(item))
-				}
-				// Aborts (no donor yet, coordinator mid-repair) leave the
-				// locks standing; a later pass retries them.
-				res, err := c.Exec(id, ops)
-				if err != nil {
-					return copiers, 0, err
-				}
-				passCopiers += int(res.Copiers)
-			}
-		}
-		copiers += passCopiers
-		if total == 0 {
-			break
-		}
-		// No copier ran and the population did not shrink since the last
-		// pass: nothing left that this drain can heal (locks whose donors
-		// are genuinely unreachable). prevTotal starts at -1 so a pass of
-		// transient aborts still gets one retry.
-		if passCopiers == 0 && prevTotal >= 0 && total >= prevTotal {
-			break
-		}
-		prevTotal = total
-	}
-	remaining, err = c.FailLocksRemaining(trueUp)
-	return copiers, remaining, err
-}
-
-// FailLocksRemaining counts the (item, site) fail-locks truly-up sites
-// hold on their own copies — the population DrainFailLocks drains and the
-// scrubber heals; zero on a fully-recovered, converged system. Locks for
-// genuinely down sites are correct state and are not counted.
-func (c *Manager) FailLocksRemaining(trueUp []bool) (int, error) {
-	remaining := 0
-	for i := 0; i < c.sites; i++ {
-		if !trueUp[i] {
-			continue
-		}
-		locked, err := c.lockedItems(core.SiteID(i))
-		if err != nil {
-			return remaining, err
-		}
-		remaining += len(locked)
-	}
-	return remaining, nil
-}
-
-// lockedItems lists the items fail-locked for id, as tracked by id's own
-// table, restricted to the items id hosts — a copy the site does not
-// hold cannot be refreshed by reading there (the demand-copier path only
-// covers hosted items), and a bit for a non-hosted copy is an audit
-// violation, not drainable work.
-func (c *Manager) lockedItems(id core.SiteID) ([]core.ItemID, error) {
-	st, err := c.Status(id, true)
-	if err != nil {
-		return nil, err
-	}
-	if st.State != core.StatusUp {
-		return nil, nil
-	}
-	replicas := c.Replicas()
-	var out []core.ItemID
-	for item, bits := range st.FailLocks {
-		if bits&(1<<id) != 0 && replicas.IsHost(core.ItemID(item), id) {
-			out = append(out, core.ItemID(item))
-		}
-	}
-	return out, nil
-}

@@ -13,42 +13,75 @@ import (
 // while its own copy of the item is fail-locked, so divergent tables can
 // form a chain where each pass unblocks exactly one more donor. With 7
 // sites the chain needs 6 passes; the old hard-coded 4 returned
-// remaining > 0 on a perfectly healable system.
+// remaining > 0 on a perfectly healable system. Both healers run the same
+// heal step, so the background scrubber must unwind the chain too.
 func TestDrainFailLocksLongDonorChain(t *testing.T) {
 	const n = 7
-	c := newTestCluster(t, Config{Sites: n, Items: 1})
-	// Site k's table (k < n-1) fail-locks sites 0..k for item 0 — its own
-	// copy included — so k's donor choice is k+1, which refuses while its
-	// own bit is set. Site n-1's table locks 0..n-2 and is itself clean:
-	// the only working donor, for site n-2 only, in the first pass.
-	for k := 0; k < n-1; k++ {
-		for b := 0; b <= k; b++ {
-			c.Site(core.SiteID(k)).InjectFailLock(0, core.SiteID(b))
-		}
-	}
-	for b := 0; b < n-1; b++ {
-		c.Site(core.SiteID(n-1)).InjectFailLock(0, core.SiteID(b))
-	}
-	trueUp := make([]bool, n)
-	for i := range trueUp {
-		trueUp[i] = true
-	}
-	copiers, remaining, err := c.DrainFailLocks(trueUp, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remaining != 0 {
-		t.Fatalf("drain left %d locks on a healable donor chain (%d copiers ran)", remaining, copiers)
-	}
-	if copiers < n-1 {
-		t.Errorf("only %d copiers ran healing a %d-link chain", copiers, n-1)
-	}
-	report, err := c.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.OK() {
-		t.Error(report)
+	for _, healer := range []string{"drain", "scrubber"} {
+		t.Run(healer, func(t *testing.T) {
+			c := newTestCluster(t, Config{Sites: n, Items: 1})
+			// Site k's table (k < n-1) fail-locks sites 0..k for item 0 — its
+			// own copy included — so k's donor choice is k+1, which refuses
+			// while its own bit is set. Site n-1's table locks 0..n-2 and is
+			// itself clean: the only working donor, for site n-2 only, in the
+			// first pass.
+			for k := 0; k < n-1; k++ {
+				for b := 0; b <= k; b++ {
+					c.Site(core.SiteID(k)).InjectFailLock(0, core.SiteID(b))
+				}
+			}
+			for b := 0; b < n-1; b++ {
+				c.Site(core.SiteID(n-1)).InjectFailLock(0, core.SiteID(b))
+			}
+			trueUp := make([]bool, n)
+			for i := range trueUp {
+				trueUp[i] = true
+			}
+			var copiers int
+			if healer == "drain" {
+				before := c.LastTxnID()
+				var remaining int
+				var err error
+				copiers, remaining, err = c.DrainFailLocks(trueUp, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if remaining != 0 {
+					t.Fatalf("drain left %d locks on a healable donor chain (%d copiers ran)", remaining, copiers)
+				}
+				// Pinned: one copier per link, and one read transaction per
+				// still-locked site per pass (6+5+4+3+2+1), numbered from the
+				// manager's own sequence.
+				if copiers != n-1 {
+					t.Errorf("drain ran %d copiers on a %d-link chain, want %d", copiers, n-1, n-1)
+				}
+				if used := c.LastTxnID() - before; used != 21 {
+					t.Errorf("drain consumed %d transaction IDs, want 21", used)
+				}
+			} else {
+				scr := NewScrubber(c.Manager, ScrubConfig{})
+				scr.Start()
+				defer scr.Stop()
+				if !scr.WaitClean(10 * time.Second) {
+					t.Fatal("scrubber never unwound the donor chain")
+				}
+				scr.Stop()
+				copiers = scr.Stats().Copiers
+				if remaining, err := c.FailLocksRemaining(trueUp, 0); err != nil || remaining != 0 {
+					t.Fatalf("scrubber left %d locks (%v)", remaining, err)
+				}
+			}
+			if copiers < n-1 {
+				t.Errorf("only %d copiers ran healing a %d-link chain", copiers, n-1)
+			}
+			report, err := c.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !report.OK() {
+				t.Error(report)
+			}
+		})
 	}
 }
 
@@ -84,14 +117,15 @@ func TestRecoveryAnnouncesSilentSites(t *testing.T) {
 	}
 }
 
-// TestType3ChunksLargePayload: with a bounded Type3Batch the endangered
-// set travels in several CtrlReplicate pushes instead of one unbounded
-// message, and the system still converges to a replicated backup.
+// TestType3ChunksLargePayload: type-3 pushes are bounded at 16 items, so
+// a 33-item endangered set travels in several CtrlReplicate pushes
+// instead of one unbounded message, and the system still converges to a
+// replicated backup.
 func TestType3ChunksLargePayload(t *testing.T) {
-	c := newTestCluster(t, Config{Sites: 3, Items: 12, EnableType3: true, Type3Batch: 2})
+	c := newTestCluster(t, Config{Sites: 3, Items: 40, EnableType3: true})
 	failAndDetect(t, c, 1, 0)
 	// Writes while 1 is down: fresh at {0, 2}, fail-locked for 1.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 33; i++ {
 		if res, _ := c.Exec(0, []core.Op{core.Write(core.ItemID(i), val(i))}); !res.Committed {
 			t.Fatal("write failed")
 		}
@@ -118,7 +152,7 @@ func TestType3ChunksLargePayload(t *testing.T) {
 	}
 	st, _ := c.Status(0, false)
 	if st.Stats.ControlType3 < 3 {
-		t.Errorf("ControlType3 = %d, want >= 3 chunks for 6 endangered items at batch 2", st.Stats.ControlType3)
+		t.Errorf("ControlType3 = %d, want >= 3 chunks for 33 endangered items at batch 16", st.Stats.ControlType3)
 	}
 	res, err := c.Exec(1, []core.Op{core.Read(3)})
 	if err != nil || !res.Committed {

@@ -1,4 +1,4 @@
-package scrub_test
+package cluster_test
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
-	"minraid/internal/scrub"
 )
 
 func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
@@ -58,11 +57,11 @@ func mustWrite(t *testing.T, c *cluster.Cluster, coord core.SiteID, item core.It
 	}
 }
 
-// TestScrubHealsStaleSetInBackground: after an outage and an instant
-// recovery, the scrubber alone — no foreground reads — drives the
-// recovered site's fail-locks to zero.
+// TestScrubHealsStaleSetInBackground: after an outage and a recovery, the
+// scrubber alone — no foreground reads — drives the recovered site's
+// fail-locks to zero.
 func TestScrubHealsStaleSetInBackground(t *testing.T) {
-	c := newCluster(t, cluster.Config{Sites: 3, Items: 12, InstantRecovery: true})
+	c := newCluster(t, cluster.Config{Sites: 3, Items: 12})
 	failAndDetect(t, c, 1, 0)
 	for i := 0; i < 10; i++ {
 		mustWrite(t, c, 0, core.ItemID(i), val(i))
@@ -74,7 +73,7 @@ func TestScrubHealsStaleSetInBackground(t *testing.T) {
 		t.Fatalf("stale set after recovery = %d, want 10", n)
 	}
 
-	scr := scrub.New(c, scrub.Config{BatchSize: 3})
+	scr := cluster.NewScrubber(c.Manager, cluster.ScrubConfig{BatchSize: 3})
 	scr.Start()
 	defer scr.Stop()
 	if !scr.WaitClean(5 * time.Second) {
@@ -88,12 +87,6 @@ func TestScrubHealsStaleSetInBackground(t *testing.T) {
 	}
 	if st.Copiers == 0 {
 		t.Error("no copier transactions recorded")
-	}
-	if st.HealEpisodes < 1 {
-		t.Error("no heal episode recorded")
-	}
-	if scr.Metrics().Counter(scrub.CounterItems) == 0 {
-		t.Error("scrub.items counter empty")
 	}
 	report, err := c.Audit()
 	if err != nil {
@@ -114,79 +107,91 @@ func TestScrubHealsStaleSetInBackground(t *testing.T) {
 	}
 }
 
-// TestInstantRecoveryServesCleanReadsBeforeHeal is the acceptance test
-// for REDO-only recovery: the recovered site commits a read of a clean
-// item — no copier, no batch refresh — while its stale set is still
-// entirely unhealed, serves a fail-locked item through a demand copier,
-// and the scrubber heals the remainder.
-func TestInstantRecoveryServesCleanReadsBeforeHeal(t *testing.T) {
-	c := newCluster(t, cluster.Config{Sites: 3, Items: 10, InstantRecovery: true})
-	failAndDetect(t, c, 2, 0)
-	for i := 0; i < 5; i++ {
-		mustWrite(t, c, 0, core.ItemID(i), val(i))
-	}
-	st, err := c.Recover(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != core.StatusUp {
-		t.Fatalf("instant recovery left site 2 %v", st.State)
-	}
-	if n, _ := c.FailLockCount(2, 2); n != 5 {
-		t.Fatalf("stale set after recovery = %d, want 5", n)
-	}
+// TestRecoveryServesCleanReadsBeforeHeal: every recovery is operational
+// at type-1. The recovered site commits a read of a clean item — no
+// copier, no batch refresh — while its stale set is still entirely
+// unhealed, serves a fail-locked item through a demand copier, and the
+// scrubber heals the remainder. Two-step recovery changes none of that
+// while the locked fraction (5 of 10) stays above its threshold: it only
+// adds one batch refresh once the fraction drops.
+func TestRecoveryServesCleanReadsBeforeHeal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"demand", cluster.Config{Sites: 3, Items: 10}},
+		{"two-step", cluster.Config{Sites: 3, Items: 10, BatchCopierThreshold: 0.2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, tc.cfg)
+			failAndDetect(t, c, 2, 0)
+			for i := 0; i < 5; i++ {
+				mustWrite(t, c, 0, core.ItemID(i), val(i))
+			}
+			st, err := c.Recover(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != core.StatusUp {
+				t.Fatalf("recovery left site 2 %v", st.State)
+			}
+			if n, _ := c.FailLockCount(2, 2); n != 5 {
+				t.Fatalf("stale set after recovery = %d, want 5", n)
+			}
 
-	// Clean read at the recovering coordinator, before anything healed.
-	res, err := c.Exec(2, []core.Op{core.Read(8)})
-	if err != nil || !res.Committed {
-		t.Fatalf("clean read at instant-recovered site: %v %v", res, err)
-	}
-	if res.Copiers != 0 {
-		t.Errorf("clean read ran %d copiers", res.Copiers)
-	}
-	if n, _ := c.FailLockCount(2, 2); n != 5 {
-		t.Error("clean read disturbed the stale set")
-	}
+			// Clean read at the recovering coordinator, before anything healed.
+			res, err := c.Exec(2, []core.Op{core.Read(8)})
+			if err != nil || !res.Committed {
+				t.Fatalf("clean read at recovered site: %v %v", res, err)
+			}
+			if res.Copiers != 0 {
+				t.Errorf("clean read ran %d copiers", res.Copiers)
+			}
+			if n, _ := c.FailLockCount(2, 2); n != 5 {
+				t.Error("clean read disturbed the stale set")
+			}
 
-	// Fail-locked read serves through the demand-copier path.
-	res, err = c.Exec(2, []core.Op{core.Read(1)})
-	if err != nil || !res.Committed {
-		t.Fatalf("stale read at instant-recovered site: %v %v", res, err)
-	}
-	if res.Copiers == 0 {
-		t.Error("stale read ran no demand copier")
-	}
-	if !bytes.Equal(res.Reads[0].Value, val(1)) {
-		t.Errorf("stale read returned %q, want %q", res.Reads[0].Value, val(1))
-	}
-	if c.Registry(2).Counter("copiers.demand") == 0 {
-		t.Error("demand-copier counter empty")
-	}
+			// Fail-locked read serves through the demand-copier path.
+			res, err = c.Exec(2, []core.Op{core.Read(1)})
+			if err != nil || !res.Committed {
+				t.Fatalf("stale read at recovered site: %v %v", res, err)
+			}
+			if res.Copiers == 0 {
+				t.Error("stale read ran no demand copier")
+			}
+			if !bytes.Equal(res.Reads[0].Value, val(1)) {
+				t.Errorf("stale read returned %q, want %q", res.Reads[0].Value, val(1))
+			}
+			if c.Registry(2).Counter("copiers.demand") == 0 {
+				t.Error("demand-copier counter empty")
+			}
 
-	// The scrubber heals the rest.
-	scr := scrub.New(c, scrub.Config{BatchSize: 2})
-	scr.Start()
-	defer scr.Stop()
-	if !scr.WaitClean(5 * time.Second) {
-		t.Fatal("scrubber never drove the stale set to zero")
-	}
-	scr.Stop()
-	if st := scr.Stats(); st.ItemsScrubbed < 4 {
-		t.Errorf("ItemsScrubbed = %d, want >= 4", st.ItemsScrubbed)
-	}
-	report, err := c.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.OK() {
-		t.Error(report)
+			// The scrubber heals the rest.
+			scr := cluster.NewScrubber(c.Manager, cluster.ScrubConfig{BatchSize: 2})
+			scr.Start()
+			defer scr.Stop()
+			if !scr.WaitClean(5 * time.Second) {
+				t.Fatal("scrubber never drove the stale set to zero")
+			}
+			scr.Stop()
+			if st := scr.Stats(); st.ItemsScrubbed < 4 {
+				t.Errorf("ItemsScrubbed = %d, want >= 4", st.ItemsScrubbed)
+			}
+			report, err := c.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !report.OK() {
+				t.Error(report)
+			}
+		})
 	}
 }
 
 // TestScrubRateThrottles: a finite items/sec budget makes the scrubber
 // wait between batches but still converge.
 func TestScrubRateThrottles(t *testing.T) {
-	c := newCluster(t, cluster.Config{Sites: 2, Items: 30, InstantRecovery: true})
+	c := newCluster(t, cluster.Config{Sites: 2, Items: 30})
 	failAndDetect(t, c, 1, 0)
 	for i := 0; i < 20; i++ {
 		mustWrite(t, c, 0, core.ItemID(i), val(i))
@@ -195,7 +200,7 @@ func TestScrubRateThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scr := scrub.New(c, scrub.Config{Rate: 400, BatchSize: 4})
+	scr := cluster.NewScrubber(c.Manager, cluster.ScrubConfig{Rate: 400, BatchSize: 4})
 	scr.Start()
 	defer scr.Stop()
 	if !scr.WaitClean(10 * time.Second) {
@@ -209,9 +214,6 @@ func TestScrubRateThrottles(t *testing.T) {
 	if st.ItemsScrubbed < 20 {
 		t.Errorf("ItemsScrubbed = %d, want >= 20", st.ItemsScrubbed)
 	}
-	if st.HealEpisodes < 1 {
-		t.Error("no heal episode recorded")
-	}
 }
 
 // TestScrubRacesForegroundTraffic is the concurrent-mode -race
@@ -221,7 +223,7 @@ func TestScrubRateThrottles(t *testing.T) {
 // version; 2PL serializes the rest) — the audit is the oracle.
 func TestScrubRacesForegroundTraffic(t *testing.T) {
 	const items = 8
-	c := newCluster(t, cluster.Config{Sites: 3, Items: items, ConcurrentTxns: 4, InstantRecovery: true})
+	c := newCluster(t, cluster.Config{Sites: 3, Items: items, ConcurrentTxns: 4})
 	failAndDetect(t, c, 1, 0)
 	for i := 0; i < items; i++ {
 		mustWrite(t, c, 0, core.ItemID(i), val(i))
@@ -230,7 +232,7 @@ func TestScrubRacesForegroundTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scr := scrub.New(c, scrub.Config{BatchSize: 2})
+	scr := cluster.NewScrubber(c.Manager, cluster.ScrubConfig{BatchSize: 2})
 	scr.Start()
 	defer scr.Stop()
 

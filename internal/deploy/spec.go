@@ -77,8 +77,6 @@ type ClusterSpec struct {
 	AckTimeout Duration `json:"ack_timeout,omitempty"`
 	// LockWaitBudget bounds concurrent-mode lock waits (0: site default).
 	LockWaitBudget Duration `json:"lock_wait_budget,omitempty"`
-	// InstantRecovery selects REDO-only recovery on every site.
-	InstantRecovery bool `json:"instant_recovery,omitempty"`
 	// EnableType3 enables type-3 control transactions on every site.
 	EnableType3 bool `json:"enable_type3,omitempty"`
 	// WALRoot, when non-empty, gives every site a durable WAL store under
@@ -99,7 +97,6 @@ func BindFlags(fs *flag.FlagSet) *ClusterSpec {
 	fs.IntVar(&s.Concurrent, "concurrent", 0, "max interleaved txns per site (0/1 = serial, as the paper)")
 	fs.DurationVar((*time.Duration)(&s.AckTimeout), "ack-timeout", 0, "per-site failure-detection timeout (0 = site default)")
 	fs.DurationVar((*time.Duration)(&s.LockWaitBudget), "lock-wait", 0, "per-site concurrent-mode lock wait budget (0 = site default)")
-	fs.BoolVar(&s.InstantRecovery, "instant-recovery", false, "REDO-only recovery: operational at type-1, scrubber finishes")
 	fs.BoolVar(&s.EnableType3, "type3", false, "enable type-3 control transactions")
 	fs.StringVar(&s.WALRoot, "wal", "", "root directory for per-site WAL stores (empty: in-memory)")
 	return s
@@ -119,9 +116,6 @@ func (s *ClusterSpec) Flags() []string {
 		"-ack-timeout", time.Duration(s.AckTimeout).String(),
 		"-lock-wait", time.Duration(s.LockWaitBudget).String(),
 		"-wal", s.WALRoot,
-	}
-	if s.InstantRecovery {
-		args = append(args, "-instant-recovery")
 	}
 	if s.EnableType3 {
 		args = append(args, "-type3")
@@ -241,16 +235,15 @@ func (s *ClusterSpec) SiteConfig(id core.SiteID) (site.Config, error) {
 		return site.Config{}, err
 	}
 	cfg := site.Config{
-		ID:              id,
-		Sites:           sites,
-		Items:           s.Items,
-		Policy:          p,
-		AckTimeout:      time.Duration(s.AckTimeout),
-		InstantRecovery: s.InstantRecovery,
-		EnableType3:     s.EnableType3,
-		Replicas:        s.Replicas(),
-		ConcurrentTxns:  s.Concurrent,
-		LockWaitBudget:  time.Duration(s.LockWaitBudget),
+		ID:             id,
+		Sites:          sites,
+		Items:          s.Items,
+		Policy:         p,
+		AckTimeout:     time.Duration(s.AckTimeout),
+		EnableType3:    s.EnableType3,
+		Replicas:       s.Replicas(),
+		ConcurrentTxns: s.Concurrent,
+		LockWaitBudget: time.Duration(s.LockWaitBudget),
 	}
 	return cfg, cfg.Validate()
 }
@@ -269,14 +262,13 @@ func (s *ClusterSpec) ClusterConfig() (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	return cluster.Config{
-		Sites:           sc.Sites,
-		Items:           sc.Items,
-		Policy:          sc.Policy,
-		AckTimeout:      sc.AckTimeout,
-		InstantRecovery: sc.InstantRecovery,
-		EnableType3:     sc.EnableType3,
-		Replicas:        sc.Replicas,
-		ConcurrentTxns:  sc.ConcurrentTxns,
-		LockWaitBudget:  sc.LockWaitBudget,
+		Sites:          sc.Sites,
+		Items:          sc.Items,
+		Policy:         sc.Policy,
+		AckTimeout:     sc.AckTimeout,
+		EnableType3:    sc.EnableType3,
+		Replicas:       sc.Replicas,
+		ConcurrentTxns: sc.ConcurrentTxns,
+		LockWaitBudget: sc.LockWaitBudget,
 	}, nil
 }

@@ -24,7 +24,6 @@ func testSpec() *ClusterSpec {
 		Concurrent:        4,
 		AckTimeout:        Duration(250 * time.Millisecond),
 		LockWaitBudget:    Duration(100 * time.Millisecond),
-		InstantRecovery:   true,
 		EnableType3:       true,
 		WALRoot:           "/tmp/walroot",
 	}
@@ -141,15 +140,14 @@ func TestClusterConfigMatchesSiteConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := site.Config{
-			Sites:           cc.Sites,
-			Items:           cc.Items,
-			Policy:          cc.Policy,
-			AckTimeout:      cc.AckTimeout,
-			InstantRecovery: cc.InstantRecovery,
-			EnableType3:     cc.EnableType3,
-			Replicas:        cc.Replicas,
-			ConcurrentTxns:  cc.ConcurrentTxns,
-			LockWaitBudget:  cc.LockWaitBudget,
+			Sites:          cc.Sites,
+			Items:          cc.Items,
+			Policy:         cc.Policy,
+			AckTimeout:     cc.AckTimeout,
+			EnableType3:    cc.EnableType3,
+			Replicas:       cc.Replicas,
+			ConcurrentTxns: cc.ConcurrentTxns,
+			LockWaitBudget: cc.LockWaitBudget,
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("local translation diverged:\n got %+v\nwant %+v", got, want)
@@ -171,7 +169,6 @@ func TestClusterConfigHonoursOrRejectsEveryField(t *testing.T) {
 		"concurrent":         func(s *ClusterSpec) { s.Concurrent = 4 },
 		"ack_timeout":        func(s *ClusterSpec) { s.AckTimeout = Duration(100 * time.Millisecond) },
 		"lock_wait_budget":   func(s *ClusterSpec) { s.LockWaitBudget = Duration(10 * time.Millisecond) },
-		"instant_recovery":   func(s *ClusterSpec) { s.InstantRecovery = true },
 		"enable_type3":       func(s *ClusterSpec) { s.EnableType3 = true },
 		"wal_root":           func(s *ClusterSpec) { s.WALRoot = "/data" },
 	}

@@ -88,7 +88,6 @@ func procFleets(cfg SoakConfig) (func(seed int64) (deploy.Fabric, error), func()
 				Concurrent:        concurrent,
 				AckTimeout:        deploy.Duration(base.AckTimeout),
 				LockWaitBudget:    deploy.Duration(cfg.LockWaitBudget),
-				InstantRecovery:   cfg.scrubOn(),
 				EnableType3:       base.EnableType3,
 			},
 			Binary:  binary,

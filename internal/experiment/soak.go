@@ -19,7 +19,6 @@ import (
 	"minraid/internal/metrics"
 	"minraid/internal/msg"
 	"minraid/internal/netsched"
-	"minraid/internal/scrub"
 	"minraid/internal/storage"
 	"minraid/internal/transport"
 	"minraid/internal/workload"
@@ -94,13 +93,14 @@ type SoakConfig struct {
 	// transport, "tcp" for the loopback TCP fabric (one listener per
 	// site, CRC framing, per-sender dedup) with the same chaos layer.
 	Transport string
-	// Scrub enables the continuous-heal regime: sites recover REDO-only
-	// (operational the moment the fail-lock set is installed, no batch
-	// refresh), and a background scrubber repairs fail-locked items in
-	// rate-limited copier batches while workload traffic continues. The
-	// epoch-end epilogue then waits for the scrubber to reach zero
-	// truly-up fail-locks instead of running the DrainFailLocks passes.
-	// Ignored for policies that do not use fail-locks.
+	// Scrub enables the continuous-heal regime: a background scrubber
+	// repairs fail-locked items in rate-limited copier batches while
+	// workload traffic continues, in place of the two-step batch refresh
+	// (every recovery is already operational once type-1 installs its
+	// fail-lock set). The epoch-end epilogue then waits for the scrubber
+	// to reach zero truly-up fail-locks instead of running the
+	// DrainFailLocks passes. Ignored for policies that do not use
+	// fail-locks.
 	Scrub bool
 	// ScrubRate caps the scrubber at this many items per second
 	// (0 = unthrottled); ScrubBatch bounds items per copier transaction
@@ -532,11 +532,9 @@ func openLocalFabric(cfg SoakConfig, chaosCfg *transport.ChaosConfig, seed int64
 	}
 	ccfg.LockWaitBudget = cfg.LockWaitBudget
 	ccfg.CommitEpoch = cfg.CommitEpoch
-	// Continuous heal: REDO-only instant recovery plus the background
-	// scrubber replace the two-step batch refresh, which is mutually
-	// exclusive with InstantRecovery by construction.
+	// Continuous heal: the background scrubber replaces the two-step batch
+	// refresh.
 	if cfg.scrubOn() {
-		ccfg.InstantRecovery = true
 		ccfg.BatchCopierThreshold = 0
 	}
 	closeStores := func() {}
@@ -669,14 +667,13 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	// whole epoch; the epilogue waits on it instead of running drain
 	// passes. Its copier batches are bounded so a chaotic or partitioned
 	// donor path stalls one batch, not the scrub loop.
-	var scr *scrub.Scrubber
+	var scr *cluster.Scrubber
 	if scrubOn {
-		scr = scrub.New(mgr, scrub.Config{
+		scr = cluster.NewScrubber(mgr, cluster.ScrubConfig{
 			Rate:        cfg.ScrubRate,
 			BatchSize:   cfg.ScrubBatch,
 			Interval:    base.AckTimeout,
 			ExecTimeout: 10 * base.AckTimeout,
-			Tracer:      mgr.Tracer(),
 		})
 		scr.Start()
 		defer scr.Stop()
@@ -988,16 +985,16 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	}
 	if scrubOn {
 		er.HealTime = time.Since(healStart)
-		if er.LocksAfterDrain, err = mgr.FailLocksRemaining(trueUp); err != nil {
+		if er.LocksAfterDrain, err = mgr.FailLocksRemaining(trueUp, 0); err != nil {
 			return nil, nil, 0, fmt.Errorf("scrub-heal count: %w", err)
 		}
 		// Stop before the audit so no scrub batch races the final copy
 		// comparison.
 		scr.Stop()
 		st := scr.Stats()
-		er.ScrubPasses = int(st.Passes)
-		er.ScrubItems = int(st.ItemsScrubbed)
-		er.ScrubCopiers = int(st.Copiers)
+		er.ScrubPasses = st.Passes
+		er.ScrubItems = st.ItemsScrubbed
+		er.ScrubCopiers = st.Copiers
 	}
 
 	var report cluster.AuditReport

@@ -236,24 +236,19 @@ func (s *Site) recoverSite(tr uint64) bool {
 	}
 	s.vec.MarkUp(s.cfg.ID, session)
 	s.state.set(core.StatusUp)
-	instant := s.cfg.InstantRecovery
-	armBatch := !instant && s.cfg.BatchCopierThreshold > 0
+	// The site is serving from here on — clean items locally, fail-locked
+	// items through demand copiers — and the stale set just measured is the
+	// backlog a heal refreshes: the two-step batch once the locked fraction
+	// drops to the threshold, a drain, or the background scrubber.
+	armBatch := s.cfg.BatchCopierThreshold > 0
 	if armBatch {
 		s.batchArmed = true
 	}
 	stale := len(s.flocks.ItemsLockedFor(s.cfg.ID))
 	s.mu.Unlock()
 	s.reg.Observe(TimerCtrl1Recovering, time.Since(start))
-	kind := "recovering"
-	if instant {
-		// REDO-only instant recovery: the site is already serving — clean
-		// items locally, fail-locked items via demand copiers — and the
-		// stale set just measured is the backlog the background scrubber
-		// will heal.
-		kind = "recovering-instant"
-		s.reg.Add(CounterRecoveryStale, uint64(stale))
-	}
-	s.emit(tr, trace.PhaseCtrl1, kind, start)
+	s.reg.Add(CounterRecoveryStale, uint64(stale))
+	s.emit(tr, trace.PhaseCtrl1, "recovering", start)
 
 	// announceFailure marks the silent sites down locally and tells every
 	// survivor, so nominal vectors converge on the recovery's evidence
@@ -422,6 +417,11 @@ func (s *Site) maybeReplicate(tr uint64) {
 	s.maybeReplicate0(tr)
 }
 
+// type3Batch bounds the items one type-3 replication push (CtrlReplicate)
+// carries, so one slow or failing backup site never absorbs a large
+// endangered set in one unbounded message.
+const type3Batch = 16
+
 // maybeReplicate0 scans for items whose only up-to-date copy among
 // operational sites is this site's, and pushes a backup copy of each to
 // another operational site (§3.2: "a site having the last up-to-date copy
@@ -430,7 +430,7 @@ func (s *Site) maybeReplicate(tr uint64) {
 // copy is fail-locked; installing the fresh copy clears that fail-lock,
 // and the special clear transaction propagates the news.
 //
-// The push is chunked to Type3Batch items per CtrlReplicate, and the
+// The push is chunked to type3Batch items per CtrlReplicate, and the
 // backup site is re-chosen per chunk (rotating over every operational
 // candidate), so a large endangered set neither travels in one unbounded
 // message nor lands entirely on the one site that happened to be stale
@@ -486,12 +486,11 @@ func (s *Site) maybeReplicate0(tr uint64) {
 	}
 
 	start := time.Now()
-	batch := s.cfg.Type3Batch
 	var lostAll []core.SiteID
 	lostSeen := make(map[core.SiteID]bool)
 	chunks := 0
-	for lo := 0; lo < len(endangered); lo += batch {
-		hi := lo + batch
+	for lo := 0; lo < len(endangered); lo += type3Batch {
+		hi := lo + type3Batch
 		if hi > len(endangered) {
 			hi = len(endangered)
 		}

@@ -99,8 +99,9 @@ const (
 	// copiers cover only the reads that outrun it.
 	CounterDemandCopiers = "copiers.demand"
 	// CounterRecoveryStale counts the items fail-locked for this site at
-	// the moment instant recovery completed — the stale set handed to the
-	// background scrubber instead of the threshold/batch two-step.
+	// the moment each recovery completed — the stale set the site serves
+	// through demand copiers until a heal (the two-step batch, a drain or
+	// the background scrubber) refreshes it.
 	CounterRecoveryStale = "recovery.stale"
 )
 
@@ -129,26 +130,11 @@ type Config struct {
 	// drops to or below the threshold, the site refreshes the remainder
 	// in batch via copier transactions (§3.2). Zero disables batching.
 	BatchCopierThreshold float64
-	// InstantRecovery selects REDO-only recovery: the site is operational
-	// the moment the type-1 announcement installs its fail-lock set — it
-	// serves reads of clean items immediately, answers reads of
-	// fail-locked items through the demand-copier path, and leaves the
-	// remaining stale set to the background scrubber (internal/scrub)
-	// rather than arming the threshold/batch two-step. Mutually exclusive
-	// with BatchCopierThreshold: the two-step machinery is exactly what
-	// this mode replaces.
-	InstantRecovery bool
 	// EnableType3 enables the paper's proposed type-3 control
 	// transaction: when this site holds the last up-to-date copy of an
 	// item among operational sites, it pushes a backup copy to another
 	// operational site (§3.2).
 	EnableType3 bool
-	// Type3Batch bounds the number of items one type-3 replication push
-	// (CtrlReplicate) carries. A larger endangered set is split into
-	// chunks with the backup site re-chosen per chunk, so one slow or
-	// failing site never absorbs the whole payload in one unbounded
-	// message. Zero defaults to 16.
-	Type3Batch int
 	// Metrics receives timing observations; nil allocates a private
 	// registry.
 	Metrics *metrics.Registry
@@ -259,12 +245,6 @@ func (c Config) Validate() error {
 	if c.BatchCopierThreshold < 0 || c.BatchCopierThreshold > 1 {
 		return fmt.Errorf("site: batch copier threshold %v out of [0,1]", c.BatchCopierThreshold)
 	}
-	if c.InstantRecovery && c.BatchCopierThreshold > 0 {
-		return fmt.Errorf("site: instant recovery and two-step recovery (batch copier threshold %v) are mutually exclusive", c.BatchCopierThreshold)
-	}
-	if c.Type3Batch < 0 {
-		return fmt.Errorf("site: type-3 batch size %d out of range", c.Type3Batch)
-	}
 	if c.Replicas != nil && (c.Replicas.Items() != c.Items || c.Replicas.Sites() != c.Sites) {
 		return fmt.Errorf("site: replica map is %dx%d, config is %dx%d",
 			c.Replicas.Items(), c.Replicas.Sites(), c.Items, c.Sites)
@@ -315,9 +295,6 @@ func (c *Config) fillDefaults() error {
 	c.defaultScalars()
 	if c.Store == nil {
 		c.Store = storage.NewMemStore(c.Items, nil)
-	}
-	if c.Type3Batch == 0 {
-		c.Type3Batch = 16
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()

@@ -167,39 +167,10 @@ func (c *Caller) MulticallT(trace uint64, targets []core.SiteID, mk func(core.Si
 // so duplicate destinations are well-defined (each slot gets its own
 // correlated reply).
 func (c *Caller) MulticastT(trace uint64, calls []Outcall) []CallResult {
-	out := make([]CallResult, len(calls))
-	seqs := make([]uint64, len(calls))
-	chans := make([]chan delivered, len(calls))
-	start := time.Now()
-	for i, call := range calls {
-		out[i].To = call.To
-		seq, ch := c.register()
-		c.sent.Add(1)
-		if err := c.ep.Send(&msg.Envelope{To: call.To, Seq: seq, Trace: trace, Body: call.Body}); err != nil {
-			// The request never left, so no reply can ever arrive: fail
-			// the slot now instead of burning the shared deadline on it.
-			c.unregister(seq)
-			out[i].Err = err
-			continue
-		}
-		seqs[i], chans[i] = seq, ch
-	}
+	f := c.send(trace, calls)
 	dl := deadline{timer: time.NewTimer(c.timeout)}
 	defer dl.timer.Stop()
-	for i := range calls {
-		if chans[i] == nil {
-			continue
-		}
-		d, err := c.await(chans[i], &dl)
-		c.unregister(seqs[i])
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Reply = d.env
-		out[i].RTT = d.at.Sub(start)
-	}
-	return out
+	return c.collect(f, &dl)
 }
 
 // MulticastAsyncT sends every call like MulticastT but returns as soon as
@@ -210,39 +181,64 @@ func (c *Caller) MulticastT(trace uint64, calls []Outcall) []CallResult {
 // lost participants) off the critical path. join must be called exactly
 // once; the registered slots leak otherwise.
 func (c *Caller) MulticastAsyncT(trace uint64, calls []Outcall) func() []CallResult {
-	out := make([]CallResult, len(calls))
-	seqs := make([]uint64, len(calls))
-	chans := make([]chan delivered, len(calls))
-	start := time.Now()
+	f := c.send(trace, calls)
+	dl := deadline{timer: time.NewTimer(c.timeout)}
+	return func() []CallResult {
+		defer dl.timer.Stop()
+		return c.collect(f, &dl)
+	}
+}
+
+// fanout is a multicast in flight: the per-slot results, each slot's
+// registered sequence number and reply channel (nil once its send failed),
+// and the send time replies' RTTs count from.
+type fanout struct {
+	out   []CallResult
+	seqs  []uint64
+	chans []chan delivered
+	start time.Time
+}
+
+// send registers and transmits every call. A request that never left fails
+// its slot at once: no reply can ever arrive, so it must not burn the
+// shared deadline.
+func (c *Caller) send(trace uint64, calls []Outcall) fanout {
+	f := fanout{
+		out:   make([]CallResult, len(calls)),
+		seqs:  make([]uint64, len(calls)),
+		chans: make([]chan delivered, len(calls)),
+		start: time.Now(),
+	}
 	for i, call := range calls {
-		out[i].To = call.To
+		f.out[i].To = call.To
 		seq, ch := c.register()
 		c.sent.Add(1)
 		if err := c.ep.Send(&msg.Envelope{To: call.To, Seq: seq, Trace: trace, Body: call.Body}); err != nil {
 			c.unregister(seq)
-			out[i].Err = err
+			f.out[i].Err = err
 			continue
 		}
-		seqs[i], chans[i] = seq, ch
+		f.seqs[i], f.chans[i] = seq, ch
 	}
-	dl := deadline{timer: time.NewTimer(c.timeout)}
-	return func() []CallResult {
-		defer dl.timer.Stop()
-		for i := range calls {
-			if chans[i] == nil {
-				continue
-			}
-			d, err := c.await(chans[i], &dl)
-			c.unregister(seqs[i])
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			out[i].Reply = d.env
-			out[i].RTT = d.at.Sub(start)
+	return f
+}
+
+// collect awaits every sent slot of f under the shared deadline dl.
+func (c *Caller) collect(f fanout, dl *deadline) []CallResult {
+	for i, ch := range f.chans {
+		if ch == nil {
+			continue
 		}
-		return out
+		d, err := c.await(ch, dl)
+		c.unregister(f.seqs[i])
+		if err != nil {
+			f.out[i].Err = err
+			continue
+		}
+		f.out[i].Reply = d.env
+		f.out[i].RTT = d.at.Sub(f.start)
 	}
+	return f.out
 }
 
 // deadline is a fan-out's shared timer plus whether it has fired. The

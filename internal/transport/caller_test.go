@@ -184,6 +184,30 @@ func TestMulticastSendFailureFailsFast(t *testing.T) {
 	}
 }
 
+// TestMulticastAllocs pins the allocations of one 3-target MulticastT over
+// the memory transport — the fan-out every commit runs — at 51. The count
+// covers the whole round: the caller's slots, envelopes and timer, the
+// transport's queueing and the echo sites' replies.
+func TestMulticastAllocs(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 4})
+	defer net.Close()
+	for id := core.SiteID(1); id < 4; id++ {
+		echoSite(t, net, id)
+	}
+	c := callerAt(t, net, 0, time.Second)
+	calls := Outcalls([]core.SiteID{1, 2, 3}, func(core.SiteID) msg.Body { return &msg.Commit{Txn: 1} })
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, r := range c.MulticastT(0, calls) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	})
+	if allocs > 51 {
+		t.Errorf("MulticastT to 3 targets: %v allocs per fan-out, want <= 51", allocs)
+	}
+}
+
 func TestMulticallSendFailureDoesNotBurnTimeout(t *testing.T) {
 	net := NewMemory(MemoryConfig{Sites: 2})
 	defer net.Close()
