@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 	"minraid/internal/transport"
 	"minraid/internal/txn"
 	"minraid/internal/workload"
@@ -238,5 +242,126 @@ func TestAsymmetricLinkLoss(t *testing.T) {
 	}
 	if report.OK() {
 		t.Error("audit missed the asymmetric-partition divergence")
+	}
+}
+
+// TestChaosDupConcurrentCoordinator: on a duplicating link the chaos
+// forwarder encodes each prepare a second time after the first copy was
+// acked, while the concurrent coordinator goes on to stamp its commit
+// versions. The coordinator must stamp a copy of the write set, never the
+// slice the sent prepare still holds; run under -race, this test catches
+// it doing otherwise. Duplicate prepares can hold a participant's vote
+// past the ack timeout, so aborts and the suspicions they leave behind are
+// not this test's subject.
+func TestChaosDupConcurrentCoordinator(t *testing.T) {
+	const (
+		sites   = 4
+		items   = 64
+		clients = 8
+		perC    = 100
+	)
+	c := newTestCluster(t, Config{
+		Sites: sites, Items: items,
+		ConcurrentTxns: 8,
+		AckTimeout:     100 * time.Millisecond,
+		Chaos:          &transport.ChaosConfig{Seed: 1, Dup: 1, ExemptManager: true},
+	})
+	var wg sync.WaitGroup
+	var committed atomic.Int64
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perC; i++ {
+				a := core.ItemID(rng.Intn(items))
+				b := (a + 1 + core.ItemID(rng.Intn(items-1))) % items
+				ops := []core.Op{core.Write(a, val(i)), core.Write(b, val(i))}
+				res, err := c.ExecTxn(core.SiteID(rng.Intn(sites)), c.NextTxnID(), ops)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Committed {
+					committed.Add(1)
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	if committed.Load() == 0 {
+		t.Fatal("nothing committed under pure duplication")
+	}
+}
+
+// TestLinkCutsOnEitherWire: a cluster built without Config.Chaos still
+// runs its one fault layer, on the memory wire and on the loopback TCP
+// fabric alike — a partition cuts and heals, a drop-after budget lets
+// exactly one more message through, and ChaosStats counts what both
+// discarded as Cut.
+func TestLinkCutsOnEitherWire(t *testing.T) {
+	for name, wire := range map[string]string{"memory": "", "tcp": "tcp"} {
+		t.Run(name, func(t *testing.T) {
+			c := newTestCluster(t, Config{Sites: 3, Items: 4, Transport: wire})
+			exec := func(coord core.SiteID, ops ...core.Op) *msg.TxnResult {
+				t.Helper()
+				res, err := c.ExecTxn(coord, c.NextTxnID(), ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			cut := func(from, to core.SiteID) uint64 {
+				return c.ChaosStats()[transport.LinkID{From: from, To: to}].Cut
+			}
+			recover2 := func() {
+				t.Helper()
+				if err := c.Fail(2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Recover(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Cut site 2 off: the first write aborts on its silence, and
+			// the next commits on the majority side with 2 fail-locked.
+			c.Partition([]core.SiteID{2}, []core.SiteID{0, 1}, true)
+			if res := exec(0, core.Write(0, val(1))); res.Committed {
+				t.Fatal("write committed across a partition")
+			}
+			if res := exec(0, core.Write(0, val(2))); !res.Committed {
+				t.Fatalf("majority-side write aborted: %s", res.AbortReason)
+			}
+			if cut(0, 2) == 0 {
+				t.Fatalf("partition discarded nothing on 0->2: %v", c.ChaosStats())
+			}
+			// Heal: 2's recovery crosses the healed links, and its copier
+			// fetches what it missed.
+			c.Partition([]core.SiteID{2}, []core.SiteID{0, 1}, false)
+			recover2()
+			if res := exec(2, core.Read(0)); !res.Committed || !bytes.Equal(res.Reads[0].Value, val(2)) {
+				t.Fatalf("read at 2 after heal: %v", res)
+			}
+
+			// Site 2 may send 0 one more message, its prepare-ack: the
+			// write commits, its commit-ack is cut, and 0 declares 2 down.
+			before := cut(2, 0)
+			c.SetLinkDropAfter(2, 0, 1)
+			if res := exec(0, core.Write(1, val(3))); !res.Committed {
+				t.Fatalf("prepare-ack did not get through: %s", res.AbortReason)
+			}
+			if st, err := c.Status(0, false); err != nil || st.Vector[2].Status != core.StatusDown {
+				t.Fatalf("commit-ack got through past the budget: %v %v", st, err)
+			}
+			if cut(2, 0) == before {
+				t.Fatal("spent budget discarded nothing on 2->0")
+			}
+			c.SetLinkDropAfter(2, 0, -1)
+			recover2()
+			if report, err := c.Audit(); err != nil || !report.OK() {
+				t.Fatalf("audit: %v %v", report, err)
+			}
+		})
 	}
 }

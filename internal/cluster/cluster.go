@@ -1,5 +1,5 @@
 // Package cluster assembles a complete in-process mini-RAID system: N
-// database sites on one memory transport plus the managing site, which
+// database sites on one wire plus the managing site, which
 // "provide[s] interactive control of system actions ... used to cause
 // sites to fail and recover and to initiate a database transaction to a
 // site" (§1.2). The managing-site control plane itself — transaction
@@ -72,12 +72,13 @@ type Config struct {
 	// per-kind message counts from the transport. Nil allocates a shared
 	// recorder with the default capacity.
 	Tracer *trace.Recorder
-	// Chaos, when non-nil, wraps the transport in a seeded
-	// fault-injection layer (per-link message drop, duplication and
-	// latency jitter) — the adversarial wire the paper's assumption 1
-	// rules out. Managing-site links should normally stay exempt
-	// (ChaosConfig.ExemptManager) so control and measurement traffic
-	// remains reliable while the protocol links misbehave.
+	// Chaos, when non-nil, configures the cluster's fault layer with
+	// seeded per-link message drop, duplication and latency jitter — the
+	// adversarial wire the paper's assumption 1 rules out. Nil leaves the
+	// layer a pass-through that only cuts links on request. Managing-site
+	// links should normally stay exempt (ChaosConfig.ExemptManager) so
+	// control and measurement traffic remains reliable while the protocol
+	// links misbehave.
 	Chaos *transport.ChaosConfig
 	// Transport selects the wire: "" or "memory" runs the in-process
 	// memory transport; "tcp" assembles a loopback TCP fabric — one
@@ -97,15 +98,12 @@ type Cluster struct {
 	*Manager
 
 	cfg Config
-	// net is the underlying memory transport (nil on the TCP fabric);
-	// network is what sites attach to — net itself, the chaos decorator
-	// around it, or the TCP fabric.
-	net     *transport.Memory
-	network transport.Network
-	chaos   *transport.Chaos
-	fabric  *tcpFabric
-	sites   []*site.Site
-	mgr     transport.Endpoint
+	// net is the memory wire (nil on the TCP fabric); chaos is the one
+	// fault layer over whichever wire runs, and what sites attach to.
+	net   *transport.Memory
+	chaos *transport.Chaos
+	sites []*site.Site
+	mgr   transport.Endpoint
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -126,24 +124,26 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Tracer = trace.NewRecorder(0)
 	}
 	c := &Cluster{cfg: cfg}
+	var wire transport.Network
 	switch cfg.Transport {
 	case "", "memory":
-		net := transport.NewMemory(transport.MemoryConfig{Sites: cfg.Sites, Delay: cfg.Delay})
-		net.SetTracer(cfg.Tracer)
-		c.net, c.network = net, net
-		if cfg.Chaos != nil {
-			c.chaos = transport.NewChaos(net, *cfg.Chaos)
-			c.network = c.chaos
-		}
+		c.net = transport.NewMemory(transport.MemoryConfig{Sites: cfg.Sites, Delay: cfg.Delay})
+		c.net.SetTracer(cfg.Tracer)
+		wire = c.net
 	case "tcp":
-		fabric, err := newTCPFabric(cfg.Sites, cfg.Chaos, cfg.Tracer)
+		fabric, err := newTCPFabric(cfg.Sites, cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
-		c.fabric, c.network = fabric, fabric
+		wire = fabric
 	default:
 		return nil, fmt.Errorf("cluster: unknown transport %q", cfg.Transport)
 	}
+	var chaosCfg transport.ChaosConfig // zero: every link exempt, a pass-through
+	if cfg.Chaos != nil {
+		chaosCfg = *cfg.Chaos
+	}
+	c.chaos = transport.NewChaos(wire, chaosCfg)
 
 	for i := 0; i < cfg.Sites; i++ {
 		id := core.SiteID(i)
@@ -152,7 +152,7 @@ func New(cfg Config) (*Cluster, error) {
 			var err error
 			store, err = cfg.StoreFactory(id)
 			if err != nil {
-				c.network.Close()
+				c.chaos.Close()
 				return nil, fmt.Errorf("cluster: store for %s: %w", id, err)
 			}
 		}
@@ -171,17 +171,17 @@ func New(cfg Config) (*Cluster, error) {
 			LockWaitBudget:             cfg.LockWaitBudget,
 			CommitEpoch:                cfg.CommitEpoch,
 			Tracer:                     cfg.Tracer,
-		}, c.network)
+		}, c.chaos)
 		if err != nil {
-			c.network.Close()
+			c.chaos.Close()
 			return nil, err
 		}
 		c.sites = append(c.sites, s)
 	}
 
-	mgr, err := c.network.Endpoint(core.ManagingSite)
+	mgr, err := c.chaos.Endpoint(core.ManagingSite)
 	if err != nil {
-		c.network.Close()
+		c.chaos.Close()
 		return nil, err
 	}
 	c.mgr = mgr
@@ -195,7 +195,7 @@ func New(cfg Config) (*Cluster, error) {
 		TxnIDBase: cfg.TxnIDBase,
 	})
 	if err != nil {
-		c.network.Close()
+		c.chaos.Close()
 		return nil, err
 	}
 
@@ -226,7 +226,7 @@ func (c *Cluster) Close() {
 			s.Stop()
 		}
 		c.caller.CancelAll()
-		c.network.Close()
+		c.chaos.Close()
 		c.wg.Wait()
 	})
 }
@@ -239,49 +239,28 @@ func (c *Cluster) Registry(id core.SiteID) *metrics.Registry { return c.sites[id
 
 // MessagesSent returns the network-wide message count (memory transport
 // only; the TCP fabric reports 0 — use the tracer's per-kind counts).
-func (c *Cluster) MessagesSent() uint64 {
-	if c.net == nil {
-		return 0
-	}
-	return c.net.MessagesSent()
-}
+func (c *Cluster) MessagesSent() uint64 { return c.net.MessagesSent() }
 
-// ChaosStats snapshots the chaos layer's per-link decision counters, or
-// nil when the cluster runs without chaos. Two runs with the same chaos
-// seed and workload produce identical counters — the reproducibility
-// check soak runs assert. Administrative cuts (SetLinkDown through the
-// chaos layer) appear in the Cut field.
+// ChaosStats snapshots the fault layer's per-link decision counters: every
+// link that was offered a message under a probabilistic fault, and every
+// link that discarded a message while cut (SetLinkDown, SetLinkDropAfter),
+// counted in Cut. Two runs with the same chaos seed and workload produce
+// identical counters — the reproducibility check soak runs assert.
 func (c *Cluster) ChaosStats() map[transport.LinkID]transport.LinkStats {
-	if c.chaos != nil {
-		return c.chaos.Stats()
-	}
-	if c.fabric != nil {
-		return c.fabric.Stats()
-	}
-	return nil
+	return c.chaos.Stats()
 }
 
 // SetLinkDown makes the directed link from->to silently drop messages, or
-// restores it. Managing-site links are unaffected. The cut is applied at
-// the highest layer running — the chaos decorator (where it is counted
-// in LinkStats.Cut), the TCP fabric's per-site chaos wrappers, or the
-// bare memory transport.
+// restores it, in the fault layer on either wire.
 func (c *Cluster) SetLinkDown(from, to core.SiteID, down bool) {
-	switch {
-	case c.chaos != nil:
-		c.chaos.SetLinkDown(from, to, down)
-	case c.fabric != nil:
-		c.fabric.SetLinkDown(from, to, down)
-	default:
-		c.net.SetLinkDown(from, to, down)
-	}
+	c.chaos.SetLinkDown(from, to, down)
 }
 
 // SetLinkDropAfter lets the directed link from->to deliver n more messages
 // and then drop the rest (negative n removes the limit) — fault injection
-// for mid-protocol failures. Memory transport only.
+// for mid-protocol failures, on either wire.
 func (c *Cluster) SetLinkDropAfter(from, to core.SiteID, n int) {
-	c.net.SetLinkDropAfter(from, to, n)
+	c.chaos.SetLinkDropAfter(from, to, n)
 }
 
 // Partition cuts (down=true) or heals (down=false) every link between the

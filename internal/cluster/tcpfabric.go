@@ -11,29 +11,18 @@ import (
 // tcpFabric assembles a transport.Network from per-site TCP attachments
 // on loopback: every database site plus the managing site owns its own
 // *transport.TCP listener (ephemeral port, addresses distributed after
-// all listeners are up), each wrapped in its own *transport.Chaos so the
-// partition scheduler's SetLinkDown hooks and seeded fault injection
-// work identically to the in-memory cluster. This is the cross-process
-// wire (CRC framing, reconnect, per-sender dedup) exercised in-process —
-// ROADMAP's "soak over TCP" open item.
-//
-// Per-link chaos determinism is preserved even though each site has its
-// own Chaos instance: a site's instance only ever carries links whose
-// From is that site, and link rng streams are seeded by (seed, from,
-// to) — the same streams one shared instance would derive.
+// all listeners are up). This is the cross-process wire (CRC framing,
+// reconnect, per-sender dedup) exercised in-process; the cluster wraps it
+// in the same one fault layer as the memory wire, so link cuts and seeded
+// per-link faults behave identically on both.
 type tcpFabric struct {
-	nets  map[core.SiteID]*transport.TCP
-	chaos map[core.SiteID]*transport.Chaos
+	nets map[core.SiteID]*transport.TCP
 }
 
 // newTCPFabric starts sites+1 loopback listeners and wires the address
-// map. A nil chaosCfg still installs zero-config Chaos wrappers (pure
-// pass-through) so administrative link cuts work without faults.
-func newTCPFabric(sites int, chaosCfg *transport.ChaosConfig, tracer *trace.Recorder) (*tcpFabric, error) {
-	f := &tcpFabric{
-		nets:  make(map[core.SiteID]*transport.TCP, sites+1),
-		chaos: make(map[core.SiteID]*transport.Chaos, sites+1),
-	}
+// map.
+func newTCPFabric(sites int, tracer *trace.Recorder) (*tcpFabric, error) {
+	f := &tcpFabric{nets: make(map[core.SiteID]*transport.TCP, sites+1)}
 	ids := make([]core.SiteID, 0, sites+1)
 	for i := 0; i < sites; i++ {
 		ids = append(ids, core.SiteID(i))
@@ -51,11 +40,6 @@ func newTCPFabric(sites int, chaosCfg *transport.ChaosConfig, tracer *trace.Reco
 			return nil, fmt.Errorf("cluster: tcp fabric listener for %s: %w", id, err)
 		}
 		f.nets[id] = n
-		cfg := transport.ChaosConfig{}
-		if chaosCfg != nil {
-			cfg = *chaosCfg
-		}
-		f.chaos[id] = transport.NewChaos(n, cfg)
 	}
 	// Every listener is up; distribute the actual ephemeral addresses.
 	for _, n := range f.nets {
@@ -67,56 +51,24 @@ func newTCPFabric(sites int, chaosCfg *transport.ChaosConfig, tracer *trace.Reco
 }
 
 // Endpoint implements transport.Network: each site attaches through its
-// own chaos-wrapped TCP network.
+// own TCP network.
 func (f *tcpFabric) Endpoint(id core.SiteID) (transport.Endpoint, error) {
-	ch, ok := f.chaos[id]
+	n, ok := f.nets[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", transport.ErrUnknownSite, id)
 	}
-	return ch.Endpoint(id)
+	return n.Endpoint(id)
 }
 
 // Close implements transport.Network.
 func (f *tcpFabric) Close() error {
 	var first error
-	for _, ch := range f.chaos {
-		if err := ch.Close(); err != nil && first == nil {
+	for _, n := range f.nets {
+		if err := n.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	// Chaos.Close closes its inner TCP; close any net whose wrapper was
-	// never built (partial construction failure).
-	for id, n := range f.nets {
-		if _, ok := f.chaos[id]; !ok {
-			if err := n.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
 	return first
-}
-
-// SetLinkDown cuts or restores the directed link from->to by driving the
-// sender's chaos wrapper — the only instance that carries that link.
-func (f *tcpFabric) SetLinkDown(from, to core.SiteID, down bool) {
-	if ch, ok := f.chaos[from]; ok {
-		ch.SetLinkDown(from, to, down)
-	}
-}
-
-// Stats merges every site's chaos counters into one per-link map. Keys
-// are disjoint across instances (each only carries its own outbound
-// links), so this is a union.
-func (f *tcpFabric) Stats() map[transport.LinkID]transport.LinkStats {
-	out := make(map[transport.LinkID]transport.LinkStats)
-	for _, ch := range f.chaos {
-		for id, s := range ch.Stats() {
-			merged := out[id]
-			merged.Add(s)
-			out[id] = merged
-		}
-	}
-	return out
 }
 
 var _ transport.Network = (*tcpFabric)(nil)

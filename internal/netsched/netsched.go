@@ -2,8 +2,8 @@
 // (seed, config) pair it generates a timed stream of link-level fault
 // events — symmetric partitions into named groups, asymmetric one-way
 // drops, partial cuts, and heals — and drives them onto any network that
-// exposes per-directed-link control (transport.Chaos, transport.Memory,
-// or a cluster routing to either).
+// exposes per-directed-link control: transport.Chaos, the one fault layer,
+// or a cluster, which runs one over either wire.
 //
 // The paper's experiments fail whole sites; fail-locks, however, are
 // defined against "site failure or network partitioning" (§1.1), and a
@@ -269,9 +269,9 @@ func (s Schedule) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// LinkControl is the network surface the scheduler drives. Both
-// *transport.Memory and *transport.Chaos satisfy it, as does
-// *cluster.Cluster (which routes to whichever layer it runs).
+// LinkControl is the network surface the scheduler drives.
+// *transport.Chaos satisfies it, as does *cluster.Cluster, which forwards
+// to the one Chaos layer it runs over either wire.
 type LinkControl interface {
 	SetLinkDown(from, to core.SiteID, down bool)
 }

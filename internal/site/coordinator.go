@@ -326,9 +326,13 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	// every copy is exclusively locked (locally since acquisition, at
 	// the participants since their prepares), so the local committed
 	// version is the global one and version numbers stay strictly
-	// increasing in commit order.
+	// increasing in commit order. The stamps go into a copy: the sent
+	// prepares still hold writes (see transport.Endpoint.Send), and
+	// concurrent mode is fully replicated, so the copy is the local set.
 	var commitVersions []core.ItemVersion
 	if s.concurrent() {
+		writes = append([]core.ItemVersion(nil), writes...)
+		localWrites = writes
 		commitVersions = make([]core.ItemVersion, 0, len(writes))
 		for i := range writes {
 			cur, err := s.store.Get(writes[i].Item)

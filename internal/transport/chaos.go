@@ -31,17 +31,9 @@ type ChaosConfig struct {
 	// Per-link FIFO order is preserved — jitter delays messages, it never
 	// reorders them.
 	MaxJitter time.Duration
-	// BaseDelay is a deterministic per-message latency floor: every
-	// delivered message is held for BaseDelay plus its jitter draw, so
-	// delivery latency is Base + [0, MaxJitter] rather than [0, MaxJitter]
-	// (which lets a nominally slow link deliver in 0ns). BaseDelay burns
-	// no rng draw and is not counted in JitterTotal — the jitter
-	// fingerprint stays an exact record of the rng stream, cut links
-	// included.
-	BaseDelay time.Duration
 	// Links overrides the fault parameters per directed link. A link with
 	// an entry uses exactly that entry; a link without one uses the global
-	// Drop/Dup/BaseDelay/MaxJitter fields. This is how WAN profiles give
+	// Drop/Dup/MaxJitter fields. This is how WAN profiles give
 	// every region pair its own latency and bandwidth while the rng
 	// seeding stays per-link as before.
 	Links map[LinkID]LinkChaos
@@ -58,8 +50,11 @@ type LinkChaos struct {
 	// Drop and Dup are per-message probabilities, as in ChaosConfig.
 	Drop float64
 	Dup  float64
-	// BaseDelay is the deterministic propagation floor; MaxJitter bounds
-	// the seeded extra hold on top of it.
+	// BaseDelay is the deterministic propagation floor: every delivered
+	// message is held for BaseDelay plus its jitter draw. It burns no rng
+	// draw and is not counted in JitterTotal, so the jitter fingerprint
+	// stays an exact record of the rng stream. MaxJitter bounds the seeded
+	// extra hold on top of it.
 	BaseDelay time.Duration
 	MaxJitter time.Duration
 	// PerMsgCost is the wire occupancy per message — a serialization
@@ -77,9 +72,10 @@ func (lc LinkChaos) active() bool {
 }
 
 // Active reports whether the config injects any probabilistic fault at
-// all (administrative cuts via SetLinkDown work regardless).
+// all (administrative cuts via SetLinkDown and SetLinkDropAfter work
+// regardless).
 func (c ChaosConfig) Active() bool {
-	if c.Drop > 0 || c.Dup > 0 || c.MaxJitter > 0 || c.BaseDelay > 0 {
+	if c.Drop > 0 || c.Dup > 0 || c.MaxJitter > 0 {
 		return true
 	}
 	for _, lc := range c.Links {
@@ -96,7 +92,7 @@ func (c ChaosConfig) linkChaos(from, to core.SiteID) LinkChaos {
 	if lc, ok := c.Links[LinkID{From: from, To: to}]; ok {
 		return lc
 	}
-	return LinkChaos{Drop: c.Drop, Dup: c.Dup, BaseDelay: c.BaseDelay, MaxJitter: c.MaxJitter}
+	return LinkChaos{Drop: c.Drop, Dup: c.Dup, MaxJitter: c.MaxJitter}
 }
 
 // LinkID names one directed link of the network.
@@ -118,7 +114,8 @@ type LinkStats struct {
 	// the link's jitter draws.
 	JitterTotal time.Duration
 	// Cut counts messages discarded because the link was administratively
-	// down (SetLinkDown) — the partition scheduler's cuts, distinct from
+	// down (SetLinkDown) or had spent its SetLinkDropAfter budget — the
+	// partition scheduler's and the tests' cuts, distinct from
 	// probabilistic Dropped. Cut messages never reach the link's rng, so
 	// the probabilistic decision stream stays a pure function of the
 	// messages that survive the cut.
@@ -134,21 +131,23 @@ func (s *LinkStats) Add(other LinkStats) {
 	s.Cut += other.Cut
 }
 
-// Chaos is a fault-injection decorator over any Network: per-directed-link
-// probabilistic message drop, duplication and bounded latency jitter,
-// deterministically driven by one seeded rand.Source per link.
+// Chaos is the one fault layer, a decorator over any Network: per-directed-
+// link administrative cuts and drop-after budgets, and probabilistic
+// message drop, duplication and bounded latency jitter, deterministically
+// driven by one seeded rand.Source per link.
 //
 // It deliberately breaks the paper's reliability assumption (§1.2,
 // assumption 1: no loss, no duplication) while preserving per-link FIFO
 // order, so experiments can measure how the ack-timeout/announce machinery
 // behaves when messages actually misbehave. Exempt links (and every link
-// when no fault is configured) bypass the decorator entirely.
+// when no fault is configured) bypass the probabilistic pipeline and are
+// the inner Send, behind the cut and budget checks.
 type Chaos struct {
 	inner Network
 	cfg   ChaosConfig
 
 	// rows is the directed-link table, one row per sender, made when the
-	// sender is first named (by Endpoint or SetLinkDown). A row never
+	// sender is first named (by Endpoint or a link cut). A row never
 	// changes hands once published, so Send reads it without a lock.
 	rows [chaosSlots]atomic.Pointer[chaosRow]
 
@@ -172,8 +171,11 @@ type chaosRow [chaosSlots]chaosRoute
 // chaosRoute is everything Send needs to know about one directed link,
 // resolved once.
 type chaosRoute struct {
-	down atomic.Bool   // administratively cut (SetLinkDown)
-	cut  atomic.Uint64 // messages discarded while down
+	down atomic.Bool // administratively cut (SetLinkDown)
+	// credits is the number of messages the link still delivers before it
+	// cuts everything (SetLinkDropAfter); negative means no limit.
+	credits atomic.Int64
+	cut     atomic.Uint64 // messages discarded while down or out of credits
 	// exempt marks a link that bypasses fault injection: manager links
 	// under ExemptManager, and any link whose effective (per-link or
 	// global) config injects nothing — so a Links map that touches some
@@ -201,9 +203,24 @@ func (c *Chaos) rowLocked(from core.SiteID, slot int) *chaosRow {
 		to := slotSite(t, core.MaxSites)
 		manager := from == core.ManagingSite || to == core.ManagingSite
 		row[t].exempt = c.cfg.ExemptManager && manager || !c.cfg.linkChaos(from, to).active()
+		row[t].credits.Store(-1)
 	}
 	c.rows[slot].Store(row)
 	return row
+}
+
+// route returns the from->to entry of the link table, making from's row
+// on first use, or nil if either end can name no site.
+func (c *Chaos) route(from, to core.SiteID) *chaosRoute {
+	f, okFrom := chaosSlot(from)
+	t, okTo := chaosSlot(to)
+	if !okFrom || !okTo {
+		return nil
+	}
+	c.mu.Lock()
+	row := c.rowLocked(from, f)
+	c.mu.Unlock()
+	return &row[t]
 }
 
 // SetLinkDown administratively cuts (or restores) the directed link
@@ -213,15 +230,40 @@ func (c *Chaos) rowLocked(from core.SiteID, slot int) *chaosRow {
 // is unchanged. This is the hook the netsched partition scheduler
 // drives; it works even when no probabilistic fault is configured.
 func (c *Chaos) SetLinkDown(from, to core.SiteID, down bool) {
-	f, okFrom := chaosSlot(from)
-	t, okTo := chaosSlot(to)
-	if !okFrom || !okTo {
-		return
+	if r := c.route(from, to); r != nil {
+		r.down.Store(down)
 	}
-	c.mu.Lock()
-	row := c.rowLocked(from, f)
-	c.mu.Unlock()
-	row[t].down.Store(down)
+}
+
+// SetLinkDropAfter lets the directed link from->to deliver n more messages
+// and then cut everything after — fault injection for mid-protocol
+// failures (e.g. a participant that acks phase one and vanishes before
+// phase two). A negative n removes the limit. Spent messages are counted
+// and discarded exactly like SetLinkDown's.
+func (c *Chaos) SetLinkDropAfter(from, to core.SiteID, n int) {
+	if r := c.route(from, to); r != nil {
+		r.credits.Store(int64(max(n, -1)))
+	}
+}
+
+// admit reports whether the link carries one more message: it is not
+// down, and it has a credit to spend if it is limited.
+func (r *chaosRoute) admit() bool {
+	if r.down.Load() {
+		return false
+	}
+	for {
+		c := r.credits.Load()
+		if c < 0 {
+			return true
+		}
+		if c == 0 {
+			return false
+		}
+		if r.credits.CompareAndSwap(c, c-1) {
+			return true
+		}
+	}
 }
 
 // Endpoint implements Network.
@@ -443,11 +485,11 @@ func (ep *chaosEndpoint) Send(env *msg.Envelope) error {
 		return ep.inner.Send(env) // no such link: the inner network's error to report
 	}
 	r := &ep.row[to]
-	// Administrative cuts apply before exemption: a scheduler-cut link
+	// Administrative cuts and budgets apply before exemption: a cut link
 	// drops everything even when no probabilistic fault is configured.
 	// Send still reports acceptance — a cut wire is silence, not an
 	// error the sender can observe.
-	if r.down.Load() {
+	if !r.admit() {
 		r.cut.Add(1)
 		return nil
 	}

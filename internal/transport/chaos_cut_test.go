@@ -92,3 +92,37 @@ func TestChaosCutSkipsRNG(t *testing.T) {
 		t.Fatalf("cut traffic perturbed the rng stream: plain %+v, cut %+v", plain, cut)
 	}
 }
+
+// TestChaosDropAfter: a drop-after budget lets exactly n more messages
+// through, then cuts the link (counted as Cut, Send still succeeds) even
+// with no probabilistic fault configured; a negative budget lifts it.
+func TestChaosDropAfter(t *testing.T) {
+	inner := NewMemory(MemoryConfig{Sites: 2})
+	ch := NewChaos(inner, ChaosConfig{})
+	defer ch.Close()
+	a, _ := ch.Endpoint(0)
+	b, _ := ch.Endpoint(1)
+
+	ch.SetLinkDropAfter(0, 1, 2)
+	for i := 1; i <= 5; i++ {
+		if err := a.Send(commitEnv(1, core.TxnID(i), uint64(i))); err != nil {
+			t.Fatalf("send past the budget must report acceptance, got %v", err)
+		}
+	}
+	if got := inner.MessagesSent(); got != 2 {
+		t.Fatalf("budget of 2 delivered %d messages", got)
+	}
+	if got := ch.Stats()[LinkID{From: 0, To: 1}]; got.Cut != 3 || got.Sent != 3 {
+		t.Fatalf("spent link stats: %+v, want Sent=Cut=3", got)
+	}
+
+	ch.SetLinkDropAfter(0, 1, -1)
+	if err := a.Send(commitEnv(1, 6, 6)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint64{1, 2, 6} {
+		if env, ok := b.Recv(); !ok || env.Seq != want {
+			t.Fatalf("got %v %v, want seq %d (a spent message leaked?)", env, ok, want)
+		}
+	}
+}

@@ -38,44 +38,14 @@ type MemoryConfig struct {
 // or the Unix IPC of the original system would.
 type Memory struct {
 	cfg MemoryConfig
-	// eps holds every site's endpoint, the managing site's last; routes is
-	// the directed-link table, the from->to link at from*len(eps)+to. Both
-	// are built by NewMemory and never resized, so Send reads them without
-	// a lock.
-	eps    []*memEndpoint
-	routes []memRoute
+	// eps holds every site's endpoint, the managing site's last. It is
+	// built by NewMemory and never resized, so Send reads it without a
+	// lock.
+	eps []*memEndpoint
 
 	closed atomic.Bool
 	sent   atomic.Uint64
 	tracer atomic.Pointer[trace.Recorder]
-}
-
-// memRoute is the fault-injection state of one directed link.
-type memRoute struct {
-	down atomic.Bool
-	// credits is the number of messages the link still delivers before it
-	// drops everything; negative means no limit.
-	credits atomic.Int64
-}
-
-// admit reports whether the link delivers one more message, spending a
-// credit if it is limited.
-func (r *memRoute) admit() bool {
-	if r.down.Load() {
-		return false // partitioned: silently dropped
-	}
-	for {
-		c := r.credits.Load()
-		if c < 0 {
-			return true
-		}
-		if c == 0 {
-			return false // budget exhausted: silently dropped
-		}
-		if r.credits.CompareAndSwap(c, c-1) {
-			return true
-		}
-	}
 }
 
 // NewMemory returns an in-process network for cfg.
@@ -84,15 +54,11 @@ func NewMemory(cfg MemoryConfig) *Memory {
 		panic(fmt.Sprintf("transport: site count %d out of range", cfg.Sites))
 	}
 	n := cfg.Sites + 1
-	m := &Memory{cfg: cfg, eps: make([]*memEndpoint, n), routes: make([]memRoute, n*n)}
-	for i := range m.routes {
-		m.routes[i].credits.Store(-1)
-	}
+	m := &Memory{cfg: cfg, eps: make([]*memEndpoint, n)}
 	for i := range m.eps {
 		m.eps[i] = &memEndpoint{
 			id:    slotSite(i, cfg.Sites),
 			net:   m,
-			out:   m.routes[i*n : (i+1)*n],
 			inbox: newDelayQueue[*msg.Envelope](cfg.Delay),
 		}
 	}
@@ -129,47 +95,22 @@ func (m *Memory) Close() error {
 
 // MessagesSent returns the total number of messages accepted for delivery
 // since the network was created. Experiments use it to report message
-// complexity alongside elapsed time.
-func (m *Memory) MessagesSent() uint64 { return m.sent.Load() }
+// complexity alongside elapsed time. A nil Memory has sent nothing, which
+// is what a cluster on another wire reports.
+func (m *Memory) MessagesSent() uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.sent.Load()
+}
 
 // SetTracer installs a recorder that counts outbound messages per wire
 // kind. A nil recorder disables counting.
 func (m *Memory) SetTracer(r *trace.Recorder) { m.tracer.Store(r) }
 
-// route returns the from->to entry of the link table, or nil if either end
-// is not a site of this network.
-func (m *Memory) route(from, to core.SiteID) *memRoute {
-	f, ok1 := m.slot(from)
-	t, ok2 := m.slot(to)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	return &m.eps[f].out[t]
-}
-
-// SetLinkDown makes the directed link from->to silently drop messages
-// (true) or deliver normally (false). Used by tests and partition studies;
-// the paper's experiments fail whole sites instead.
-func (m *Memory) SetLinkDown(from, to core.SiteID, isDown bool) {
-	if r := m.route(from, to); r != nil {
-		r.down.Store(isDown)
-	}
-}
-
-// SetLinkDropAfter lets the directed link from->to deliver n more messages
-// and then silently drop everything after — fault injection for mid-
-// protocol failures (e.g. a participant that acks phase one and vanishes
-// before phase two). A negative n removes the limit.
-func (m *Memory) SetLinkDropAfter(from, to core.SiteID, n int) {
-	if r := m.route(from, to); r != nil {
-		r.credits.Store(int64(max(n, -1)))
-	}
-}
-
 type memEndpoint struct {
 	id    core.SiteID
 	net   *Memory
-	out   []memRoute // this site's row of the link table, by destination slot
 	inbox *queue[*msg.Envelope]
 }
 
@@ -188,9 +129,6 @@ func (ep *memEndpoint) Send(env *msg.Envelope) error {
 	m.tracer.Load().CountMessage(env.Body.Kind())
 	if m.closed.Load() {
 		return ErrClosed
-	}
-	if !ep.out[to].admit() {
-		return nil
 	}
 	decoded, err := msg.Unmarshal(msg.Marshal(env))
 	if err != nil {

@@ -237,31 +237,6 @@ func TestMemoryDelay(t *testing.T) {
 	}
 }
 
-func TestMemoryLinkDown(t *testing.T) {
-	net := NewMemory(MemoryConfig{Sites: 2})
-	defer net.Close()
-	a, _ := net.Endpoint(0)
-	b, _ := net.Endpoint(1)
-	net.SetLinkDown(0, 1, true)
-	if err := a.Send(commitEnv(1, 1, 1)); err != nil {
-		t.Fatalf("send on down link errored: %v", err)
-	}
-	// Reverse direction still works.
-	if err := b.Send(commitEnv(0, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	env, _ := a.Recv()
-	if env.Body.(*msg.Commit).Txn != 2 {
-		t.Error("reverse link broken")
-	}
-	net.SetLinkDown(0, 1, false)
-	a.Send(commitEnv(1, 3, 2))
-	env, _ = b.Recv()
-	if env.Body.(*msg.Commit).Txn != 3 {
-		t.Errorf("restored link delivered txn %d (the dropped message leaked?)", env.Body.(*msg.Commit).Txn)
-	}
-}
-
 // Delivery order is the order senders reach the destination's inbox, so
 // with several goroutines sending at once — several sites, and several
 // goroutines of one site, as a coordinator and its receive loop are — each

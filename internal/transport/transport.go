@@ -1,6 +1,6 @@
 // Package transport moves protocol messages between sites.
 //
-// Two implementations are provided:
+// Two wires are provided:
 //
 //   - Memory: all sites in one process, delivered on the sender's
 //     goroutine into the receiver's inbox, in order per destination, with
@@ -16,7 +16,9 @@
 //     the "complete RAID" deployment the paper defers to future work.
 //
 // Both satisfy the paper's reliability assumption (§1.2, assumption 1):
-// no loss, per-link FIFO order, no undetected corruption.
+// no loss, per-link FIFO order, no undetected corruption. Chaos is the one
+// layer that breaks it: wrapped around either wire, it owns every link
+// cut, drop-after budget and seeded drop, duplicate or delay.
 package transport
 
 import (
@@ -38,9 +40,11 @@ var (
 // Endpoint is one site's attachment to the network.
 //
 // Send enqueues an envelope for delivery and never blocks on the receiver;
-// delivery order is FIFO per (sender, receiver) pair. Recv blocks until a
-// message arrives, returning ok=false once the endpoint is closed and
-// drained.
+// delivery order is FIFO per (sender, receiver) pair. Once sent, the
+// envelope and its body belong to the network: Chaos holds them until its
+// link delivers, so the sender must not modify either afterwards. Recv
+// blocks until a message arrives, returning ok=false once the endpoint is
+// closed and drained.
 type Endpoint interface {
 	// ID returns the site this endpoint belongs to.
 	ID() core.SiteID
@@ -65,7 +69,7 @@ type Network interface {
 
 // siteSlot returns id's index in a table laid out as the database sites
 // 0..sites-1 followed by the managing site, or ok=false if id is neither.
-// Memory and Chaos index their dense link tables with it.
+// Memory indexes its endpoints and Chaos its link table with it.
 func siteSlot(id core.SiteID, sites int) (slot int, ok bool) {
 	switch {
 	case id == core.ManagingSite:
