@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"minraid/internal/core"
-	"minraid/internal/msg"
 )
 
 // AuditReport is the result of a cross-site consistency audit.
@@ -40,33 +39,12 @@ func (r AuditReport) String() string {
 	return fmt.Sprintf("audit FAILED: %d violations (first: %s)", len(r.Violations), r.Violations[0])
 }
 
-// Prober is the managing-side view the audit needs: dimensions, the
-// replica placement, status (with fail-lock snapshots) and database dumps.
-// Both the in-process Cluster and the TCP controller implement it.
-type Prober interface {
-	Sites() int
-	Items() int
-	Replicas() *core.ReplicaMap
-	Status(id core.SiteID, includeFailLocks bool) (*msg.StatusResp, error)
-	Dump(id core.SiteID) ([]core.ItemVersion, error)
-}
-
-// Replicas implements Prober. It returns the managing site's current
-// view of the placement — cfg.Replicas as configured, updated when
-// Rebalance re-homes a lost site's copies.
+// Replicas returns the managing site's current view of the placement —
+// cfg.Replicas as configured, updated when Rebalance re-homes a lost
+// site's copies.
 func (c *Manager) Replicas() *core.ReplicaMap {
 	return c.replicas.Load()
 }
-
-// Audit verifies the system's core invariant: every pair of copies of an
-// item on operational sites is identical unless a fail-lock records that
-// one of them missed updates — "fail-locks can properly track the location
-// of the correct values for data items even when these values are spread
-// out over multiple sites" (§5).
-//
-// The audit is driven from the managing site using dumps and status
-// probes. It should be run while no transactions are in flight.
-func (c *Manager) Audit() (AuditReport, error) { return Audit(c) }
 
 // AuditQuorum verifies the quorum-consensus invariant: for every item,
 // at least degree−readQuorum(degree)+1 of its hosting copies hold the
@@ -80,30 +58,23 @@ func (c *Manager) Audit() (AuditReport, error) { return Audit(c) }
 // invariant through partitions (the minority side aborts), but a down
 // site hides copies this audit must count.
 func (c *Manager) AuditQuorum() (AuditReport, error) {
-	if c.pol == nil {
-		return AuditReport{}, fmt.Errorf("cluster: quorum audit needs a quorum policy")
-	}
-	return AuditQuorum(c, c.pol.ReadQuorum)
-}
-
-// AuditQuorum runs the quorum-visibility audit through any Prober.
-// readQuorum maps an item's copy count to its read-quorum size (the
-// policy's ReadQuorum method).
-func AuditQuorum(p Prober, readQuorum func(copies int) int) (AuditReport, error) {
 	var report AuditReport
-	sites, items := p.Sites(), p.Items()
-	replicas := p.Replicas()
+	if c.pol == nil {
+		return report, fmt.Errorf("cluster: quorum audit needs a quorum policy")
+	}
+	sites, items := c.Sites(), c.Items()
+	replicas := c.Replicas()
 	dumps := make([][]core.ItemVersion, sites)
 	for i := 0; i < sites; i++ {
 		id := core.SiteID(i)
-		st, err := p.Status(id, false)
+		st, err := c.Status(id, false)
 		if err != nil {
 			return report, err
 		}
 		if st.State != core.StatusUp {
 			return report, fmt.Errorf("cluster: quorum audit needs every site up; %s is %s", id, st.State)
 		}
-		dump, err := p.Dump(id)
+		dump, err := c.Dump(id)
 		if err != nil {
 			return report, err
 		}
@@ -116,7 +87,7 @@ func AuditQuorum(p Prober, readQuorum func(copies int) int) (AuditReport, error)
 		report.ItemsChecked++
 		hostMask := replicas.HostMask(core.ItemID(item))
 		degree := replicas.Degree(core.ItemID(item))
-		need := degree - readQuorum(degree) + 1
+		need := degree - c.pol.ReadQuorum(degree) + 1
 		var fresh core.ItemVersion
 		for i := 0; i < sites; i++ {
 			if hostMask&(1<<i) == 0 {
@@ -148,7 +119,7 @@ func AuditQuorum(p Prober, readQuorum func(copies int) int) (AuditReport, error)
 		if fresh.Version != 0 && atFresh < need {
 			report.Violations = append(report.Violations, fmt.Sprintf(
 				"item %d: only %d of %d copies at fresh version %d, read quorum %d needs %d",
-				item, atFresh, degree, fresh.Version, readQuorum(degree), need))
+				item, atFresh, degree, fresh.Version, c.pol.ReadQuorum(degree), need))
 		}
 	}
 	return report, nil
@@ -180,11 +151,18 @@ func sparseDump(dump []core.ItemVersion, replicas *core.ReplicaMap, id core.Site
 	return out, nil
 }
 
-// Audit runs the consistency audit through any Prober.
-func Audit(p Prober) (AuditReport, error) {
+// Audit verifies the system's core invariant: every pair of copies of an
+// item on operational sites is identical unless a fail-lock records that
+// one of them missed updates — "fail-locks can properly track the location
+// of the correct values for data items even when these values are spread
+// out over multiple sites" (§5).
+//
+// The audit is driven from the managing site using dumps and status
+// probes. It should be run while no transactions are in flight.
+func (c *Manager) Audit() (AuditReport, error) {
 	var report AuditReport
-	sites, items := p.Sites(), p.Items()
-	replicas := p.Replicas()
+	sites, items := c.Sites(), c.Items()
+	replicas := c.Replicas()
 
 	// Find the operational sites and a reference fail-lock table. Tables
 	// at operational sites are compared too: they must agree. Dumps are
@@ -198,14 +176,14 @@ func Audit(p Prober) (AuditReport, error) {
 	var views []siteView
 	for i := 0; i < sites; i++ {
 		id := core.SiteID(i)
-		st, err := p.Status(id, true)
+		st, err := c.Status(id, true)
 		if err != nil {
 			return report, err
 		}
 		if st.State != core.StatusUp {
 			continue
 		}
-		dump, err := p.Dump(id)
+		dump, err := c.Dump(id)
 		if err != nil {
 			return report, err
 		}

@@ -66,7 +66,8 @@ type Config struct {
 	LockWaitBudget time.Duration
 	// CommitEpoch enables epoch-batched commit on every site: phase-two
 	// fan-outs flush once per epoch boundary instead of per transaction
-	// (see site.Config.CommitEpoch). Zero keeps per-transaction commit.
+	// (see site.Config.CommitEpoch). Zero is an epoch of one transaction,
+	// retired inline: per-transaction commit.
 	CommitEpoch time.Duration
 	// Tracer receives structured trace events from every site and
 	// per-kind message counts from the transport. Nil allocates a shared

@@ -1063,3 +1063,54 @@ func TestParticipantLostBetweenPhases(t *testing.T) {
 		t.Errorf("audit: %v %v", report, err)
 	}
 }
+
+func TestCoordinatorLostBetweenPhases(t *testing.T) {
+	// The other side of the window: both participants commit, their
+	// commit acks are lost, and the coordinator fails inside the ack
+	// wait. Its own copy was applied before the wait, so after recovery
+	// every copy agrees and no fail-lock is needed.
+	const ackTimeout = 300 * time.Millisecond
+	c := newTestCluster(t, Config{Sites: 3, Items: 5, AckTimeout: ackTimeout})
+	// Each participant may send the coordinator one more message (the
+	// prepare-ack); its commit ack is dropped.
+	c.SetLinkDropAfter(1, 0, 1)
+	c.SetLinkDropAfter(2, 0, 1)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.ExecTxnTimeout(0, c.NextTxnID(), []core.Op{core.Write(3, []byte("v1"))}, 2*ackTimeout)
+	}()
+	// Fail the coordinator once it holds the write — well inside the ack
+	// wait — or, if it never applies, halfway through the wait.
+	for deadline := time.Now().Add(ackTimeout / 2); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		dump, err := c.Dump(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dump[3].Version > 0 {
+			break
+		}
+	}
+	if err := c.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+
+	c.SetLinkDropAfter(1, 0, -1)
+	c.SetLinkDropAfter(2, 0, -1)
+	if _, err := c.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Audit()
+	if err != nil || !report.OK() {
+		t.Fatalf("audit: %v %v", report, err)
+	}
+	res, err := c.Exec(0, []core.Op{core.Read(3)})
+	if err != nil || !res.Committed {
+		t.Fatalf("read after recovery: %v %v", res, err)
+	}
+	if !bytes.Equal(res.Reads[0].Value, []byte("v1")) {
+		t.Errorf("read at the recovered coordinator = %q, want v1", res.Reads[0].Value)
+	}
+}

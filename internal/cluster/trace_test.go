@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"minraid/internal/core"
 	"minraid/internal/trace"
@@ -13,9 +15,19 @@ import (
 // an update fail-locks an item; once the site recovers, a transaction
 // coordinated there must run a copier sub-span before its own prepare
 // and commit. The span must read inject -> copier -> prepare -> commit
-// in chronological order.
+// in chronological order, under either commit mode: epoch-batched
+// commit runs the same participant phase two.
 func TestSpanTimelineAcrossFailureRecovery(t *testing.T) {
-	c := newTestCluster(t, Config{Sites: 2, Items: 10})
+	for _, tc := range []struct {
+		name  string
+		epoch time.Duration
+	}{{"per-txn", 0}, {"epoch", 2 * time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) { spanTimelineAcrossFailureRecovery(t, tc.epoch) })
+	}
+}
+
+func spanTimelineAcrossFailureRecovery(t *testing.T, epoch time.Duration) {
+	c := newTestCluster(t, Config{Sites: 2, Items: 10, CommitEpoch: epoch})
 
 	// Fail site 1 and update item 3 so site 0 fail-locks it for site 1.
 	failAndDetect(t, c, 1, 0)
@@ -40,7 +52,13 @@ func TestSpanTimelineAcrossFailureRecovery(t *testing.T) {
 		t.Fatal("expected at least one copier transaction")
 	}
 
+	// An epoch flush answers the client before the participant applies:
+	// give the participant's commit event time to land.
 	span := c.Tracer().Span(trace.ID(res.Txn))
+	for deadline := time.Now().Add(time.Second); !slices.Contains(span.Phases(), trace.PhaseCommit) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		span = c.Tracer().Span(trace.ID(res.Txn))
+	}
 	if len(span.Events) == 0 {
 		t.Fatal("no trace events recorded for the transaction")
 	}

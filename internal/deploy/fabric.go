@@ -24,8 +24,8 @@ import (
 // control plane either way; Kill and Restart are the only operations
 // whose mechanics the deployment shape decides.
 type Fabric interface {
-	// Manager is the managing-site control plane for the fleet. It
-	// implements cluster.Prober, so the shared audits run over any fabric.
+	// Manager is the managing-site control plane for the fleet; its
+	// audits run over any fabric.
 	Manager() *cluster.Manager
 	// Kill fails site id abruptly: FailSim locally, SIGKILL for processes.
 	Kill(id core.SiteID) error

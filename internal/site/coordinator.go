@@ -3,6 +3,7 @@ package site
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"minraid/internal/core"
@@ -183,6 +184,7 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	targets := s.pol.WriteTargets(vec, s.cfg.ID)
 
 	localWrites := writes
+	var localMaint []core.ItemID // written items this site does not host
 	perSite := map[core.SiteID][]core.ItemVersion{}
 	perSiteMaint := map[core.SiteID][]core.ItemID{}
 	if !rep.IsFull() {
@@ -192,6 +194,8 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 			if rep.IsHost(iv.Item, s.cfg.ID) {
 				localWrites = append(localWrites, iv)
 				avail++
+			} else {
+				localMaint = append(localMaint, iv.Item)
 			}
 			for _, target := range targets {
 				if rep.IsHost(iv.Item, target) {
@@ -302,26 +306,6 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 		return res
 	}
 
-	// Point of decision: re-validate the vector before ordering anyone to
-	// commit. If a site recovered into a newer session while this
-	// transaction was in flight, its copy was not in the write set and
-	// would miss the write untracked; abort instead — "the status of a
-	// site has changed during the execution of a transaction" (§1.1).
-	s.mu.Lock()
-	staleRecovery := false
-	for k := 0; k < s.vec.Len(); k++ {
-		if s.vec.Session(core.SiteID(k)) > vec.Session(core.SiteID(k)) {
-			staleRecovery = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if staleRecovery {
-		s.sendAbort(acked, t.ID, tr)
-		res.AbortReason = txn.AbortStaleSession
-		return res
-	}
-
 	// Concurrent mode: assign each written item's final version now —
 	// every copy is exclusively locked (locally since acquisition, at
 	// the participants since their prepares), so the local committed
@@ -346,70 +330,189 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 		}
 	}
 
-	// Epoch mode: hand the decided transaction to the batcher, which
-	// flushes phase two once per commit epoch and re-validates the
-	// decision at the flush (the batch widens the window a recovery can
-	// slip into). The wait is the late result release — the client's ack
-	// rides the flush.
+	d := &decided{
+		id: t.ID, writes: writes, localWrites: localWrites, localMaint: localMaint,
+		versions: commitVersions, acked: acked, vec: vec, tr: tr,
+	}
+	s.retire(d)
+	res.Committed = d.reason == ""
+	res.AbortReason = d.reason
+	return res
+}
+
+// decided is one transaction past its commit decision, awaiting phase two.
+type decided struct {
+	id          core.TxnID
+	writes      []core.ItemVersion // full write set (final versions in concurrent mode)
+	localWrites []core.ItemVersion // the subset this site hosts
+	localMaint  []core.ItemID      // written items this site does not host
+	versions    []core.ItemVersion // commit-version overlay shipped to participants
+	acked       []core.SiteID      // participants that acked phase one
+	vec         core.SessionVector // the vector the prepares carried
+	tr          uint64
+	reason      string        // the verdict: empty once committed, else the abort reason
+	done        chan struct{} // closed once the verdict is set (epoch mode)
+}
+
+// retire runs phase two for d and leaves the verdict in d.reason. The
+// commit epoch decides only how many transactions one phaseTwo call
+// retires and who waits for the commit acks: at zero the transaction is
+// an epoch of one, retired inline with its acks collected before the
+// client hears the outcome (and, in concurrent mode, before its locks
+// release); above zero the batcher's flush retires it with its epoch and
+// collects the acks in the background.
+func (s *Site) retire(d *decided) {
 	if s.epoch != nil {
-		return s.epochCommit(res, writes, localWrites, commitVersions, acked, vec, rep, tr)
+		s.epoch.commit(d)
+	} else if collect := s.phaseTwo([]*decided{d}); collect != nil {
+		collect()
+	}
+}
+
+// phaseTwo is Appendix A.1's phase two for a batch of decided
+// transactions: re-validate each decision, commit the local copies and
+// maintain fail-locks, send every acked participant one commit message
+// for its share, and set each entry's verdict. It returns the commit-ack
+// collector, nil when nothing was sent.
+func (s *Site) phaseTwo(batch []*decided) (collect func()) {
+	// Point of decision: re-validate the vector before ordering anyone to
+	// commit. If a site recovered into a newer session while the
+	// transaction was in flight (or queued for its epoch), its copy was
+	// not in the write set and would miss the write untracked; abort
+	// instead — "the status of a site has changed during the execution of
+	// a transaction" (§1.1). No participant has committed and no client
+	// has been answered, so the abort is still legal.
+	//
+	// The re-validation, the local applies and the sends are one s.mu
+	// hold, so a simulated failure (which takes s.mu) lands before all of
+	// them or after all of them: either nobody commits and the
+	// participants' decision timers discard their staged halves, or our
+	// copy holds the write every acked participant is ordered to commit
+	// and the failure only cancels the ack wait. A.1 lists the local commit
+	// after the sends, and the ack wait between them (DESIGN.md §5).
+	s.mu.Lock()
+	up := s.state.get() == core.StatusUp
+	var commits, stale []*decided
+	for _, d := range batch {
+		switch {
+		case !up:
+			d.reason = txn.AbortSiteDown
+		case s.sessionAdvanced(d.vec):
+			stale = append(stale, d)
+		default:
+			commits = append(commits, d)
+		}
 	}
 
-	// Phase two: "send commit indication to participating sites". A
-	// missing commit ack triggers a type-2 announcement but the
-	// transaction still commits (Appendix A.1).
-	var lost []core.SiteID
-	if len(acked) > 0 {
-		replies := s.caller.MulticallT(tr, acked, func(core.SiteID) msg.Body {
-			return &msg.Commit{Txn: t.ID, Versions: commitVersions}
-		})
-		for _, id := range acked {
-			if _, ok := replies[id]; !ok {
-				lost = append(lost, id)
+	// "commit database data items; update fail-locks for data items",
+	// for the whole batch under one lock hold so a WAL store group-commits
+	// the applies. Maintenance uses the vector the prepares carried, so
+	// every committing site computes identical bits.
+	for _, d := range commits {
+		for _, iv := range d.localWrites {
+			if _, err := s.store.Apply(iv); err != nil {
+				panic("site: applying local write: " + err.Error())
 			}
 		}
-		if len(lost) > 0 {
-			s.announceFailure(s.perceivedUp(vec, lost), tr)
-		}
+		s.maintainFailLocksLocked(d.localWrites, d.localMaint, d.vec)
 	}
 
-	// "commit database data items; update fail-locks for data items."
-	// Maintenance uses the vector the prepares carried, so every
-	// committing site computes identical fail-lock bits for this
-	// transaction.
-	s.mu.Lock()
-	if s.state.get() != core.StatusUp {
-		// Failed between phases: the other sites have committed; our
-		// copy will be repaired by fail-locks on recovery. Report abort
-		// locally (no reply is sent anyway).
-		s.mu.Unlock()
-		res.AbortReason = txn.AbortSiteDown
-		return res
-	}
-	for _, iv := range localWrites {
-		if _, err := s.store.Apply(iv); err != nil {
-			panic("site: applying local write: " + err.Error())
+	// "send commit indication to participating sites": one message per
+	// acked participant carrying its share in batch order — a Commit for
+	// one transaction, a CommitBatch for more. The sends come last and
+	// precede every verdict: the coordinator readies the participants
+	// just before it waits for them, and a client told "committed" implies
+	// the commit is at least in flight to every acked participant. Every
+	// send only queues the message, so none blocks under s.mu.
+	order := make([]core.SiteID, 0, s.cfg.Sites)
+	n := 0
+	for _, d := range commits {
+		n += len(d.acked)
+		for _, id := range d.acked {
+			if !slices.Contains(order, id) {
+				order = append(order, id)
+			}
 		}
 	}
-	var localMaint []core.ItemID
-	for _, iv := range writes {
-		if !rep.IsHost(iv.Item, s.cfg.ID) {
-			localMaint = append(localMaint, iv.Item)
+	var join func() []transport.CallResult
+	if len(order) > 0 {
+		entries := make([]msg.CommitEntry, 0, n)
+		calls := make([]transport.Outcall, len(order))
+		for i, id := range order {
+			start := len(entries)
+			for _, d := range commits {
+				if slices.Contains(d.acked, id) {
+					entries = append(entries, msg.CommitEntry{Txn: d.id, Versions: d.versions})
+				}
+			}
+			share := entries[start:len(entries):len(entries)]
+			calls[i].To = id
+			if len(share) == 1 {
+				calls[i].Body = &msg.Commit{Txn: share[0].Txn, Versions: share[0].Versions}
+			} else {
+				calls[i].Body = &msg.CommitBatch{Txns: share}
+			}
 		}
+		join = s.caller.MulticastAsyncT(commits[0].tr, calls)
 	}
-	s.maintainFailLocksLocked(localWrites, localMaint, vec)
 	s.mu.Unlock()
 
-	// A participant lost between phases may or may not have applied the
-	// commit; conservatively mark this transaction's items stale for it,
-	// everywhere (Appendix A.1 places the fail-lock update after the
-	// type-2 for exactly this case).
-	if len(lost) > 0 {
-		s.markLostParticipants(lost, writes, tr)
+	for _, d := range stale {
+		s.sendAbort(d.acked, d.id, d.tr)
+		d.reason = txn.AbortStaleSession
 	}
+	if join == nil {
+		return nil
+	}
+	return func() { s.collectCommitAcks(order, commits, join) }
+}
 
-	res.Committed = true
-	return res
+// collectCommitAcks awaits one phase two's commit acks. A missing ack
+// triggers a type-2 announcement — once per lost participant — but the
+// transactions stay committed; a participant lost between phases may or
+// may not have applied its share, so each transaction's items are
+// conservatively fail-locked for it everywhere (Appendix A.1 places the
+// fail-lock update after the type-2 for exactly this case).
+func (s *Site) collectCommitAcks(order []core.SiteID, commits []*decided, join func() []transport.CallResult) {
+	var lost, announced []core.SiteID
+	for i, r := range join() {
+		if errors.Is(r.Err, transport.ErrCancelled) {
+			return // local failure mid-collection: stop silently
+		}
+		if r.Err != nil {
+			lost = append(lost, order[i])
+		}
+	}
+	if len(lost) == 0 {
+		return
+	}
+	for _, d := range commits {
+		var here, fresh []core.SiteID
+		for _, id := range d.acked {
+			if slices.Contains(lost, id) {
+				here = append(here, id)
+			}
+		}
+		for _, id := range s.perceivedUp(d.vec, here) {
+			if !slices.Contains(announced, id) {
+				announced = append(announced, id)
+				fresh = append(fresh, id)
+			}
+		}
+		s.announceFailure(fresh, d.tr)
+		s.markLostParticipants(here, d.writes, d.tr)
+	}
+}
+
+// sessionAdvanced reports whether any site's session is newer than vec
+// records: a site recovered after vec was taken. Callers hold mu.
+func (s *Site) sessionAdvanced(vec core.SessionVector) bool {
+	for k := 0; k < s.vec.Len(); k++ {
+		if s.vec.Session(core.SiteID(k)) > vec.Session(core.SiteID(k)) {
+			return true
+		}
+	}
+	return false
 }
 
 // markLostParticipants sets fail-locks for the given sites on the written

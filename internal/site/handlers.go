@@ -194,39 +194,66 @@ func (s *Site) coordinatorLost(id core.TxnID) {
 	}()
 }
 
-// handleCommit is phase two at a participant: "commit database data items;
-// update fail-locks for data items" (Appendix A.2).
+// handleCommit and handleCommitBatch are phase two at a participant for a
+// share of one transaction and of an epoch's batch.
 func (s *Site) handleCommit(env *msg.Envelope, body *msg.Commit) {
+	s.commitStaged(env, []msg.CommitEntry{{Txn: body.Txn, Versions: body.Versions}}, &msg.CommitAck{Txn: body.Txn})
+}
+
+func (s *Site) handleCommitBatch(env *msg.Envelope, body *msg.CommitBatch) {
+	s.commitStaged(env, body.Txns, &msg.CommitBatchAck{Applied: uint32(len(body.Txns))})
+}
+
+// commitStaged is phase two at a participant: "commit database data items;
+// update fail-locks for data items" (Appendix A.2) for each listed staged
+// transaction, in order, under one lock hold so a WAL store group-commits
+// the applies. An entry with no staged state is skipped: a failure
+// simulation or the decision timeout discarded it. The decision timeout
+// (4x the ack timeout) comfortably exceeds the coordinator's worst-case
+// phase gap, so a commit racing the timeout is not expected in practice;
+// the caller still acks so the coordinator completes, and recovery
+// fail-locks repair the failure-simulation case.
+//
+// ack goes to the coordinator after the commit events are recorded, so a
+// span is whole once a per-transaction client hears its outcome, and
+// before the 2PL locks release, which keeps the release off the
+// coordinator's critical path. A prepare arriving on this receive loop
+// still finds the locks free: the loop handles it only after this returns.
+func (s *Site) commitStaged(env *msg.Envelope, entries []msg.CommitEntry, ack msg.Body) {
+	type applied struct {
+		st *stagedTxn
+		id core.TxnID
+	}
+	var buf [8]applied
+	done := buf[:0]
 	s.mu.Lock()
-	st, ok := s.staged[body.Txn]
-	if !ok {
-		// Unknown transaction: the staged state was discarded, either by
-		// a failure simulation or by the decision timeout. The decision
-		// timeout (4x the ack timeout) comfortably exceeds the
-		// coordinator's worst-case phase gap (one ack timeout), so a
-		// commit racing the timeout is not expected in practice; ack so
-		// the coordinator completes, and rely on recovery fail-locks for
-		// repair in the failure-simulation case.
-		s.mu.Unlock()
-		s.caller.Reply(env, &msg.CommitAck{Txn: body.Txn})
-		return
-	}
-	delete(s.staged, body.Txn)
-	defer st.finish(body.Txn)
-	overlayVersions(st.writes, body.Versions)
-	for _, iv := range st.writes {
-		if _, err := s.store.Apply(iv); err != nil {
-			panic("site: applying staged write: " + err.Error())
+	for _, e := range entries {
+		st, ok := s.staged[e.Txn]
+		if !ok {
+			continue
 		}
+		delete(s.staged, e.Txn)
+		overlayVersions(st.writes, e.Versions)
+		for _, iv := range st.writes {
+			if _, err := s.store.Apply(iv); err != nil {
+				panic("site: applying staged write: " + err.Error())
+			}
+		}
+		s.maintainFailLocksLocked(st.writes, st.maintOnly, core.VectorFromRecords(st.vector))
+		s.stats.Participated++
+		done = append(done, applied{st, e.Txn})
 	}
-	s.maintainFailLocksLocked(st.writes, st.maintOnly, core.VectorFromRecords(st.vector))
-	s.stats.Participated++
 	armed := s.batchArmed
 	s.mu.Unlock()
-	s.reg.Observe(TimerPartTxn, time.Since(st.start))
-	s.emit(env.Trace, trace.PhaseCommit, fmt.Sprintf("writes=%d", len(st.writes)), st.start)
-	s.caller.Reply(env, &msg.CommitAck{Txn: body.Txn})
-	if armed {
+	for _, a := range done {
+		s.reg.Observe(TimerPartTxn, time.Since(a.st.start))
+		s.emit(a.st.trace, trace.PhaseCommit, fmt.Sprintf("writes=%d", len(a.st.writes)), a.st.start)
+	}
+	s.caller.Reply(env, ack)
+	for _, a := range done {
+		a.st.finish(a.id)
+	}
+	if armed && len(done) > 0 {
 		// A commit may have dropped the fail-locked fraction below the
 		// two-step recovery threshold.
 		s.wg.Add(1)

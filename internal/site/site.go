@@ -88,8 +88,6 @@ const (
 	CounterAborts = "aborts"
 	// CounterCommits counts coordinator-side commits.
 	CounterCommits = "commits"
-	// CounterCopiers counts copier transactions issued.
-	CounterCopiers = "copiers"
 	// CounterBatchCopiers counts copier transactions issued by batch
 	// refresh (step two of two-step recovery).
 	CounterBatchCopiers = "copiers.batch"
@@ -184,8 +182,9 @@ type Config struct {
 	// participant, one WAL group-commit window, commit acks collected off
 	// the critical path (see internal/site/epoch.go). Results release at
 	// the flush, so client latency gains up to one epoch while the
-	// per-transaction WAN fan-out cost collapses. Zero keeps the paper's
-	// per-transaction phase two. Requires ROWAA, and must stay under
+	// per-transaction WAN fan-out cost collapses. Zero is an epoch of one
+	// transaction, retired inline: the paper's per-transaction phase two,
+	// acks awaited before the result. Requires ROWAA, and must stay under
 	// AckTimeout: a participant's decision timer (4x AckTimeout) must
 	// absorb the flush delay without suspecting the coordinator.
 	CommitEpoch time.Duration

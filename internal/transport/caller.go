@@ -176,10 +176,11 @@ func (c *Caller) MulticastT(trace uint64, calls []Outcall) []CallResult {
 // MulticastAsyncT sends every call like MulticastT but returns as soon as
 // the requests are on the wire; the returned join function collects the
 // per-slot outcomes under the shared deadline, which starts at send time.
-// The epoch-commit flush uses it to release transaction results the
-// moment the commit batch is sent, collecting commit acks (and detecting
-// lost participants) off the critical path. join must be called exactly
-// once; the registered slots leak otherwise.
+// Phase two uses it to send the commits inside its lock hold and await
+// the acks after releasing it; an epoch flush also releases its
+// transaction results in between, collecting the acks (and detecting lost
+// participants) off the critical path. join must be called exactly once;
+// the registered slots leak otherwise.
 func (c *Caller) MulticastAsyncT(trace uint64, calls []Outcall) func() []CallResult {
 	f := c.send(trace, calls)
 	dl := deadline{timer: time.NewTimer(c.timeout)}
