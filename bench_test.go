@@ -180,7 +180,7 @@ func BenchmarkTxnWithCopier(b *testing.B) {
 func BenchmarkFigure1Cycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := minraid.RunSchedule(
-			minraid.ExperimentConfig{Sites: 2, Items: 50, MaxOps: 5, Seed: int64(i + 1), AckTimeout: benchAckTimeout},
+			minraid.ExperimentConfig{Config: minraid.ClusterConfig{Sites: 2, Items: 50, AckTimeout: benchAckTimeout}, MaxOps: 5, Seed: int64(i + 1)},
 			minraid.Figure1Schedule(0), 2000)
 		if err != nil {
 			b.Fatal(err)
@@ -197,7 +197,7 @@ func BenchmarkFigure1Cycle(b *testing.B) {
 func BenchmarkScenario1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := minraid.RunSchedule(
-			minraid.ExperimentConfig{Sites: 2, Items: 50, MaxOps: 5, Seed: int64(i + 1), AckTimeout: benchAckTimeout},
+			minraid.ExperimentConfig{Config: minraid.ClusterConfig{Sites: 2, Items: 50, AckTimeout: benchAckTimeout}, MaxOps: 5, Seed: int64(i + 1)},
 			minraid.Scenario1Schedule(), 0)
 		if err != nil {
 			b.Fatal(err)
@@ -210,7 +210,7 @@ func BenchmarkScenario1(b *testing.B) {
 func BenchmarkScenario2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := minraid.RunSchedule(
-			minraid.ExperimentConfig{Sites: 4, Items: 50, MaxOps: 5, Seed: int64(i + 1), AckTimeout: benchAckTimeout},
+			minraid.ExperimentConfig{Config: minraid.ClusterConfig{Sites: 4, Items: 50, AckTimeout: benchAckTimeout}, MaxOps: 5, Seed: int64(i + 1)},
 			minraid.Scenario2Schedule(), 0)
 		if err != nil {
 			b.Fatal(err)
@@ -262,9 +262,12 @@ func BenchmarkTwoStepRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := minraid.RunSchedule(
 			minraid.ExperimentConfig{
-				Sites: 2, Items: 50, MaxOps: 5, Seed: int64(i + 1),
-				AckTimeout:           benchAckTimeout,
-				BatchCopierThreshold: 0.5,
+				Config: minraid.ClusterConfig{
+					Sites: 2, Items: 50,
+					AckTimeout:           benchAckTimeout,
+					BatchCopierThreshold: 0.5,
+				},
+				MaxOps: 5, Seed: int64(i + 1),
 			},
 			minraid.Figure1Schedule(0), 2000)
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/experiment"
 	"minraid/internal/plot"
@@ -60,7 +61,7 @@ func main() {
 		return
 	}
 
-	cfg := experiment.Config{Seed: *seed, Delay: *delay}
+	cfg := experiment.Config{Config: cluster.Config{Delay: *delay}, Seed: *seed}
 	want := func(name string) bool { return *run == "all" || *run == name }
 	ran := false
 

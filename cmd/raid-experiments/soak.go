@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/experiment"
 	"minraid/internal/policy"
 	"minraid/internal/transport"
@@ -39,7 +40,7 @@ func runSoak(args []string) {
 		txns       = fs.Int("txns", 40, "transactions per epoch")
 		sites      = fs.Int("sites", 4, "database sites")
 		items      = fs.Int("items", 30, "database items")
-		degree     = fs.Int("degree", 0, "copies per item, placed round-robin (0 or >= -sites: full replication; partial replication runs serially and needs -policy rowaa or quorum)")
+		degree     = fs.Int("degree", 0, "copies per item, placed round-robin, 0..-sites (0 or -sites: full replication; partial replication runs serially and needs -policy rowaa or quorum)")
 		drop       = fs.Float64("drop", 0.02, "per-message drop probability on site-to-site links")
 		dup        = fs.Float64("dup", 0.02, "per-message duplication probability")
 		jitter     = fs.Duration("jitter", 5*time.Millisecond, "max injected per-message latency (keep well below -ack)")
@@ -104,36 +105,32 @@ func runSoak(args []string) {
 		}
 	}
 	cfg := experiment.SoakConfig{
-		Base: experiment.Config{
+		Base: experiment.Config{Config: cluster.Config{
 			Sites:             *sites,
 			Items:             *items,
 			Delay:             *delay,
 			AckTimeout:        *ack,
 			Policy:            pol,
 			ReplicationDegree: *degree,
-		},
+			ConcurrentTxns:    *conc,
+			LockWaitBudget:    *lockwait,
+			CommitEpoch:       commitEpoch,
+			Chaos:             &transport.ChaosConfig{Drop: *drop, Dup: *dup, MaxJitter: *jitter},
+			Transport:         *trans,
+		}},
 		Seeds:         parseSeeds(*seeds),
 		EpochsPerSeed: *epochs,
 		TxnsPerEpoch:  *txns,
-		Chaos: transport.ChaosConfig{
-			Drop:      *drop,
-			Dup:       *dup,
-			MaxJitter: *jitter,
-		},
-		Partitions:     *partitions,
-		WANProfile:     *wan,
-		CommitEpoch:    commitEpoch,
-		Scrub:          *scrubOn,
-		ScrubRate:      *scrubRate,
-		ScrubBatch:     *scrubBatch,
-		Transport:      *trans,
-		WALDir:         *persist,
-		Concurrency:    *conc,
-		ArrivalRate:    *rate,
-		LockWaitBudget: *lockwait,
-		Fabric:         *fabric,
-		RaidsrvBin:     *raidsrv,
-		WorkDir:        *workdir,
+		Partitions:    *partitions,
+		WANProfile:    *wan,
+		Scrub:         *scrubOn,
+		ScrubRate:     *scrubRate,
+		ScrubBatch:    *scrubBatch,
+		WALDir:        *persist,
+		ArrivalRate:   *rate,
+		Fabric:        *fabric,
+		RaidsrvBin:    *raidsrv,
+		WorkDir:       *workdir,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
@@ -295,7 +292,7 @@ func rerunSoak(cfg experiment.SoakConfig) (*experiment.SoakResult, error) {
 // and delivery mechanics, not protocol outcomes, so the profiles should
 // tell the same story.
 func compareTransports(cfg experiment.SoakConfig, tcpRes *experiment.SoakResult) error {
-	cfg.Transport = "memory"
+	cfg.Base.Transport = "memory"
 	memRes, err := rerunSoak(cfg)
 	if err != nil {
 		return fmt.Errorf("in-memory comparison run: %w", err)

@@ -116,7 +116,7 @@ func open(spec *deploy.ClusterSpec, local bool, timeout time.Duration) (*cluster
 	if !local {
 		return spec.DialManager(timeout, uint64(time.Now().UnixNano()))
 	}
-	cfg, err := spec.ClusterConfig()
+	cfg, err := spec.Config()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -49,29 +49,27 @@ func main() {
 			fatal(err)
 		}
 		spec = loaded
-	} else if err := spec.Validate(); err != nil {
-		fatal(err)
 	}
-
-	addrMap, sites, err := spec.AddrMap()
+	ccfg, err := spec.Config()
 	if err != nil {
 		fatal(err)
 	}
-	if *id < 0 || *id >= sites {
-		fatal(fmt.Errorf("site id %d out of range 0..%d", *id, sites-1))
+	if *id < 0 || *id >= ccfg.Sites {
+		fatal(fmt.Errorf("site id %d out of range 0..%d", *id, ccfg.Sites-1))
 	}
 	self := core.SiteID(*id)
+	cfg, err := ccfg.SiteConfig(self)
+	if err != nil {
+		fatal(err)
+	}
 
+	addrMap, _, _ := spec.AddrMap() // Config parsed it already
 	net, err := transport.NewTCP(transport.TCPConfig{Self: self, Addrs: addrMap})
 	if err != nil {
 		fatal(err)
 	}
 	defer net.Close()
 
-	cfg, err := spec.SiteConfig(self)
-	if err != nil {
-		fatal(err)
-	}
 	if walDir := spec.WALDir(self); walDir != "" {
 		if err := os.MkdirAll(walDir, 0o755); err != nil {
 			fatal(err)
@@ -108,7 +106,7 @@ func main() {
 		state = "down (awaiting recovery order)"
 	}
 	fmt.Printf("raidsrv: %s listening on %s (%d sites, %d items, policy %s, %s)\n",
-		self, net.Addr(), sites, spec.Items, cfg.Policy.Name(), state)
+		self, net.Addr(), cfg.Sites, cfg.Items, cfg.Policy.Name(), state)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -40,8 +40,8 @@ func (r AuditReport) String() string {
 }
 
 // Replicas returns the managing site's current view of the placement —
-// cfg.Replicas as configured, updated when Rebalance re-homes a lost
-// site's copies.
+// the configured replication degree's map, updated when Rebalance re-homes
+// a lost site's copies.
 func (c *Manager) Replicas() *core.ReplicaMap {
 	return c.replicas.Load()
 }
@@ -59,8 +59,8 @@ func (c *Manager) Replicas() *core.ReplicaMap {
 // site hides copies this audit must count.
 func (c *Manager) AuditQuorum() (AuditReport, error) {
 	var report AuditReport
-	if c.pol == nil {
-		return report, fmt.Errorf("cluster: quorum audit needs a quorum policy")
+	if c.pol.UsesFailLocks() {
+		return report, fmt.Errorf("cluster: %s tracks staleness in fail-locks; audit it with Audit, not the quorum audit", c.pol.Name())
 	}
 	sites, items := c.Sites(), c.Items()
 	replicas := c.Replicas()

@@ -26,26 +26,28 @@ import (
 	"minraid/internal/transport"
 )
 
-// Config carries the system parameters the paper's managing site defines:
-// database size, number of sites, and the protocol configuration.
+// Config is the one description of a cluster: the system parameters the
+// paper's managing site defines — database size, number of sites, and the
+// protocol configuration (§1.2). SiteConfig is its one translation to a
+// site; the spec, the experiment harness and the facade carry it whole.
 type Config struct {
 	// Sites is "the number of database sites for the transaction
 	// processing (not including the managing site)".
 	Sites int
 	// Items is "the database size in terms of the number of data items".
 	Items int
-	// Policy is the replication protocol (nil: ROWAA).
+	// Policy is the replication protocol (nil: ROWAA; see Protocol).
 	Policy policy.Policy
 	// Delay is the per-hop inter-site communication cost (0 for unit
 	// tests; 9ms reproduces the paper's hardware).
 	Delay time.Duration
-	// AckTimeout is each site's failure-detection timeout.
+	// AckTimeout is each site's failure-detection timeout (default 250ms).
 	AckTimeout time.Duration
 	// ManagerTimeout bounds managing-site calls (transactions, recovery
 	// waits). Default 30s.
 	ManagerTimeout time.Duration
 	// DisableFailLockMaintenance removes fail-lock code on every site
-	// (experiment 1 ablation).
+	// (experiment 1 ablation; unsafe with failures).
 	DisableFailLockMaintenance bool
 	// BatchCopierThreshold enables two-step recovery on every site.
 	BatchCopierThreshold float64
@@ -54,12 +56,16 @@ type Config struct {
 	// StoreFactory supplies per-site stores (nil: in-memory, as in the
 	// paper).
 	StoreFactory func(id core.SiteID) (storage.Store, error)
-	// Replicas assigns items to hosting sites (nil: full replication,
-	// the paper's assumption 4). Partial replication requires ROWAA.
-	Replicas *core.ReplicaMap
+	// ReplicationDegree is the number of copies of each item, placed
+	// round-robin (chained declustering), in 0..Sites; 0 and Sites both
+	// mean full replication, the paper's assumption 4. Partial replication
+	// needs a copy-aware policy (ROWAA or quorum) and rules out
+	// ConcurrentTxns and EnableType3.
+	ReplicationDegree int
 	// ConcurrentTxns enables interleaved transaction execution under
 	// distributed strict 2PL on every site (the paper's deferred
 	// concurrency-control future work); 0 or 1 keeps serial processing.
+	// Requires ROWAA and full replication.
 	ConcurrentTxns int
 	// LockWaitBudget bounds a concurrent-mode lock wait at every site;
 	// zero defaults to half the ack timeout (see site.Config).
@@ -70,7 +76,7 @@ type Config struct {
 	// retired inline: per-transaction commit.
 	CommitEpoch time.Duration
 	// Tracer receives structured trace events from every site and
-	// per-kind message counts from the transport. Nil allocates a shared
+	// per-kind message counts from the transport. Nil allocates a
 	// recorder with the default capacity.
 	Tracer *trace.Recorder
 	// Chaos, when non-nil, configures the cluster's fault layer with
@@ -93,12 +99,82 @@ type Config struct {
 	TxnIDBase uint64
 }
 
+// Protocol returns the replication protocol the cluster runs: Policy, or
+// the paper's ROWAA when Policy is nil.
+func (c Config) Protocol() policy.Policy {
+	if c.Policy == nil {
+		return policy.ROWAA{}
+	}
+	return c.Policy
+}
+
+// withDefaults fills the defaults the managing site relies on: the
+// protocol, the manager timeout and a trace recorder.
+func (c Config) withDefaults() Config {
+	c.Policy = c.Protocol()
+	if c.ManagerTimeout <= 0 {
+		c.ManagerTimeout = 30 * time.Second
+	}
+	if c.Tracer == nil {
+		c.Tracer = trace.NewRecorder(0)
+	}
+	return c
+}
+
+// Validate reports whether a cluster can run this description: the
+// cluster-level rules (site count, database size, replication degree,
+// wire), then site.Config.Validate on the translated site configuration.
+func (c Config) Validate() error {
+	_, err := c.SiteConfig(0)
+	return err
+}
+
+// SiteConfig validates the description and translates it into site id's
+// configuration, placement map included — the one place protocol fields
+// are copied into a site.Config, in-process or inside raidsrv. The caller
+// supplies the store and any crash-restart state.
+func (c Config) SiteConfig(id core.SiteID) (site.Config, error) {
+	if c.Sites <= 0 || c.Sites > core.MaxSites {
+		return site.Config{}, fmt.Errorf("cluster: %d sites out of range 1..%d", c.Sites, core.MaxSites)
+	}
+	if c.Items <= 0 {
+		return site.Config{}, fmt.Errorf("cluster: %d items out of range", c.Items)
+	}
+	if c.ReplicationDegree < 0 || c.ReplicationDegree > c.Sites {
+		return site.Config{}, fmt.Errorf("cluster: replication degree %d out of range 0..%d", c.ReplicationDegree, c.Sites)
+	}
+	switch c.Transport {
+	case "", "memory", "tcp":
+	default:
+		return site.Config{}, fmt.Errorf("cluster: unknown transport %q", c.Transport)
+	}
+	degree := c.ReplicationDegree
+	if degree == 0 {
+		degree = c.Sites // full replication
+	}
+	sc := site.Config{
+		ID:                         id,
+		Sites:                      c.Sites,
+		Items:                      c.Items,
+		Policy:                     c.Policy,
+		AckTimeout:                 c.AckTimeout,
+		DisableFailLockMaintenance: c.DisableFailLockMaintenance,
+		BatchCopierThreshold:       c.BatchCopierThreshold,
+		EnableType3:                c.EnableType3,
+		Tracer:                     c.Tracer,
+		Replicas:                   core.RoundRobinReplication(c.Items, c.Sites, degree),
+		ConcurrentTxns:             c.ConcurrentTxns,
+		LockWaitBudget:             c.LockWaitBudget,
+		CommitEpoch:                c.CommitEpoch,
+	}
+	return sc, sc.Validate()
+}
+
 // Cluster is a running mini-RAID system: the sites, the wire they attach
 // to, and the embedded Manager that is the managing site's control plane.
 type Cluster struct {
 	*Manager
 
-	cfg Config
 	// net is the memory wire (nil on the TCP fabric); chaos is the one
 	// fault layer over whichever wire runs, and what sites attach to.
 	net   *transport.Memory
@@ -112,33 +188,23 @@ type Cluster struct {
 
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Sites <= 0 || cfg.Sites > core.MaxSites {
-		return nil, fmt.Errorf("cluster: %d sites out of range", cfg.Sites)
+	cfg = cfg.withDefaults()
+	sc, err := cfg.SiteConfig(0)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Items <= 0 {
-		return nil, fmt.Errorf("cluster: %d items out of range", cfg.Items)
-	}
-	if cfg.ManagerTimeout <= 0 {
-		cfg.ManagerTimeout = 30 * time.Second
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.NewRecorder(0)
-	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{}
 	var wire transport.Network
-	switch cfg.Transport {
-	case "", "memory":
-		c.net = transport.NewMemory(transport.MemoryConfig{Sites: cfg.Sites, Delay: cfg.Delay})
-		c.net.SetTracer(cfg.Tracer)
-		wire = c.net
-	case "tcp":
+	if cfg.Transport == "tcp" {
 		fabric, err := newTCPFabric(cfg.Sites, cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
 		wire = fabric
-	default:
-		return nil, fmt.Errorf("cluster: unknown transport %q", cfg.Transport)
+	} else {
+		c.net = transport.NewMemory(transport.MemoryConfig{Sites: cfg.Sites, Delay: cfg.Delay})
+		c.net.SetTracer(cfg.Tracer)
+		wire = c.net
 	}
 	var chaosCfg transport.ChaosConfig // zero: every link exempt, a pass-through
 	if cfg.Chaos != nil {
@@ -146,33 +212,17 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.chaos = transport.NewChaos(wire, chaosCfg)
 
+	// Every site gets a copy of the one translation, and with it the same
+	// placement map: placement edits clone before they install.
 	for i := 0; i < cfg.Sites; i++ {
-		id := core.SiteID(i)
-		var store storage.Store
+		sc.ID = core.SiteID(i)
 		if cfg.StoreFactory != nil {
-			var err error
-			store, err = cfg.StoreFactory(id)
-			if err != nil {
+			if sc.Store, err = cfg.StoreFactory(sc.ID); err != nil {
 				c.chaos.Close()
-				return nil, fmt.Errorf("cluster: store for %s: %w", id, err)
+				return nil, fmt.Errorf("cluster: store for %s: %w", sc.ID, err)
 			}
 		}
-		s, err := site.New(site.Config{
-			ID:                         id,
-			Sites:                      cfg.Sites,
-			Items:                      cfg.Items,
-			Policy:                     cfg.Policy,
-			Store:                      store,
-			AckTimeout:                 cfg.AckTimeout,
-			DisableFailLockMaintenance: cfg.DisableFailLockMaintenance,
-			BatchCopierThreshold:       cfg.BatchCopierThreshold,
-			EnableType3:                cfg.EnableType3,
-			Replicas:                   cfg.Replicas,
-			ConcurrentTxns:             cfg.ConcurrentTxns,
-			LockWaitBudget:             cfg.LockWaitBudget,
-			CommitEpoch:                cfg.CommitEpoch,
-			Tracer:                     cfg.Tracer,
-		}, c.chaos)
+		s, err := site.New(sc, c.chaos)
 		if err != nil {
 			c.chaos.Close()
 			return nil, err
@@ -180,25 +230,11 @@ func New(cfg Config) (*Cluster, error) {
 		c.sites = append(c.sites, s)
 	}
 
-	mgr, err := c.chaos.Endpoint(core.ManagingSite)
-	if err != nil {
+	if c.mgr, err = c.chaos.Endpoint(core.ManagingSite); err != nil {
 		c.chaos.Close()
 		return nil, err
 	}
-	c.mgr = mgr
-	c.Manager, err = NewManager(transport.NewCaller(mgr, cfg.ManagerTimeout), ManagerConfig{
-		Sites:     cfg.Sites,
-		Items:     cfg.Items,
-		Policy:    cfg.Policy,
-		Timeout:   cfg.ManagerTimeout,
-		Replicas:  cfg.Replicas,
-		Tracer:    cfg.Tracer,
-		TxnIDBase: cfg.TxnIDBase,
-	})
-	if err != nil {
-		c.chaos.Close()
-		return nil, err
-	}
+	c.Manager = newManager(transport.NewCaller(c.mgr, cfg.ManagerTimeout), cfg, sc.Replicas)
 
 	for _, s := range c.sites {
 		s.Start()

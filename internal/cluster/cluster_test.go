@@ -614,12 +614,50 @@ func TestExecOnDownCoordinatorTimesOut(t *testing.T) {
 	}
 }
 
+// TestClusterValidation pins the one validator: one bad description per rule
+// — the cluster-level ranges and wire first, then the site rules checked
+// on the translated site configuration — each refused by a message naming
+// the rule, and the combinations the rules allow accepted.
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(Config{Sites: 0, Items: 5}); err == nil {
-		t.Error("zero sites accepted")
+	ack := 100 * time.Millisecond
+	bad := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Sites: 0, Items: 5}, "sites out of range"},
+		{Config{Sites: core.MaxSites + 1, Items: 5}, "sites out of range"},
+		{Config{Sites: 2, Items: 0}, "items out of range"},
+		{Config{Sites: 3, Items: 5, ReplicationDegree: -1}, "replication degree"},
+		{Config{Sites: 3, Items: 5, ReplicationDegree: 4}, "replication degree"},
+		{Config{Sites: 2, Items: 5, Transport: "carrier-pigeon"}, "unknown transport"},
+		{Config{Sites: 2, Items: 5, AckTimeout: ack, LockWaitBudget: ack}, "lock-wait budget"},
+		{Config{Sites: 2, Items: 5, AckTimeout: ack, CommitEpoch: ack}, "commit epoch"},
+		{Config{Sites: 2, Items: 5, Policy: policy.ROWA{}, ConcurrentTxns: 4}, "concurrent mode requires the rowaa policy"},
+		{Config{Sites: 2, Items: 5, Policy: policy.Quorum{}, CommitEpoch: time.Millisecond}, "epoch-batched commit requires the rowaa policy"},
+		{Config{Sites: 3, Items: 5, Policy: policy.ROWA{}, ReplicationDegree: 2}, "partial replication requires a copy-aware policy"},
+		{Config{Sites: 3, Items: 5, EnableType3: true, ReplicationDegree: 2}, "type-3 control transactions require full replication"},
+		{Config{Sites: 2, Items: 5, BatchCopierThreshold: -0.1}, "batch copier threshold"},
+		{Config{Sites: 2, Items: 5, BatchCopierThreshold: 1.1}, "batch copier threshold"},
 	}
-	if _, err := New(Config{Sites: 2, Items: 0}); err == nil {
-		t.Error("zero items accepted")
+	for i, c := range bad {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want one naming %q", i, err, c.want)
+		}
+	}
+	good := []Config{
+		{Sites: 1, Items: 1},
+		{Sites: core.MaxSites, Items: 5},
+		{Sites: 3, Items: 5, ReplicationDegree: 3},
+		{Sites: 3, Items: 5, Policy: policy.Quorum{}, ReplicationDegree: 2},
+		{Sites: 3, Items: 5, ReplicationDegree: 1},
+		{Sites: 2, Items: 5, Transport: "tcp", ConcurrentTxns: 4, CommitEpoch: time.Millisecond},
+		{Sites: 2, Items: 5, BatchCopierThreshold: 1, EnableType3: true},
+	}
+	for i, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("good case %d rejected: %v", i, err)
+		}
 	}
 }
 
@@ -648,7 +686,7 @@ func partialCluster(t *testing.T, sites, items, degree int) *Cluster {
 	t.Helper()
 	return newTestCluster(t, Config{
 		Sites: sites, Items: items,
-		Replicas: core.RoundRobinReplication(items, sites, degree),
+		ReplicationDegree: degree,
 	})
 }
 
@@ -775,7 +813,7 @@ func TestPartialReplicationRequiresCopyAwarePolicy(t *testing.T) {
 	// map would silently become write-all-hosts. Reject it.
 	_, err := New(Config{
 		Sites: 3, Items: 3, Policy: policy.ROWA{},
-		Replicas: core.RoundRobinReplication(3, 3, 2),
+		ReplicationDegree: 2,
 	})
 	if err == nil {
 		t.Error("rowa with partial replication accepted")
@@ -784,7 +822,7 @@ func TestPartialReplicationRequiresCopyAwarePolicy(t *testing.T) {
 	// degree, so a partial map is accepted.
 	c, err := New(Config{
 		Sites: 3, Items: 3, Policy: policy.Quorum{},
-		Replicas: core.RoundRobinReplication(3, 3, 2),
+		ReplicationDegree: 2,
 	})
 	if err != nil {
 		t.Fatalf("quorum with partial replication rejected: %v", err)
@@ -798,7 +836,7 @@ func TestPartialQuorumReadsAndWrites(t *testing.T) {
 	// copies vote.
 	c := newTestCluster(t, Config{
 		Sites: 4, Items: 8, Policy: policy.Quorum{},
-		Replicas: core.RoundRobinReplication(8, 4, 2),
+		ReplicationDegree: 2,
 	})
 	// Item 0 hosted by {0,1}; write from a non-hosting coordinator.
 	res, err := c.Exec(2, []core.Op{core.Write(0, []byte("q1"))})

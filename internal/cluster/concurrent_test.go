@@ -266,7 +266,7 @@ func TestConcurrentModeConfigGates(t *testing.T) {
 	}
 	if _, err := New(Config{
 		Sites: 3, Items: 6, ConcurrentTxns: 4,
-		Replicas: core.RoundRobinReplication(6, 3, 2),
+		ReplicationDegree: 2,
 	}); err == nil {
 		t.Error("concurrent mode with partial replication accepted")
 	}

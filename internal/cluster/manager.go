@@ -26,28 +26,6 @@ var (
 	ErrSiteRemoved = errors.New("cluster: site permanently removed by rebalance")
 )
 
-// ManagerConfig parameterizes a standalone Manager.
-type ManagerConfig struct {
-	// Sites is the number of database sites (not counting the manager).
-	Sites int
-	// Items is the database size.
-	Items int
-	// Policy is the replication protocol the sites run (nil: ROWAA).
-	// The manager needs it to size quorum audits and to refuse
-	// operations that assume fail-locks under a policy without them.
-	Policy policy.Policy
-	// Timeout bounds every managing-site call (transactions, recovery
-	// waits). Default 30s.
-	Timeout time.Duration
-	// Replicas is the item-to-site placement (nil: full replication).
-	Replicas *core.ReplicaMap
-	// Tracer, when non-nil, receives inject-phase trace events.
-	Tracer *trace.Recorder
-	// TxnIDBase offsets transaction-ID allocation; the first ID handed
-	// out is TxnIDBase+1.
-	TxnIDBase uint64
-}
-
 // Manager is the managing site's control plane: transaction injection,
 // fail/recover orders, status probes, consistency audits, split-brain
 // reconciliation, false-suspicion repair, healing (fail-lock drains and
@@ -71,41 +49,40 @@ type Manager struct {
 	nextAdmin atomic.Uint64
 
 	// replicas is the managing site's view of the current placement. It
-	// starts as cfg.Replicas (nil: full replication) and is replaced,
-	// copy-on-write, when Rebalance re-homes a permanently lost site's
-	// copies. removed is the bitmask of sites Rebalance retired; they can
-	// never recover (their copies now live elsewhere).
+	// starts as the configured placement and is replaced, copy-on-write,
+	// when Rebalance re-homes a permanently lost site's copies. removed
+	// is the bitmask of sites Rebalance retired; they can never recover
+	// (their copies now live elsewhere).
 	replicas atomic.Pointer[core.ReplicaMap]
 	removed  atomic.Uint64
 }
 
-// NewManager builds a manager over caller. The caller's owner must run a
-// receive loop that hands every inbound envelope to caller.Deliver.
-func NewManager(caller *transport.Caller, cfg ManagerConfig) (*Manager, error) {
-	if cfg.Sites <= 0 || cfg.Sites > core.MaxSites {
-		return nil, fmt.Errorf("cluster: manager: %d sites out of range", cfg.Sites)
+// NewManager builds a standalone manager for the cluster cfg describes
+// over caller. The caller's owner must run a receive loop that hands every
+// inbound envelope to caller.Deliver.
+func NewManager(caller *transport.Caller, cfg Config) (*Manager, error) {
+	cfg = cfg.withDefaults()
+	sc, err := cfg.SiteConfig(0)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Items <= 0 {
-		return nil, fmt.Errorf("cluster: manager: %d items out of range", cfg.Items)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
+	return newManager(caller, cfg, sc.Replicas), nil
+}
+
+// newManager builds the manager of a defaulted, validated description
+// whose placement is replicas.
+func newManager(caller *transport.Caller, cfg Config, replicas *core.ReplicaMap) *Manager {
 	m := &Manager{
 		caller:  caller,
 		sites:   cfg.Sites,
 		items:   cfg.Items,
 		pol:     cfg.Policy,
-		timeout: cfg.Timeout,
+		timeout: cfg.ManagerTimeout,
 		tracer:  cfg.Tracer,
 	}
-	if cfg.Replicas != nil {
-		m.replicas.Store(cfg.Replicas)
-	} else {
-		m.replicas.Store(core.FullReplication(cfg.Items, cfg.Sites))
-	}
+	m.replicas.Store(replicas)
 	m.nextTxn.Store(cfg.TxnIDBase)
-	return m, nil
+	return m
 }
 
 // Sites returns the number of database sites.

@@ -60,7 +60,7 @@ func (c *Manager) Rebalance(lost core.SiteID) (RebalanceReport, error) {
 	if int(lost) >= c.sites {
 		return rep, fmt.Errorf("cluster: rebalance: site %s out of range", lost)
 	}
-	if c.pol != nil && !c.pol.UsesFailLocks() {
+	if !c.pol.UsesFailLocks() {
 		return rep, fmt.Errorf("cluster: rebalance requires a fail-lock policy; a re-homed copy enters stale and %s cannot track that", c.pol.Name())
 	}
 	cur := c.Replicas()

@@ -110,7 +110,7 @@ func TestRebalanceRejections(t *testing.T) {
 	// re-homed copy would poison read quorums; rejected up front.
 	q := newTestCluster(t, Config{
 		Sites: 3, Items: 6, Policy: policy.Quorum{},
-		Replicas: core.RoundRobinReplication(6, 3, 2),
+		ReplicationDegree: 2,
 	})
 	if _, err := q.Rebalance(1); err == nil {
 		t.Error("rebalance accepted under quorum")

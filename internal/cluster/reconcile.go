@@ -207,8 +207,7 @@ func (c *Manager) ReconcileSplitBrain(trueUp []bool, ackTimeout time.Duration) (
 	// for policies that track staleness with fail-locks. Quorum sites
 	// keep stale copies legitimately (reads vote past them), so their
 	// tables stay untouched and reconciliation is just the vector merge.
-	usesFailLocks := c.pol == nil || c.pol.UsesFailLocks()
-	if !usesFailLocks {
+	if !c.pol.UsesFailLocks() {
 		up := make([]bool, sites)
 		for i := 0; i < sites; i++ {
 			up[i] = trueUpMask&(1<<i) != 0

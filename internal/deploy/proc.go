@@ -302,11 +302,11 @@ func (f *ProcFabric) Close() error {
 // stay in their processes. The returned close cancels in-flight calls,
 // closes the transport and waits for the receive loop to exit.
 func (s *ClusterSpec) DialManager(timeout time.Duration, txnIDBase uint64) (*cluster.Manager, func(), error) {
-	sc, err := s.SiteConfig(0)
+	cfg, err := s.Config()
 	if err != nil {
 		return nil, nil, err
 	}
-	addrs, _, _ := s.AddrMap() // SiteConfig parsed it already
+	addrs, _, _ := s.AddrMap() // Config parsed it already
 	tcp, err := transport.NewTCP(transport.TCPConfig{Self: core.ManagingSite, Addrs: addrs})
 	if err != nil {
 		return nil, nil, fmt.Errorf("deploy: manager transport: %w", err)
@@ -317,15 +317,10 @@ func (s *ClusterSpec) DialManager(timeout time.Duration, txnIDBase uint64) (*clu
 		return nil, nil, err
 	}
 	caller := transport.NewCaller(ep, timeout)
-	mgr, err := cluster.NewManager(caller, cluster.ManagerConfig{
-		Sites:     sc.Sites,
-		Items:     sc.Items,
-		Policy:    sc.Policy,
-		Timeout:   timeout,
-		Replicas:  sc.Replicas,
-		Tracer:    trace.NewRecorder(1 << 10),
-		TxnIDBase: txnIDBase,
-	})
+	cfg.ManagerTimeout = timeout
+	cfg.Tracer = trace.NewRecorder(1 << 10)
+	cfg.TxnIDBase = txnIDBase
+	mgr, err := cluster.NewManager(caller, cfg)
 	if err != nil {
 		tcp.Close()
 		return nil, nil, err

@@ -24,7 +24,7 @@ import (
 	"minraid/internal/core"
 	"minraid/internal/netcfg"
 	"minraid/internal/policy"
-	"minraid/internal/site"
+	"minraid/internal/storage"
 )
 
 // Duration is a time.Duration that marshals to JSON as a parseable string
@@ -68,8 +68,9 @@ type ClusterSpec struct {
 	Items int `json:"items"`
 	// PolicyName selects the replication protocol: rowaa, rowa, quorum.
 	PolicyName string `json:"policy,omitempty"`
-	// ReplicationDegree places each item on this many sites round-robin;
-	// 0 or >= sites keeps the paper's full replication.
+	// ReplicationDegree places each item on this many sites round-robin
+	// (cluster.Config.ReplicationDegree: 0..sites, where 0 and sites both
+	// keep the paper's full replication).
 	ReplicationDegree int `json:"replication_degree,omitempty"`
 	// Concurrent is the per-site interleaved-transaction cap (0/1 serial).
 	Concurrent int `json:"concurrent,omitempty"`
@@ -150,13 +151,11 @@ func (s *ClusterSpec) Save(path string) error {
 }
 
 // Validate checks the spec is internally consistent: a parseable address
-// map with a managing-site entry, a known policy, placement bounds, and
-// options that combine (partial replication needs a copy-aware policy,
-// concurrency needs full replication, ...). The last is the site's rule,
-// checked by site.Config.Validate on the SiteConfig translation, so a spec
-// passes only if every site of the fleet could start from it.
+// map with a managing-site entry, a known policy, and a cluster
+// description that cluster.Config.Validate accepts — so a spec passes
+// only if every site of the fleet could start from it.
 func (s *ClusterSpec) Validate() error {
-	_, err := s.SiteConfig(0)
+	_, err := s.Config()
 	return err
 }
 
@@ -183,25 +182,6 @@ func (s *ClusterSpec) Sites() int {
 	return sites
 }
 
-// Policy resolves the replication protocol.
-func (s *ClusterSpec) Policy() (policy.Policy, error) {
-	p, ok := policy.ByName(s.policyName())
-	if !ok {
-		return nil, fmt.Errorf("deploy: unknown policy %q", s.PolicyName)
-	}
-	return p, nil
-}
-
-// Replicas builds the item placement the spec describes: nil-safe full
-// replication, or a round-robin map when a partial degree is set.
-func (s *ClusterSpec) Replicas() *core.ReplicaMap {
-	sites := s.Sites()
-	if s.ReplicationDegree > 0 && s.ReplicationDegree < sites {
-		return core.RoundRobinReplication(s.Items, sites, s.ReplicationDegree)
-	}
-	return core.FullReplication(s.Items, sites)
-}
-
 // WALDir returns site id's store directory under WALRoot, or "" when the
 // deployment runs in-memory.
 func (s *ClusterSpec) WALDir(id core.SiteID) string {
@@ -211,64 +191,39 @@ func (s *ClusterSpec) WALDir(id core.SiteID) string {
 	return filepath.Join(s.WALRoot, fmt.Sprintf("site-%d", id))
 }
 
-// SiteConfig validates the spec and translates it into site id's
-// configuration — the same translation whether the site runs in-process
-// or inside raidsrv. The caller supplies the store and crash-restart state
-// (initial session, StartDown, PersistSession), which are
-// deployment-shape-specific.
-func (s *ClusterSpec) SiteConfig(id core.SiteID) (site.Config, error) {
+// Config validates the spec and translates it into the cluster it
+// describes — the one translation raidsrv, the TCP managing site and an
+// in-process raidctl all start from. The address map contributes the
+// site count. A WAL root becomes a store factory that refuses to run:
+// in-process sites keep no session file, so a durable store could not
+// rejoin after a restart the way a raidsrv process does; raidsrv opens the
+// stores itself from WALDir.
+func (s *ClusterSpec) Config() (cluster.Config, error) {
 	addrs, sites, err := netcfg.ParseAddrs(s.Addrs)
-	if err != nil {
-		return site.Config{}, err
-	}
-	if _, ok := addrs[core.ManagingSite]; !ok {
-		return site.Config{}, fmt.Errorf("deploy: address map needs an m= entry for the managing site")
-	}
-	if s.Items <= 0 {
-		return site.Config{}, fmt.Errorf("deploy: %d items out of range", s.Items)
-	}
-	if s.ReplicationDegree < 0 || s.ReplicationDegree > sites {
-		return site.Config{}, fmt.Errorf("deploy: replication degree %d out of range 0..%d", s.ReplicationDegree, sites)
-	}
-	p, err := s.Policy()
-	if err != nil {
-		return site.Config{}, err
-	}
-	cfg := site.Config{
-		ID:             id,
-		Sites:          sites,
-		Items:          s.Items,
-		Policy:         p,
-		AckTimeout:     time.Duration(s.AckTimeout),
-		EnableType3:    s.EnableType3,
-		Replicas:       s.Replicas(),
-		ConcurrentTxns: s.Concurrent,
-		LockWaitBudget: time.Duration(s.LockWaitBudget),
-	}
-	return cfg, cfg.Validate()
-}
-
-// ClusterConfig translates the spec into an in-process cluster running the
-// sites SiteConfig describes, on the memory transport: the address map
-// contributes only the site count. A WAL root is rejected rather than
-// ignored — in-process sites keep no session file, so a durable store
-// could not rejoin after a restart the way a raidsrv process does.
-func (s *ClusterSpec) ClusterConfig() (cluster.Config, error) {
-	if s.WALRoot != "" {
-		return cluster.Config{}, fmt.Errorf("deploy: wal_root (-wal) needs raidsrv processes; an in-process cluster keeps memory stores")
-	}
-	sc, err := s.SiteConfig(0)
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	return cluster.Config{
-		Sites:          sc.Sites,
-		Items:          sc.Items,
-		Policy:         sc.Policy,
-		AckTimeout:     sc.AckTimeout,
-		EnableType3:    sc.EnableType3,
-		Replicas:       sc.Replicas,
-		ConcurrentTxns: sc.ConcurrentTxns,
-		LockWaitBudget: sc.LockWaitBudget,
-	}, nil
+	if _, ok := addrs[core.ManagingSite]; !ok {
+		return cluster.Config{}, fmt.Errorf("deploy: address map needs an m= entry for the managing site")
+	}
+	p, ok := policy.ByName(s.policyName())
+	if !ok {
+		return cluster.Config{}, fmt.Errorf("deploy: unknown policy %q", s.PolicyName)
+	}
+	cfg := cluster.Config{
+		Sites:             sites,
+		Items:             s.Items,
+		Policy:            p,
+		AckTimeout:        time.Duration(s.AckTimeout),
+		EnableType3:       s.EnableType3,
+		ReplicationDegree: s.ReplicationDegree,
+		ConcurrentTxns:    s.Concurrent,
+		LockWaitBudget:    time.Duration(s.LockWaitBudget),
+	}
+	if s.WALRoot != "" {
+		cfg.StoreFactory = func(core.SiteID) (storage.Store, error) {
+			return nil, fmt.Errorf("deploy: wal_root (-wal) needs raidsrv processes; an in-process cluster keeps memory stores")
+		}
+	}
+	return cfg, cfg.Validate()
 }

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/core"
-	"minraid/internal/site"
 )
 
 // testSpec sets every field to a non-default value a fleet can run: the
@@ -64,23 +64,28 @@ func TestSpecRoundTrip(t *testing.T) {
 
 	// And the derived configuration every consumer builds from the spec is
 	// identical whichever path delivered it: the per-site config raidsrv
-	// uses, and the placement raidctl's manager audits with.
+	// uses, placement included, which raidctl's manager audits with.
+	want, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, other := range []*ClusterSpec{fromFlags, fromJSON} {
-		for id := 0; id < spec.Sites(); id++ {
-			a, err := spec.SiteConfig(core.SiteID(id))
+		got, err := other.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < want.Sites; id++ {
+			a, err := want.SiteConfig(core.SiteID(id))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := other.SiteConfig(core.SiteID(id))
+			b, err := got.SiteConfig(core.SiteID(id))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("site %d config diverged:\n got %+v\nwant %+v", id, b, a)
 			}
-		}
-		if !reflect.DeepEqual(spec.Replicas(), other.Replicas()) {
-			t.Error("replica placement diverged")
 		}
 	}
 }
@@ -123,42 +128,10 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestClusterConfigMatchesSiteConfig pins raidctl -local to what raidsrv
-// runs: the in-process cluster and a spec-built site agree on every field
-// the two configurations share.
-func TestClusterConfigMatchesSiteConfig(t *testing.T) {
-	full := *testSpec()
-	full.WALRoot = ""
-	partial := ClusterSpec{Addrs: "0-3=h:1-4,m=h:9", Items: 20, PolicyName: "quorum", ReplicationDegree: 2}
-	for _, spec := range []ClusterSpec{full, partial} {
-		cc, err := spec.ClusterConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := spec.SiteConfig(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := site.Config{
-			Sites:          cc.Sites,
-			Items:          cc.Items,
-			Policy:         cc.Policy,
-			AckTimeout:     cc.AckTimeout,
-			EnableType3:    cc.EnableType3,
-			Replicas:       cc.Replicas,
-			ConcurrentTxns: cc.ConcurrentTxns,
-			LockWaitBudget: cc.LockWaitBudget,
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("local translation diverged:\n got %+v\nwant %+v", got, want)
-		}
-	}
-}
-
 // TestClusterConfigHonoursOrRejectsEveryField changes one spec field at a
-// time: the in-process translation must either change with it or refuse it
-// by its JSON name, never drop it silently. A new spec field fails here
-// until it is given a case.
+// time: the translation to the cluster description must either change with
+// it or refuse it by its JSON name, never drop it silently. A new spec
+// field fails here until it is given a case.
 func TestClusterConfigHonoursOrRejectsEveryField(t *testing.T) {
 	base := ClusterSpec{Addrs: "0-2=h:1-3,m=h:9", Items: 30}
 	change := map[string]func(*ClusterSpec){
@@ -172,7 +145,7 @@ func TestClusterConfigHonoursOrRejectsEveryField(t *testing.T) {
 		"enable_type3":       func(s *ClusterSpec) { s.EnableType3 = true },
 		"wal_root":           func(s *ClusterSpec) { s.WALRoot = "/data" },
 	}
-	want, err := base.ClusterConfig()
+	want, err := base.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +159,32 @@ func TestClusterConfigHonoursOrRejectsEveryField(t *testing.T) {
 		}
 		s := base
 		fn(&s)
-		got, err := s.ClusterConfig()
+		got, err := s.Config()
 		switch {
 		case err != nil && !strings.Contains(err.Error(), name):
 			t.Errorf("%s: rejected without naming the field: %v", name, err)
 		case err == nil && reflect.DeepEqual(got, want):
 			t.Errorf("%s: silently ignored by the in-process translation", name)
 		}
+	}
+}
+
+// TestWALRootRefusedInProcess pins where the wal_root translation lands:
+// raidsrv opens the stores itself, and an in-process cluster built from the
+// spec refuses to start, naming the field.
+func TestWALRootRefusedInProcess(t *testing.T) {
+	spec := ClusterSpec{Addrs: "0-2=h:1-3,m=h:9", Items: 30, WALRoot: "/data"}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cfg)
+	if err == nil {
+		c.Close()
+		t.Fatal("in-process cluster started on a WAL root")
+	}
+	if !strings.Contains(err.Error(), "wal_root") {
+		t.Errorf("refusal does not name wal_root: %v", err)
 	}
 }
 

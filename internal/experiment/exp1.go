@@ -70,7 +70,7 @@ func RunOverheadFailLocks(cfg Config, warmup, measured int) (*FailLockOverheadRe
 	report := &FailLockOverheadReport{Txns: measured}
 
 	for _, disable := range []bool{true, false} {
-		ccfg := cfg.clusterConfig()
+		ccfg := cfg.Config
 		ccfg.DisableFailLockMaintenance = disable
 		coord, part, pct, err := measureTxnTimes(cfg, ccfg, warmup, measured)
 		if err != nil {
@@ -177,7 +177,7 @@ func (r ControlOverheadReport) String() string {
 // transaction timers.
 func RunOverheadControl(cfg Config, rounds int) (*ControlOverheadReport, error) {
 	cfg = cfg.withDefaults(exp1Sites, exp1Items, exp1MaxOps)
-	c, err := cluster.New(cfg.clusterConfig())
+	c, err := cluster.New(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func (r CopierOverheadReport) String() string {
 // copy. A copier transaction was then run to get an up-to-date copy."
 func RunOverheadCopier(cfg Config, rounds int) (*CopierOverheadReport, error) {
 	cfg = cfg.withDefaults(exp1Sites, exp1Items, exp1MaxOps)
-	c, err := cluster.New(cfg.clusterConfig())
+	c, err := cluster.New(cfg.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -24,42 +24,29 @@ import (
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/failure"
-	"minraid/internal/policy"
 	"minraid/internal/storage"
 	"minraid/internal/txn"
 	"minraid/internal/workload"
 )
 
-// Config carries the system parameters shared by all experiments; the
-// zero value is filled with the paper's defaults per experiment.
+// Config carries the system parameters shared by all experiments: the
+// cluster description plus the workload's knobs. The zero value is filled
+// with the paper's defaults per experiment.
 type Config struct {
-	// Sites, Items, MaxOps: the §2.2 / §3.1.1 parameter blocks.
-	Sites  int
-	Items  int
+	// Config is the cluster every run builds. Delay is the per-hop
+	// communication cost: the paper measured 9ms, zero measures pure
+	// protocol cost; experiment shapes hold either way, absolute times
+	// only resemble the paper's with 9ms. AckTimeout defaults to 25x
+	// Delay, minimum 50ms.
+	cluster.Config
+	// MaxOps bounds the operations per generated transaction (the §2.2 /
+	// §3.1.1 parameter blocks, with Sites and Items).
 	MaxOps int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Delay is the per-hop communication cost. The paper measured 9ms;
-	// zero measures pure protocol cost. Experiment shapes hold either
-	// way; absolute times only resemble the paper's with 9ms.
-	Delay time.Duration
-	// AckTimeout is the failure-detection timeout (default 25x Delay,
-	// minimum 50ms).
-	AckTimeout time.Duration
-	// Policy is the replication protocol (nil: ROWAA).
-	Policy policy.Policy
 	// ReadFraction is the probability a generated operation is a read
 	// (default 0.5, the paper's equal mix).
 	ReadFraction float64
-	// BatchCopierThreshold enables two-step recovery.
-	BatchCopierThreshold float64
-	// EnableType3 enables type-3 control transactions.
-	EnableType3 bool
-	// ReplicationDegree places each item on this many sites, round-robin
-	// (core.RoundRobinReplication), instead of fully replicating. Zero or
-	// >= Sites keeps full replication. Partial replication requires a
-	// copy-aware policy (ROWAA or quorum) and serial execution.
-	ReplicationDegree int
 }
 
 func (c Config) withDefaults(sites, items, maxOps int) Config {
@@ -85,22 +72,6 @@ func (c Config) withDefaults(sites, items, maxOps int) Config {
 		}
 	}
 	return c
-}
-
-func (c Config) clusterConfig() cluster.Config {
-	ccfg := cluster.Config{
-		Sites:                c.Sites,
-		Items:                c.Items,
-		Policy:               c.Policy,
-		Delay:                c.Delay,
-		AckTimeout:           c.AckTimeout,
-		BatchCopierThreshold: c.BatchCopierThreshold,
-		EnableType3:          c.EnableType3,
-	}
-	if c.ReplicationDegree > 0 && c.ReplicationDegree < c.Sites {
-		ccfg.Replicas = core.RoundRobinReplication(c.Items, c.Sites, c.ReplicationDegree)
-	}
-	return ccfg
 }
 
 // dirOrTemp resolves where a run keeps its on-disk state: dir when the
@@ -187,7 +158,7 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 	if err != nil {
 		return nil, err
 	}
-	c, err := cluster.New(cfg.clusterConfig())
+	c, err := cluster.New(cfg.Config)
 	if err != nil {
 		return nil, err
 	}

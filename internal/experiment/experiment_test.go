@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/failure"
 )
@@ -17,7 +18,7 @@ import (
 // is meaningless, as it was on the paper's hardware too.
 
 func TestRunScheduleFigure1Shape(t *testing.T) {
-	cfg := Config{Sites: 2, Items: 50, MaxOps: 5, Seed: 7}
+	cfg := Config{Config: cluster.Config{Sites: 2, Items: 50}, MaxOps: 5, Seed: 7}
 	res, err := RunSchedule(cfg, failure.Figure1(0), 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestRunFigure3ScenarioTwo(t *testing.T) {
 }
 
 func TestOverheadFailLocks(t *testing.T) {
-	rep, err := RunOverheadFailLocks(Config{Seed: 3, Delay: time.Millisecond}, 20, 60)
+	rep, err := RunOverheadFailLocks(Config{Config: cluster.Config{Delay: time.Millisecond}, Seed: 3}, 20, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestOverheadFailLocks(t *testing.T) {
 }
 
 func TestOverheadControl(t *testing.T) {
-	rep, err := RunOverheadControl(Config{Seed: 3, Delay: time.Millisecond}, 3)
+	rep, err := RunOverheadControl(Config{Config: cluster.Config{Delay: time.Millisecond}, Seed: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestOverheadControl(t *testing.T) {
 }
 
 func TestOverheadCopier(t *testing.T) {
-	rep, err := RunOverheadCopier(Config{Seed: 3, Delay: time.Millisecond}, 4)
+	rep, err := RunOverheadCopier(Config{Config: cluster.Config{Delay: time.Millisecond}, Seed: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestReadFractionSweep(t *testing.T) {
 }
 
 func TestPolicyComparison(t *testing.T) {
-	rep, err := RunPolicyComparison(Config{Seed: 9, AckTimeout: 20 * time.Millisecond}, 60)
+	rep, err := RunPolicyComparison(Config{Config: cluster.Config{AckTimeout: 20 * time.Millisecond}, Seed: 9}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestType3Study(t *testing.T) {
 }
 
 func TestPartitionStudy(t *testing.T) {
-	rep, err := RunPartitionStudy(Config{Seed: 21, AckTimeout: 20 * time.Millisecond}, 6)
+	rep, err := RunPartitionStudy(Config{Config: cluster.Config{AckTimeout: 20 * time.Millisecond}, Seed: 21}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestMessageComplexity(t *testing.T) {
 }
 
 func TestReplicationDegree(t *testing.T) {
-	rep, err := RunReplicationDegree(Config{Seed: 23, AckTimeout: 20 * time.Millisecond}, 80)
+	rep, err := RunReplicationDegree(Config{Config: cluster.Config{AckTimeout: 20 * time.Millisecond}, Seed: 23}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func RunPolicyComparison(cfg Config, txns int) (*PolicyComparisonReport, error) 
 	report := &PolicyComparisonReport{Txns: txns}
 
 	for _, pol := range []policy.Policy{policy.ROWAA{}, policy.ROWA{}, policy.Quorum{}} {
-		ccfg := cfg.clusterConfig()
+		ccfg := cfg.Config
 		ccfg.Policy = pol
 		c, err := cluster.New(ccfg)
 		if err != nil {
@@ -268,7 +268,7 @@ func RunType3Study(cfg Config) (*Type3Report, error) {
 	report := &Type3Report{}
 
 	for _, enable := range []bool{false, true} {
-		ccfg := cfg.clusterConfig()
+		ccfg := cfg.Config
 		ccfg.EnableType3 = enable
 		c, err := cluster.New(ccfg)
 		if err != nil {

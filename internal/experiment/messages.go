@@ -63,7 +63,7 @@ func RunMessageComplexity(cfg Config, siteCounts []int, txns int) (*MessageCompl
 	for _, polName := range report.Order {
 		pol, _ := policy.ByName(polName)
 		for _, n := range siteCounts {
-			ccfg := cfg.clusterConfig()
+			ccfg := cfg.Config
 			ccfg.Sites = n
 			ccfg.Policy = pol
 			c, err := cluster.New(ccfg)

@@ -64,7 +64,7 @@ func RunPartitionStudy(cfg Config, txns int) (*PartitionReport, error) {
 
 	// ROWAA: both sides keep writing the same item; replicas diverge.
 	{
-		c, err := cluster.New(cfg.clusterConfig())
+		c, err := cluster.New(cfg.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func RunPartitionStudy(cfg Config, txns int) (*PartitionReport, error) {
 	// Quorum: the minority side cannot commit; after healing, version
 	// voting serves the majority's value everywhere.
 	{
-		ccfg := cfg.clusterConfig()
+		ccfg := cfg.Config
 		ccfg.Policy = policy.Quorum{}
 		c, err := cluster.New(ccfg)
 		if err != nil {

@@ -9,23 +9,24 @@ import (
 )
 
 // validateProc rejects the soak options the process fabric cannot honor.
-// They all act on the in-process wire or its stores — chaos, link cuts and
-// the WAN link matrix live inside the memory/loopback transports (a real
-// wire has its own weather), the epoch batcher and the store carry are
-// cluster.Config knobs a ClusterSpec does not express — and a process
-// fleet has neither. Everything else, the scrubber included, runs through
-// the managing site and works on any fabric.
+// They all act on the in-process wire or its stores — chaos, the per-hop
+// delay, link cuts and the WAN link matrix live inside the memory/loopback
+// transports (a real wire has its own weather), the epoch batcher and the
+// store carry are cluster.Config knobs a ClusterSpec does not express —
+// and a process fleet has neither. Everything else, the scrubber
+// included, runs through the managing site and works on any fabric.
 func (c SoakConfig) validateProc() error {
 	var needWire []string
 	for _, opt := range []struct {
 		set  bool
 		name string
 	}{
-		{c.Chaos.Active(), "chaos (-drop/-dup/-jitter)"},
+		{c.Base.Chaos != nil && c.Base.Chaos.Active(), "chaos (-drop/-dup/-jitter)"},
+		{c.Base.Delay > 0, "-delay"},
 		{c.Partitions, "-partitions"},
 		{c.WANProfile != "", "-wan"},
-		{c.CommitEpoch > 0, "-commit epoch"},
-		{c.Transport != "" && c.Transport != "tcp", "-transport " + c.Transport},
+		{c.Base.CommitEpoch > 0, "-commit epoch"},
+		{c.Base.Transport != "" && c.Base.Transport != "tcp", "-transport " + c.Base.Transport},
 		{c.WALDir != "", "-persist"},
 	} {
 		if opt.set {
@@ -66,14 +67,6 @@ func procFleets(cfg SoakConfig) (func(seed int64) (deploy.Fabric, error), func()
 	}
 
 	base := cfg.Base
-	policyName := "rowaa"
-	if base.Policy != nil {
-		policyName = base.Policy.Name()
-	}
-	concurrent := 0
-	if cfg.Concurrency > 1 {
-		concurrent = cfg.Concurrency
-	}
 	boot := func(seed int64) (deploy.Fabric, error) {
 		addrs, err := deploy.FreeLoopbackAddrs(base.Sites)
 		if err != nil {
@@ -83,11 +76,11 @@ func procFleets(cfg SoakConfig) (func(seed int64) (deploy.Fabric, error), func()
 			Spec: &deploy.ClusterSpec{
 				Addrs:             addrs,
 				Items:             base.Items,
-				PolicyName:        policyName,
+				PolicyName:        base.Protocol().Name(),
 				ReplicationDegree: base.ReplicationDegree,
-				Concurrent:        concurrent,
+				Concurrent:        base.ConcurrentTxns,
 				AckTimeout:        deploy.Duration(base.AckTimeout),
-				LockWaitBudget:    deploy.Duration(cfg.LockWaitBudget),
+				LockWaitBudget:    deploy.Duration(base.LockWaitBudget),
 				EnableType3:       base.EnableType3,
 			},
 			Binary:  binary,

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"minraid/internal/cluster"
+	"minraid/internal/transport"
 )
 
 // TestProcSoakCrashCycles is the acceptance pin for the process fabric: a
@@ -27,11 +30,11 @@ func TestProcSoakCrashCycles(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := SoakConfig{
-				Base: Config{
+				Base: Config{Config: cluster.Config{
 					Sites:      3,
 					Items:      20,
 					AckTimeout: 200 * time.Millisecond,
-				},
+				}},
 				Seeds:         []int64{1},
 				EpochsPerSeed: 2,
 				TxnsPerEpoch:  30,
@@ -78,8 +81,9 @@ func TestProcSoakCrashCycles(t *testing.T) {
 }
 
 // TestProcSoakRejectsInProcessMechanisms pins the validation boundary:
-// chaos, partitions, the WAN link matrix, epoch commit, the memory
-// transport and the in-process WAL carry act on the in-process wire and
+// chaos, the per-hop delay, partitions, the WAN link matrix, epoch commit,
+// the memory transport and the in-process WAL carry act on the in-process
+// wire and
 // must be refused under the process fabric — by one check whose error
 // names every offending option — not silently ignored.
 func TestProcSoakRejectsInProcessMechanisms(t *testing.T) {
@@ -88,11 +92,12 @@ func TestProcSoakRejectsInProcessMechanisms(t *testing.T) {
 		mutate func(*SoakConfig)
 		names  string
 	}{
-		{func(c *SoakConfig) { c.Chaos.Drop = 0.1 }, "chaos"},
+		{func(c *SoakConfig) { c.Base.Chaos = &transport.ChaosConfig{Drop: 0.1} }, "chaos"},
+		{func(c *SoakConfig) { c.Base.Delay = 9 * time.Millisecond }, "-delay"},
 		{func(c *SoakConfig) { c.Partitions = true }, "-partitions"},
 		{func(c *SoakConfig) { c.WANProfile = "wan3" }, "-wan"},
-		{func(c *SoakConfig) { c.CommitEpoch = 2 * time.Millisecond }, "-commit epoch"},
-		{func(c *SoakConfig) { c.Transport = "memory" }, "-transport memory"},
+		{func(c *SoakConfig) { c.Base.CommitEpoch = 2 * time.Millisecond }, "-commit epoch"},
+		{func(c *SoakConfig) { c.Base.Transport = "memory" }, "-transport memory"},
 		{func(c *SoakConfig) { c.WALDir = t.TempDir() }, "-persist"},
 	}
 	all := base

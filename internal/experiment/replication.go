@@ -54,10 +54,8 @@ func RunReplicationDegree(cfg Config, txns int) (*ReplicationDegreeReport, error
 	report := &ReplicationDegreeReport{Sites: cfg.Sites, Items: cfg.Items, Txns: txns}
 
 	for degree := 1; degree <= cfg.Sites; degree++ {
-		ccfg := cfg.clusterConfig()
-		if degree < cfg.Sites {
-			ccfg.Replicas = core.RoundRobinReplication(cfg.Items, cfg.Sites, degree)
-		}
+		ccfg := cfg.Config
+		ccfg.ReplicationDegree = degree
 		c, err := cluster.New(ccfg)
 		if err != nil {
 			return nil, err

@@ -28,9 +28,23 @@ import (
 // of generated fail/recover schedules plus workload traffic, all under a
 // chaotic network, audited for copy consistency after every epoch.
 type SoakConfig struct {
-	// Base supplies the system parameters (sites, items, ops, delay,
-	// timeouts). Zero fields get the soak defaults: 4 sites, 30 items,
-	// 5 ops.
+	// Base supplies the cluster and workload parameters. Zero fields get
+	// the soak defaults: 4 sites, 30 items, 5 ops.
+	//
+	// Base.ConcurrentTxns is also the driver's in-flight bound. Zero
+	// defaults to 4 wherever the cluster's rules allow interleaving
+	// (ROWAA, full replication) and 1 otherwise; 1 forces the paper's
+	// serial processing. In concurrent mode the driver issues transactions
+	// in waves between schedule-event boundaries: failures, recoveries and
+	// partition events still land at their scheduled transaction numbers
+	// against a write-quiescent system, while the transactions between
+	// two events execute interleaved.
+	//
+	// Base.Chaos carries the fault probabilities (Drop, Dup, MaxJitter).
+	// Its Seed is overridden per epoch and ExemptManager forced on: the
+	// managing site is the experimenter's out-of-band console. MaxJitter
+	// should stay well below Base.AckTimeout so jitter alone never
+	// masquerades as a site failure.
 	Base Config
 	// Seeds are the root seeds; each runs EpochsPerSeed epochs. Every
 	// epoch derives its own chaos seed and schedule from (seed, epoch),
@@ -40,31 +54,11 @@ type SoakConfig struct {
 	EpochsPerSeed int
 	// TxnsPerEpoch is the workload length of one epoch (default 40).
 	TxnsPerEpoch int
-	// Concurrency is the per-site ConcurrentTxns degree and the driver's
-	// in-flight bound. Zero defaults to 4 when the policy supports the
-	// concurrent extension (ROWAA, full replication) and 1 otherwise;
-	// 1 forces the paper's serial processing. In concurrent mode the
-	// driver issues transactions in waves between schedule-event
-	// boundaries: failures, recoveries and partition events still land at
-	// their scheduled transaction numbers against a write-quiescent
-	// system (the documented constraint for concurrent-mode recovery),
-	// while the transactions between two events execute interleaved.
-	Concurrency int
 	// ArrivalRate, when positive, paces the concurrent driver open-loop
 	// at this many transactions per second (latency measured from
 	// scheduled arrival; see workload.OpenLoop). Zero issues as fast as
 	// the in-flight bound allows.
 	ArrivalRate float64
-	// LockWaitBudget bounds concurrent-mode lock waits at every site;
-	// zero uses the site default (AckTimeout/2).
-	LockWaitBudget time.Duration
-	// Chaos carries the fault probabilities (Drop, Dup, MaxJitter). Seed
-	// is overridden per epoch and ExemptManager is forced on: the
-	// managing site is the experimenter's out-of-band console and must
-	// stay reliable for injection and measurement. MaxJitter should stay
-	// well below Base.AckTimeout so jitter alone never masquerades as a
-	// site failure.
-	Chaos transport.ChaosConfig
 	// WANProfile names a geo-replication profile (internal/geo). Sites
 	// are assigned round-robin to the profile's regions and every
 	// directed link gets a compiled base-delay/jitter/per-message-cost
@@ -74,11 +68,6 @@ type SoakConfig struct {
 	// partitions and one-way inter-region drops. The chaos Drop/Dup
 	// probabilities still apply on top. Empty disables the WAN layer.
 	WANProfile string
-	// CommitEpoch enables epoch-batched commit on every site (see
-	// site.Config.CommitEpoch): phase-two fan-outs and local WAL applies
-	// batch at epoch boundaries instead of per transaction. Requires
-	// ROWAA and must stay under Base.AckTimeout.
-	CommitEpoch time.Duration
 	// MaxDown caps simultaneously failed sites in generated schedules
 	// (default sites-1).
 	MaxDown int
@@ -89,10 +78,6 @@ type SoakConfig struct {
 	// (session-vector comparison, fail-lock collection, copier
 	// transactions).
 	Partitions bool
-	// Transport selects the wire: "" or "memory" for the in-process
-	// transport, "tcp" for the loopback TCP fabric (one listener per
-	// site, CRC framing, per-sender dedup) with the same chaos layer.
-	Transport string
 	// Scrub enables the continuous-heal regime: a background scrubber
 	// repairs fail-locked items in rate-limited copier batches while
 	// workload traffic continues, in place of the two-step batch refresh
@@ -111,8 +96,9 @@ type SoakConfig struct {
 	// as goroutines of one in-process cluster with the paper's simulated
 	// failures; "proc" execs one raidsrv OS process per site, fails sites
 	// with SIGKILL and recovers them by re-exec + WAL replay + type-1.
-	// Chaos, Partitions, Scrub, Transport and WALDir are in-process
-	// mechanisms and are rejected under "proc".
+	// The in-process mechanisms — chaos, delay, partitions, WAN links,
+	// epoch commit, the memory wire and WALDir — are rejected under
+	// "proc" (see validateProc).
 	Fabric string
 	// RaidsrvBin is the raidsrv executable for Fabric "proc"; empty
 	// builds it from source into the work dir (go toolchain required).
@@ -142,16 +128,12 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.TxnsPerEpoch == 0 {
 		c.TxnsPerEpoch = 40
 	}
-	if c.Concurrency == 0 {
+	if c.Base.ConcurrentTxns == 0 {
 		// Interleaved execution is the default soak regime wherever the
-		// configuration supports it. Partial replication forces serial
-		// processing: remote donor reads are not covered by distributed
-		// 2PL, so ConcurrentTxns requires full replication.
-		partial := c.Base.ReplicationDegree > 0 && c.Base.ReplicationDegree < c.Base.Sites
-		if (c.Base.Policy == nil || c.Base.Policy.Name() == "rowaa") && !partial {
-			c.Concurrency = 4
-		} else {
-			c.Concurrency = 1
+		// cluster's rules allow it.
+		c.Base.ConcurrentTxns = 4
+		if c.Base.Validate() != nil {
+			c.Base.ConcurrentTxns = 1
 		}
 	}
 	if c.Fabric == "proc" && c.MaxDown == 0 {
@@ -162,14 +144,13 @@ func (c SoakConfig) withDefaults() SoakConfig {
 		// kills are opt-in.
 		c.MaxDown = 1
 	}
-	c.Chaos.ExemptManager = true
 	return c
 }
 
 // usesFailLocks reports whether the policy tracks staleness in fail-locks
 // (and so has anything to scrub, drain or audit through them).
 func (c SoakConfig) usesFailLocks() bool {
-	return c.Base.Policy == nil || c.Base.Policy.UsesFailLocks()
+	return c.Base.Protocol().UsesFailLocks()
 }
 
 // scrubOn reports whether the continuous-heal regime is in effect.
@@ -524,14 +505,8 @@ func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate flo
 // keeps its database, §1.2), so the epoch owns them and flushes the state
 // the next epoch reopens.
 func openLocalFabric(cfg SoakConfig, chaosCfg *transport.ChaosConfig, seed int64, txnBase uint64) (*deploy.LocalFabric, func(), error) {
-	ccfg := cfg.Base.clusterConfig()
+	ccfg := cfg.Base.Config
 	ccfg.Chaos = chaosCfg
-	ccfg.Transport = cfg.Transport
-	if cfg.Concurrency > 1 {
-		ccfg.ConcurrentTxns = cfg.Concurrency
-	}
-	ccfg.LockWaitBudget = cfg.LockWaitBudget
-	ccfg.CommitEpoch = cfg.CommitEpoch
 	// Continuous heal: the background scrubber replaces the two-step batch
 	// refresh.
 	if cfg.scrubOn() {
@@ -567,13 +542,17 @@ func openLocalFabric(cfg SoakConfig, chaosCfg *transport.ChaosConfig, seed int64
 // would need them).
 func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, txnBase uint64) (*EpochResult, *PercentileReport, uint64, error) {
 	base := cfg.Base
-	chaosCfg := cfg.Chaos
+	var chaosCfg transport.ChaosConfig
+	if base.Chaos != nil {
+		chaosCfg = *base.Chaos
+	}
 	chaosCfg.Seed = epochSeed(seed, epoch)
+	chaosCfg.ExemptManager = true
 	er := &EpochResult{
 		Seed:                  seed,
 		Epoch:                 epoch,
 		ChaosSeed:             chaosCfg.Seed,
-		Concurrency:           cfg.Concurrency,
+		Concurrency:           base.ConcurrentTxns,
 		AbortReasons:          make(map[string]int),
 		PartitionAbortReasons: make(map[string]int),
 	}
@@ -768,8 +747,8 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	// Waves are capped so false-suspicion repair still runs at a bounded
 	// interval even through an event-free stretch of the schedule.
 	waveCap := 1
-	if cfg.Concurrency > 1 {
-		waveCap = 4 * cfg.Concurrency
+	if base.ConcurrentTxns > 1 {
+		waveCap = 4 * base.ConcurrentTxns
 	}
 	fp := fnv.New64a()
 
@@ -861,7 +840,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 				fmt.Fprintf(fp, "%d,%d,%x;", op.Kind, op.Item, op.Value)
 			}
 		}
-		outs, err := execIssues(mgr, wave, cfg.Concurrency, cfg.ArrivalRate)
+		outs, err := execIssues(mgr, wave, base.ConcurrentTxns, cfg.ArrivalRate)
 		if err != nil {
 			return nil, nil, 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/transport"
 	"minraid/internal/txn"
 )
@@ -15,20 +16,20 @@ import (
 // open-loop issue path.
 func concurrentSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
-			Sites:      4,
-			Items:      20,
-			AckTimeout: 40 * time.Millisecond,
-		},
+		Base: Config{Config: cluster.Config{
+			Sites:          4,
+			Items:          20,
+			AckTimeout:     40 * time.Millisecond,
+			ConcurrentTxns: 4,
+			Chaos: &transport.ChaosConfig{
+				Drop:      0.03,
+				Dup:       0.03,
+				MaxJitter: 4 * time.Millisecond,
+			},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
-		Concurrency:  4,
-		Chaos: transport.ChaosConfig{
-			Drop:      0.03,
-			Dup:       0.03,
-			MaxJitter: 4 * time.Millisecond,
-		},
-		Partitions: true,
+		Partitions:   true,
 	}
 }
 

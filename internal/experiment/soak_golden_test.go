@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/transport"
 )
 
@@ -38,10 +39,12 @@ type goldenEpoch struct {
 func TestSoakFingerprintsGolden(t *testing.T) {
 	mk := func(mutate func(*SoakConfig)) SoakConfig {
 		cfg := SoakConfig{
-			Base:         Config{Sites: 4, Items: 30, AckTimeout: 40 * time.Millisecond},
+			Base: Config{Config: cluster.Config{
+				Sites: 4, Items: 30, AckTimeout: 40 * time.Millisecond,
+				Chaos: &transport.ChaosConfig{Drop: 0.02, Dup: 0.02, MaxJitter: 5 * time.Millisecond},
+			}},
 			Seeds:        []int64{1, 2},
 			TxnsPerEpoch: 16,
-			Chaos:        transport.ChaosConfig{Drop: 0.02, Dup: 0.02, MaxJitter: 5 * time.Millisecond},
 		}
 		mutate(&cfg)
 		return cfg
@@ -59,7 +62,7 @@ func TestSoakFingerprintsGolden(t *testing.T) {
 			{goldenFail4Seed1, 0xbd66ab6788370220, 0, 0xd74174051958585c},
 			{goldenFail4Seed2, 0xd120f322d5e8d48d, 0, 0xee43303c61a1cf5c},
 		}},
-		{"partitions-serial", mk(func(c *SoakConfig) { c.Partitions = true; c.Concurrency = 1 }), [2]goldenEpoch{
+		{"partitions-serial", mk(func(c *SoakConfig) { c.Partitions = true; c.Base.ConcurrentTxns = 1 }), [2]goldenEpoch{
 			{goldenFail4Seed1, 0xbd66ab6788370220, 0, 0xd74174051958585c},
 			{goldenFail4Seed2, 0xd120f322d5e8d48d, 0, 0xee43303c61a1cf5c},
 		}},
@@ -73,9 +76,9 @@ func TestSoakFingerprintsGolden(t *testing.T) {
 		}},
 		{"wan3-epoch-partitions", mk(func(c *SoakConfig) {
 			c.Base.Sites = 6
-			c.Chaos = transport.ChaosConfig{}
+			c.Base.Chaos = nil
 			c.WANProfile = "wan3"
-			c.CommitEpoch = 2 * time.Millisecond
+			c.Base.CommitEpoch = 2 * time.Millisecond
 			c.Partitions = true
 		}), [2]goldenEpoch{
 			{goldenFail4Seed1, 0xcacae6f09578bf71, 0x55ec951bb92f6fe5, 0xd142015adf932b94},

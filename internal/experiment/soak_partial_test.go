@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/policy"
 	"minraid/internal/transport"
 )
@@ -15,20 +16,20 @@ import (
 // the degree automatically.
 func partialSoakConfig(seeds []int64, txns, sites, items, degree int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
+		Base: Config{Config: cluster.Config{
 			Sites:             sites,
 			Items:             items,
 			AckTimeout:        40 * time.Millisecond,
 			ReplicationDegree: degree,
-		},
+			Chaos: &transport.ChaosConfig{
+				Drop:      0.03,
+				Dup:       0.03,
+				MaxJitter: 4 * time.Millisecond,
+			},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
-		Chaos: transport.ChaosConfig{
-			Drop:      0.03,
-			Dup:       0.03,
-			MaxJitter: 4 * time.Millisecond,
-		},
-		Partitions: true,
+		Partitions:   true,
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // probabilistic chaos — the cuts themselves are the fault under test.
 func partitionSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
+		Base: Config{Config: cluster.Config{
 			Sites:      4,
 			Items:      20,
 			AckTimeout: 40 * time.Millisecond,
-		},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
 		Partitions:   true,
@@ -98,7 +98,7 @@ func TestPartitionSoakWithChaos(t *testing.T) {
 		txns = 15
 	}
 	cfg := partitionSoakConfig(seeds, txns)
-	cfg.Chaos = transport.ChaosConfig{
+	cfg.Base.Chaos = &transport.ChaosConfig{
 		Drop:      0.03,
 		Dup:       0.03,
 		MaxJitter: 4 * time.Millisecond,
@@ -120,7 +120,7 @@ func TestPartitionSoakWithChaos(t *testing.T) {
 // TestSoakConcurrentDeterministic for the concurrent-mode witness).
 func TestPartitionSoakReproducible(t *testing.T) {
 	cfg := partitionSoakConfig([]int64{1}, 20)
-	cfg.Concurrency = 1
+	cfg.Base.ConcurrentTxns = 1
 	a, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestPartitionSoakTCP(t *testing.T) {
 		t.Skip("TCP soak is slow under -short")
 	}
 	cfg := partitionSoakConfig([]int64{1}, 20)
-	cfg.Transport = "tcp"
+	cfg.Base.Transport = "tcp"
 	res, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +192,8 @@ func TestPartitionSoakTCP(t *testing.T) {
 // audit. The hand-written study and the scheduler are the same experiment.
 func TestPartitionStudyViaNetsched(t *testing.T) {
 	const txns = 6
-	cfg := Config{Sites: 3, Items: 20, AckTimeout: 40 * time.Millisecond}.withDefaults(3, 20, 5)
-	c, err := cluster.New(cfg.clusterConfig())
+	cfg := Config{Config: cluster.Config{Sites: 3, Items: 20, AckTimeout: 40 * time.Millisecond}}.withDefaults(3, 20, 5)
+	c, err := cluster.New(cfg.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/transport"
 )
 
@@ -12,11 +13,11 @@ import (
 // workload, instead of batch refresh plus the DrainFailLocks epilogue.
 func scrubSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
+		Base: Config{Config: cluster.Config{
 			Sites:      4,
 			Items:      20,
 			AckTimeout: 40 * time.Millisecond,
-		},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
 		Scrub:        true,
@@ -70,7 +71,7 @@ func TestSoakScrubChaosPartitions(t *testing.T) {
 	}
 	cfg := scrubSoakConfig(seeds, txns)
 	cfg.Partitions = true
-	cfg.Chaos = transport.ChaosConfig{
+	cfg.Base.Chaos = &transport.ChaosConfig{
 		Drop:      0.03,
 		Dup:       0.03,
 		MaxJitter: 4 * time.Millisecond,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/transport"
 )
 
@@ -13,18 +14,18 @@ import (
 // declarations, duplicates and recovery retries.
 func soakTestConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
+		Base: Config{Config: cluster.Config{
 			Sites:      4,
 			Items:      20,
 			AckTimeout: 40 * time.Millisecond,
-		},
+			Chaos: &transport.ChaosConfig{
+				Drop:      0.03,
+				Dup:       0.03,
+				MaxJitter: 4 * time.Millisecond,
+			},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
-		Chaos: transport.ChaosConfig{
-			Drop:      0.03,
-			Dup:       0.03,
-			MaxJitter: 4 * time.Millisecond,
-		},
 	}
 }
 
@@ -67,7 +68,7 @@ func TestSoakKnownGoodSeeds(t *testing.T) {
 // TestSoakConcurrentDeterministic).
 func TestSoakEpochReproducible(t *testing.T) {
 	cfg := soakTestConfig([]int64{1}, 15)
-	cfg.Concurrency = 1
+	cfg.Base.ConcurrentTxns = 1
 	a, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"minraid/internal/cluster"
 	"minraid/internal/policy"
 )
 
@@ -14,11 +15,11 @@ import (
 
 func wanSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
-		Base: Config{
+		Base: Config{Config: cluster.Config{
 			Sites:      6,
 			Items:      24,
 			AckTimeout: 40 * time.Millisecond,
-		},
+		}},
 		Seeds:        seeds,
 		TxnsPerEpoch: txns,
 		Partitions:   true,
@@ -77,8 +78,8 @@ func TestSoakWANEpochCommit(t *testing.T) {
 		txns = 16
 	}
 	cfg := wanSoakConfig(seeds, txns)
-	cfg.Concurrency = 4
-	cfg.CommitEpoch = 2 * time.Millisecond
+	cfg.Base.ConcurrentTxns = 4
+	cfg.Base.CommitEpoch = 2 * time.Millisecond
 	res, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestSoakWANDeterministic(t *testing.T) {
 func TestSoakRejectsEpochWithoutRowaa(t *testing.T) {
 	cfg := wanSoakConfig([]int64{1}, 8)
 	cfg.Base.Policy = policy.Quorum{}
-	cfg.CommitEpoch = 2 * time.Millisecond
+	cfg.Base.CommitEpoch = 2 * time.Millisecond
 	if _, err := RunSoak(cfg); err == nil {
 		t.Fatal("soak accepted epoch commit with a quorum policy")
 	}

@@ -32,8 +32,6 @@
 package minraid
 
 import (
-	"time"
-
 	"minraid/internal/cluster"
 	"minraid/internal/core"
 	"minraid/internal/experiment"
@@ -129,76 +127,17 @@ func ROWA() Policy { return policy.ROWA{} }
 // Quorum returns the majority-voting baseline with version numbers.
 func Quorum() Policy { return policy.Quorum{} }
 
-// ClusterConfig parameterizes an in-process mini-RAID system. The three
-// paper parameters (§1.2) are Sites, Items, and the workload generator's
-// maximum transaction size.
-type ClusterConfig struct {
-	// Sites is the number of database sites (excluding the managing
-	// site).
-	Sites int
-	// Items is the database size in data items.
-	Items int
-	// Policy selects the replication protocol; nil means ROWAA.
-	Policy Policy
-	// Delay is the simulated per-hop communication cost. The paper
-	// measured 9ms per inter-process message; zero gives pure protocol
-	// cost.
-	Delay time.Duration
-	// AckTimeout is the failure-detection timeout (default 250ms).
-	AckTimeout time.Duration
-	// BatchCopierThreshold enables the paper's proposed two-step
-	// recovery when in (0, 1]: once the fail-locked fraction of a
-	// recovering site drops to the threshold, the remaining stale copies
-	// are refreshed in batch.
-	BatchCopierThreshold float64
-	// EnableType3 enables the paper's proposed type-3 control
-	// transaction (backing up a last up-to-date copy).
-	EnableType3 bool
-	// DisableFailLockMaintenance removes the fail-lock code path
-	// (experiment-1 ablation; unsafe with failures).
-	DisableFailLockMaintenance bool
-	// StoreFactory supplies per-site stores; nil keeps every copy in
-	// memory, as the paper does. Use OpenWALStore for a durable store.
-	StoreFactory func(id SiteID) (Store, error)
-	// ReplicationDegree is the number of copies of each item, placed
-	// round-robin (chained declustering). Zero or Sites means full
-	// replication, the paper's assumption 4. Partial replication
-	// requires the ROWAA policy: reads of non-hosted items fetch a fresh
-	// copy from a hosting site, writes go to the hosting sites.
-	ReplicationDegree int
-	// ConcurrentTxns allows up to this many transactions to execute
-	// interleaved at each site, serialized by distributed strict
-	// two-phase locking with timeout-based deadlock resolution — the
-	// concurrency-control integration the paper defers to future work.
-	// Zero or 1 keeps the paper's serial processing. Requires ROWAA and
-	// full replication.
-	ConcurrentTxns int
-}
+// ClusterConfig describes an in-process mini-RAID system: the internal
+// cluster description itself. The three paper parameters (§1.2) are
+// Sites, Items, and the workload generator's maximum transaction size.
+type ClusterConfig = cluster.Config
 
 // Cluster is a running mini-RAID system: N database sites plus the
 // managing site in one process.
 type Cluster = cluster.Cluster
 
 // NewCluster builds and starts a cluster.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	var replicas *core.ReplicaMap
-	if cfg.ReplicationDegree > 0 && cfg.ReplicationDegree < cfg.Sites {
-		replicas = core.RoundRobinReplication(cfg.Items, cfg.Sites, cfg.ReplicationDegree)
-	}
-	return cluster.New(cluster.Config{
-		Sites:                      cfg.Sites,
-		Items:                      cfg.Items,
-		Policy:                     cfg.Policy,
-		Delay:                      cfg.Delay,
-		AckTimeout:                 cfg.AckTimeout,
-		BatchCopierThreshold:       cfg.BatchCopierThreshold,
-		EnableType3:                cfg.EnableType3,
-		DisableFailLockMaintenance: cfg.DisableFailLockMaintenance,
-		StoreFactory:               cfg.StoreFactory,
-		Replicas:                   replicas,
-		ConcurrentTxns:             cfg.ConcurrentTxns,
-	})
-}
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
 // NewMemStore returns an in-memory store of items copies (the paper's
 // configuration), each at version 0 with the given initial value.
