@@ -264,10 +264,9 @@ func BenchmarkTwoStepRecovery(b *testing.B) {
 			minraid.ExperimentConfig{
 				Config: minraid.ClusterConfig{
 					Sites: 2, Items: 50,
-					AckTimeout:           benchAckTimeout,
-					BatchCopierThreshold: 0.5,
+					AckTimeout: benchAckTimeout,
 				},
-				MaxOps: 5, Seed: int64(i + 1),
+				MaxOps: 5, Seed: int64(i + 1), TwoStepThreshold: 0.5,
 			},
 			minraid.Figure1Schedule(0), 2000)
 		if err != nil {

@@ -50,7 +50,7 @@ func runSoak(args []string) {
 		wan        = fs.String("wan", "", "WAN profile for geo-replication: sites assigned round-robin to regions, per-directed-link base delay/jitter/wire cost compiled from the region matrix (empty: flat chaos; try wan2, wan3, wan5)")
 		commitMode = fs.String("commit", "rowaa", "commit mode: rowaa (per-transaction phase two) or epoch (batched fan-out once per commit epoch; requires -policy rowaa)")
 		commitLen  = fs.Duration("commit-epoch", 2*time.Millisecond, "epoch length for -commit epoch (must stay under -ack)")
-		scrubOn    = fs.Bool("scrub", false, "continuous heal: a background scrubber repairs fail-locks alongside the workload (replaces the two-step batch and the drain epilogue)")
+		scrubOn    = fs.Bool("scrub", false, "continuous heal: a background scrubber repairs fail-locks alongside the workload (replaces the drain epilogue)")
 		scrubRate  = fs.Float64("scrub-rate", 0, "scrubber budget in items/sec (0: unthrottled)")
 		scrubBatch = fs.Int("scrub-batch", 0, "items per scrub copier transaction (0: scrub default)")
 		conc       = fs.Int("concurrency", 0, "per-site concurrent transaction degree (0: 4 where the policy supports it, else 1; 1: the paper's serial processing)")

@@ -4,9 +4,10 @@
 // service never stops and no transaction aborts for lack of data ("an
 // up-to-date copy of a data item was always available on some site", §4.2.2).
 //
-// Two-step recovery (the paper's §3.2 proposal) is enabled, so each
-// returning site batch-refreshes its stale copies instead of waiting for
-// reads to demand them.
+// Each returning site's stale copies are refreshed in one batch right
+// after its recovery — step two of the paper's proposed two-step recovery
+// (§3.2) at a threshold of 100% — instead of waiting for reads to demand
+// them.
 //
 //	go run ./examples/rollingrecovery
 package main
@@ -14,7 +15,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"minraid"
 )
@@ -26,18 +26,16 @@ const (
 )
 
 func main() {
-	c, err := minraid.NewCluster(minraid.ClusterConfig{
-		Sites: sites, Items: items,
-		// Step two of recovery kicks in as soon as the stale fraction
-		// drops to 80% — effectively immediately, draining fail-locks
-		// in batch.
-		BatchCopierThreshold: 0.8,
-	})
+	c, err := minraid.NewCluster(minraid.ClusterConfig{Sites: sites, Items: items})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Close()
 	gen := minraid.NewUniformWorkload(items, 6, 7)
+	allUp := make([]bool, sites)
+	for i := range allUp {
+		allUp[i] = true
+	}
 
 	fmt.Printf("rolling maintenance over %d sites, %d txns per window\n", sites, txnsPerStep)
 	dataAborts, detectionAborts := 0, 0
@@ -66,9 +64,13 @@ func main() {
 
 		st, err := c.Recover(minraid.SiteID(victim))
 		must(err)
-		fmt.Printf("site %d back up in session %d; batch refresh draining fail-locks...\n",
-			victim, st.Session)
-		waitClean(c, minraid.SiteID(victim))
+		copiers, remaining, err := c.DrainFailLocks(allUp, items)
+		must(err)
+		if remaining != 0 {
+			log.Fatalf("site %d still has %d fail-locks after the batch refresh", victim, remaining)
+		}
+		fmt.Printf("site %d back up in session %d; batch refresh ran %d copier(s)\n",
+			victim, st.Session, copiers)
 	}
 
 	fmt.Printf("\nrolling maintenance done: %d detection aborts (1 per window is expected), %d data aborts\n",
@@ -79,23 +81,6 @@ func main() {
 	report, err := c.Audit()
 	must(err)
 	fmt.Println(report)
-}
-
-// waitClean polls until no fail-locks remain for the given site (the batch
-// refresh runs asynchronously).
-func waitClean(c *minraid.Cluster, id minraid.SiteID) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n, err := c.FailLockCount(id, id)
-		must(err)
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			log.Fatalf("site %d still has %d fail-locks", id, n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func must(err error) {

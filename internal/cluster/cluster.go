@@ -49,8 +49,6 @@ type Config struct {
 	// DisableFailLockMaintenance removes fail-lock code on every site
 	// (experiment 1 ablation; unsafe with failures).
 	DisableFailLockMaintenance bool
-	// BatchCopierThreshold enables two-step recovery on every site.
-	BatchCopierThreshold float64
 	// EnableType3 enables type-3 control transactions on every site.
 	EnableType3 bool
 	// StoreFactory supplies per-site stores (nil: in-memory, as in the
@@ -159,7 +157,6 @@ func (c Config) SiteConfig(id core.SiteID) (site.Config, error) {
 		Policy:                     c.Policy,
 		AckTimeout:                 c.AckTimeout,
 		DisableFailLockMaintenance: c.DisableFailLockMaintenance,
-		BatchCopierThreshold:       c.BatchCopierThreshold,
 		EnableType3:                c.EnableType3,
 		Tracer:                     c.Tracer,
 		Replicas:                   core.RoundRobinReplication(c.Items, c.Sites, degree),

@@ -478,40 +478,6 @@ func TestQuorumReadPicksNewestVersion(t *testing.T) {
 	}
 }
 
-func TestTwoStepRecoveryBatchRefresh(t *testing.T) {
-	c := newTestCluster(t, Config{Sites: 2, Items: 10, BatchCopierThreshold: 1.0})
-	failAndDetect(t, c, 0, 1)
-	for i := 0; i < 6; i++ {
-		if res, _ := c.Exec(1, []core.Op{core.Write(core.ItemID(i), val(i))}); !res.Committed {
-			t.Fatal("write failed")
-		}
-	}
-	if _, err := c.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	// With threshold 1.0 the batch refresh fires immediately after
-	// recovery and clears every fail-lock without any new transactions.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n0, _ := c.FailLockCount(0, 0)
-		n1, _ := c.FailLockCount(1, 0)
-		if n0 == 0 && n1 == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch refresh incomplete: observer0=%d observer1=%d", n0, n1)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := c.Registry(0).Counter("copiers.batch"); got == 0 {
-		t.Error("no batch copiers recorded")
-	}
-	report, _ := c.Audit()
-	if !report.OK() {
-		t.Error(report)
-	}
-}
-
 func TestType3ReplicatesEndangeredCopies(t *testing.T) {
 	c := newTestCluster(t, Config{Sites: 3, Items: 6, EnableType3: true})
 	failAndDetect(t, c, 1, 0)
@@ -636,8 +602,6 @@ func TestClusterValidation(t *testing.T) {
 		{Config{Sites: 2, Items: 5, Policy: policy.Quorum{}, CommitEpoch: time.Millisecond}, "epoch-batched commit requires the rowaa policy"},
 		{Config{Sites: 3, Items: 5, Policy: policy.ROWA{}, ReplicationDegree: 2}, "partial replication requires a copy-aware policy"},
 		{Config{Sites: 3, Items: 5, EnableType3: true, ReplicationDegree: 2}, "type-3 control transactions require full replication"},
-		{Config{Sites: 2, Items: 5, BatchCopierThreshold: -0.1}, "batch copier threshold"},
-		{Config{Sites: 2, Items: 5, BatchCopierThreshold: 1.1}, "batch copier threshold"},
 	}
 	for i, c := range bad {
 		err := c.cfg.Validate()
@@ -652,7 +616,7 @@ func TestClusterValidation(t *testing.T) {
 		{Sites: 3, Items: 5, Policy: policy.Quorum{}, ReplicationDegree: 2},
 		{Sites: 3, Items: 5, ReplicationDegree: 1},
 		{Sites: 2, Items: 5, Transport: "tcp", ConcurrentTxns: 4, CommitEpoch: time.Millisecond},
-		{Sites: 2, Items: 5, BatchCopierThreshold: 1, EnableType3: true},
+		{Sites: 2, Items: 5, EnableType3: true},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -876,53 +840,6 @@ func TestPartialQuorumReadsAndWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.OK() {
-		t.Error(report)
-	}
-}
-
-func TestTwoStepThresholdBoundary(t *testing.T) {
-	// Threshold 0.5 over 10 items: with 6 items fail-locked (60%) the
-	// recovering site stays in step one (demand-driven); once a write
-	// refreshes one copy (50%), step two fires and batch-clears the rest.
-	c := newTestCluster(t, Config{Sites: 2, Items: 10, BatchCopierThreshold: 0.5})
-	failAndDetect(t, c, 0, 1)
-	for i := 0; i < 6; i++ {
-		if res, _ := c.Exec(1, []core.Op{core.Write(core.ItemID(i), val(i))}); !res.Committed {
-			t.Fatal("setup write failed")
-		}
-	}
-	if _, err := c.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	// Above threshold: no batch refresh yet.
-	time.Sleep(100 * time.Millisecond)
-	n, _ := c.FailLockCount(0, 0)
-	if n != 6 {
-		t.Fatalf("batch fired above threshold: %d locks left", n)
-	}
-	if got := c.Registry(0).Counter("copiers.batch"); got != 0 {
-		t.Fatalf("batch copiers ran above threshold: %d", got)
-	}
-	// One write drops the fraction to the threshold: batch mode engages.
-	if res, _ := c.Exec(1, []core.Op{core.Write(0, val(100))}); !res.Committed {
-		t.Fatal("trigger write failed")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// Locks drain first and the counter lands just after; wait for
-		// both to avoid racing the tail of the batch pass.
-		n, _ := c.FailLockCount(0, 0)
-		if n == 0 && c.Registry(0).Counter("copiers.batch") > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch refresh incomplete: %d locks left, %d batch copiers",
-				n, c.Registry(0).Counter("copiers.batch"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	report, _ := c.Audit()
 	if !report.OK() {
 		t.Error(report)
 	}

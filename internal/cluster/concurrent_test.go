@@ -260,6 +260,48 @@ func TestConcurrentModeWithFailureRecovery(t *testing.T) {
 	}
 }
 
+// TestConcurrentBlindWriteAtRecoveredSite: a blind write coordinated at a
+// recovered site refreshes its stale copy without a copier (§1.1), so the
+// coordinator's own committed version is older than the participants'.
+// The commit version must still exceed every copy's, or the participants
+// would keep their older values while commit-time maintenance clears the
+// recovered site's fail-lock on the blind value.
+func TestConcurrentBlindWriteAtRecoveredSite(t *testing.T) {
+	c := concurrentCluster(t, 3, 10, 4)
+	failAndDetect(t, c, 0, 1)
+	for i := 0; i < 2; i++ {
+		if res, err := c.Exec(1, []core.Op{core.Write(0, val(i))}); err != nil || !res.Committed {
+			t.Fatalf("write %d at site 1: %v %v", i, res, err)
+		}
+	}
+	if _, err := c.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec(0, []core.Op{core.Write(0, []byte("blind"))})
+	if err != nil || !res.Committed {
+		t.Fatalf("blind write at recovered site: %v %v", res, err)
+	}
+	if res.Copiers != 0 {
+		t.Errorf("blind write ran %d copiers", res.Copiers)
+	}
+	for id := core.SiteID(0); id < 3; id++ {
+		dump, err := c.Dump(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(dump[0].Value); got != "blind" {
+			t.Errorf("site %d holds %q (v%d) for item 0, want the blind write", id, got, dump[0].Version)
+		}
+	}
+	report, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.OK() {
+		t.Error(report)
+	}
+}
+
 func TestConcurrentModeConfigGates(t *testing.T) {
 	if _, err := New(Config{Sites: 2, Items: 4, ConcurrentTxns: 4, Policy: rowaPolicy()}); err == nil {
 		t.Error("concurrent mode with non-ROWAA policy accepted")

@@ -109,18 +109,15 @@ func TestScrubHealsStaleSetInBackground(t *testing.T) {
 
 // TestRecoveryServesCleanReadsBeforeHeal: every recovery is operational
 // at type-1. The recovered site commits a read of a clean item — no
-// copier, no batch refresh — while its stale set is still entirely
-// unhealed, serves a fail-locked item through a demand copier, and the
-// scrubber heals the remainder. Two-step recovery changes none of that
-// while the locked fraction (5 of 10) stays above its threshold: it only
-// adds one batch refresh once the fraction drops.
+// copier — while its stale set is still entirely unhealed, serves a
+// fail-locked item through a demand copier, and the scrubber heals the
+// remainder.
 func TestRecoveryServesCleanReadsBeforeHeal(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  cluster.Config
 	}{
 		{"demand", cluster.Config{Sites: 3, Items: 10}},
-		{"two-step", cluster.Config{Sites: 3, Items: 10, BatchCopierThreshold: 0.2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, tc.cfg)

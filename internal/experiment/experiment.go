@@ -47,6 +47,11 @@ type Config struct {
 	// ReadFraction is the probability a generated operation is a read
 	// (default 0.5, the paper's equal mix).
 	ReadFraction float64
+	// TwoStepThreshold turns on step two of the paper's proposed two-step
+	// recovery (§3.2) in RunSchedule: once at most this fraction of a
+	// recovered site's items is fail-locked, its whole stale set is
+	// refreshed in batch. Zero keeps recovery demand-driven.
+	TwoStepThreshold float64
 }
 
 func (c Config) withDefaults(sites, items, maxOps int) Config {
@@ -129,9 +134,8 @@ type ScheduleResult struct {
 	// Copiers is the total number of demand copier transactions
 	// requested by database transactions.
 	Copiers int
-	// BatchCopiers is the number of copier transactions issued by batch
-	// refresh (step two of two-step recovery); zero unless a batch
-	// threshold is configured.
+	// BatchCopiers is the number of copier transactions step two of
+	// two-step recovery ran; zero unless Config.TwoStepThreshold is set.
 	BatchCopiers int
 	// FailLocks[k][i] is the number of items fail-locked for site k
 	// after transaction i+1, as observed by that transaction's (up)
@@ -152,8 +156,18 @@ type ScheduleResult struct {
 // RunSchedule drives the schedule with the paper's uniform workload. If
 // sched.Txns is zero the run continues until every fail-lock clears
 // (capped at capTxns).
+//
+// With cfg.TwoStepThreshold set, a site is armed from its recovery until
+// its next failure. After the first transaction that leaves an armed
+// site's locked fraction at or below the threshold, the managing site runs
+// the heal step there once, as one read batch over the whole stale set
+// (DrainFailLocks), and disarms it: the batch is step two, in the same
+// place in the transaction sequence on every run.
 func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResult, error) {
 	cfg = cfg.withDefaults(2, 50, 5)
+	if cfg.TwoStepThreshold < 0 || cfg.TwoStepThreshold > 1 {
+		return nil, fmt.Errorf("experiment: two-step threshold %v out of [0,1]", cfg.TwoStepThreshold)
+	}
 	plan, err := failure.NewPlan(sched, cfg.Sites)
 	if err != nil {
 		return nil, err
@@ -177,6 +191,7 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 		limit = capTxns
 	}
 
+	armed := make([]bool, cfg.Sites)
 	everLocked := false
 	for txnNum := 1; txnNum <= limit; txnNum++ {
 		for _, e := range sched.EventsBefore(txnNum) {
@@ -185,10 +200,12 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 				if err := c.Fail(e.Site); err != nil {
 					return nil, fmt.Errorf("experiment: %s: %w", e, err)
 				}
+				armed[e.Site] = false
 			case failure.Recover:
 				if _, err := c.Recover(e.Site); err != nil {
 					return nil, fmt.Errorf("experiment: %s: %w", e, err)
 				}
+				armed[e.Site] = cfg.TwoStepThreshold > 0
 			}
 		}
 
@@ -219,6 +236,25 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 		if err != nil {
 			return nil, err
 		}
+		healed := false
+		for k, on := range armed {
+			if !on || float64(st.FailLockCounts[k])/float64(cfg.Items) > cfg.TwoStepThreshold {
+				continue
+			}
+			only := make([]bool, cfg.Sites)
+			only[k] = true
+			n, _, err := c.DrainFailLocks(only, cfg.Items)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: batch refresh of site %d after txn %d: %w", k, txnNum, err)
+			}
+			res.BatchCopiers += n
+			armed[k], healed = false, true
+		}
+		if healed {
+			if st, err = c.Status(coord, false); err != nil {
+				return nil, err
+			}
+		}
 		total := 0
 		for k := 0; k < cfg.Sites; k++ {
 			n := int(st.FailLockCounts[k])
@@ -236,9 +272,6 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 		}
 	}
 
-	for i := 0; i < cfg.Sites; i++ {
-		res.BatchCopiers += int(c.Registry(core.SiteID(i)).Counter("copiers.batch"))
-	}
 	report, err := c.Audit()
 	if err != nil {
 		return nil, err

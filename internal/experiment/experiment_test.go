@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -211,6 +212,92 @@ func TestTwoStepRecoveryShortens(t *testing.T) {
 	}
 	if rep.TwoStepBatchCopiers == 0 {
 		t.Error("batch mode issued no batch copiers")
+	}
+}
+
+// TestTwoStepBatchFiresAtThreshold pins step two of two-step recovery to
+// the transaction sequence. Up to the batch the two-step run is the
+// baseline run, transaction for transaction; the batch runs after the
+// first transaction that leaves the recovered site at or below the
+// threshold — never while it is above — and heals its whole stale set.
+func TestTwoStepBatchFiresAtThreshold(t *testing.T) {
+	cfg := Config{Config: cluster.Config{Sites: 2, Items: 50}, MaxOps: 5, Seed: 7}
+	for _, bad := range []float64{-0.1, 1.1} {
+		two := cfg
+		two.TwoStepThreshold = bad
+		if _, err := RunSchedule(two, failure.Figure1(0), 2000); err == nil || !strings.Contains(err.Error(), "two-step threshold") {
+			t.Errorf("threshold %v: err = %v, want a range error", bad, err)
+		}
+	}
+	base, err := RunSchedule(cfg, failure.Figure1(0), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseLocks := base.FailLocks[0]
+	for _, threshold := range []float64{1.0, 0.5} {
+		t.Run(fmt.Sprintf("threshold=%.1f", threshold), func(t *testing.T) {
+			two := cfg
+			two.TwoStepThreshold = threshold
+			res, err := RunSchedule(two, failure.Figure1(0), 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Index 100 is transaction 101, the first after site 0 recovers.
+			fire := 100
+			for fire < len(baseLocks) && baseLocks[fire]/float64(cfg.Items) > threshold {
+				fire++
+			}
+			if fire == len(baseLocks) {
+				t.Fatal("the baseline never reached the threshold")
+			}
+			locks := res.FailLocks[0]
+			if len(locks) <= fire {
+				t.Fatalf("run ended after %d txns, before the batch at txn %d", len(locks), fire+1)
+			}
+			for i := 0; i < fire; i++ {
+				if locks[i] != baseLocks[i] {
+					t.Fatalf("txn %d: %v locked, baseline %v: the batch fired above the threshold", i+1, locks[i], baseLocks[i])
+				}
+			}
+			if locks[fire] != 0 || res.FullyRecoveredAt != fire+1 {
+				t.Errorf("txn %d: %v locked, fully recovered at %d: the batch did not heal the stale set at the threshold",
+					fire+1, locks[fire], res.FullyRecoveredAt)
+			}
+			if res.BatchCopiers == 0 {
+				t.Error("the batch ran no copier")
+			}
+			if !res.AuditOK {
+				t.Error(res.AuditDetail)
+			}
+		})
+	}
+}
+
+// TestPaperTablesDeterministic: the paper's tables are functions of the
+// configuration — the same run prints the same table, every time. Three
+// runs each, so a table that depends on goroutine scheduling rarely slips
+// through.
+func TestPaperTablesDeterministic(t *testing.T) {
+	for _, table := range []struct {
+		name string
+		run  func() (fmt.Stringer, error)
+	}{
+		{"figure1", func() (fmt.Stringer, error) { return RunFigure1(Config{}, 2000) }},
+		{"figure2", func() (fmt.Stringer, error) { return RunFigure2(Config{}) }},
+		{"figure3", func() (fmt.Stringer, error) { return RunFigure3(Config{}) }},
+		{"two-step", func() (fmt.Stringer, error) { return RunTwoStepRecovery(Config{}, 0.5, 2000) }},
+	} {
+		var out [3]string
+		for i := range out {
+			rep, err := table.run()
+			if err != nil {
+				t.Fatalf("%s: %v", table.name, err)
+			}
+			out[i] = rep.String()
+			if out[i] != out[0] {
+				t.Errorf("%s differs between runs 1 and %d:\n%s\n%s", table.name, i+1, out[0], out[i])
+			}
+		}
 	}
 }
 

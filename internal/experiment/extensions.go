@@ -55,7 +55,7 @@ func RunTwoStepRecovery(cfg Config, threshold float64, capTxns int) (*TwoStepRec
 	report := &TwoStepRecoveryReport{Threshold: threshold}
 
 	base := cfg
-	base.BatchCopierThreshold = 0
+	base.TwoStepThreshold = 0
 	baseRes, err := RunSchedule(base, failure.Figure1(0), capTxns)
 	if err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func RunTwoStepRecovery(cfg Config, threshold float64, capTxns int) (*TwoStepRec
 	report.BaselineCopiers = baseRes.Copiers
 
 	two := cfg
-	two.BatchCopierThreshold = threshold
+	two.TwoStepThreshold = threshold
 	twoRes, err := RunSchedule(two, failure.Figure1(0), capTxns)
 	if err != nil {
 		return nil, err

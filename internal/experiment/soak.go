@@ -80,12 +80,11 @@ type SoakConfig struct {
 	Partitions bool
 	// Scrub enables the continuous-heal regime: a background scrubber
 	// repairs fail-locked items in rate-limited copier batches while
-	// workload traffic continues, in place of the two-step batch refresh
-	// (every recovery is already operational once type-1 installs its
-	// fail-lock set). The epoch-end epilogue then waits for the scrubber
-	// to reach zero truly-up fail-locks instead of running the
-	// DrainFailLocks passes. Ignored for policies that do not use
-	// fail-locks.
+	// workload traffic continues (every recovery is already operational
+	// once type-1 installs its fail-lock set). The epoch-end epilogue then
+	// waits for the scrubber to reach zero truly-up fail-locks instead of
+	// running the DrainFailLocks passes. Ignored for policies that do not
+	// use fail-locks.
 	Scrub bool
 	// ScrubRate caps the scrubber at this many items per second
 	// (0 = unthrottled); ScrubBatch bounds items per copier transaction
@@ -507,11 +506,6 @@ func execIssues(mgr *cluster.Manager, issues []soakIssue, inFlight int, rate flo
 func openLocalFabric(cfg SoakConfig, chaosCfg *transport.ChaosConfig, seed int64, txnBase uint64) (*deploy.LocalFabric, func(), error) {
 	ccfg := cfg.Base.Config
 	ccfg.Chaos = chaosCfg
-	// Continuous heal: the background scrubber replaces the two-step batch
-	// refresh.
-	if cfg.scrubOn() {
-		ccfg.BatchCopierThreshold = 0
-	}
 	closeStores := func() {}
 	if cfg.WALDir != "" {
 		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("seed%d", seed))

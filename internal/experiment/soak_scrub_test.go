@@ -10,7 +10,7 @@ import (
 
 // scrubSoakConfig is the continuous-heal regression corpus: instant
 // REDO-only recovery with the background scrubber healing alongside the
-// workload, instead of batch refresh plus the DrainFailLocks epilogue.
+// workload, instead of the DrainFailLocks epilogue.
 func scrubSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
 		Base: Config{Config: cluster.Config{

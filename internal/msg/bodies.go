@@ -102,10 +102,17 @@ func (m *Prepare) decode(dec *wire.Decoder) {
 }
 
 // PrepareAck is a participant's phase-one vote.
+//
+// Versions is used only in concurrent mode: an OK vote lists the
+// participant's committed version of each staged write, in the prepare's
+// write order, read under the exclusive locks it holds. The coordinator
+// stamps each write above the highest copy, its own included: its own copy
+// may be a recovered site's stale one.
 type PrepareAck struct {
-	Txn    core.TxnID
-	OK     bool
-	Reason string // set when OK is false
+	Txn      core.TxnID
+	OK       bool
+	Reason   string // set when OK is false
+	Versions []uint64
 }
 
 // Kind implements Body.
@@ -115,12 +122,14 @@ func (m *PrepareAck) encode(enc *wire.Encoder) {
 	enc.Uvarint(uint64(m.Txn))
 	enc.Bool(m.OK)
 	enc.String(m.Reason)
+	enc.Uint64s(m.Versions)
 }
 
 func (m *PrepareAck) decode(dec *wire.Decoder) {
 	m.Txn = core.TxnID(dec.Uvarint())
 	m.OK = dec.Bool()
 	m.Reason = dec.String()
+	m.Versions = dec.Uint64s()
 }
 
 // Commit is the phase-two commit indication.

@@ -34,6 +34,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Prepare{Txn: 7, Vector: vec.Records(), Writes: []core.ItemVersion{{Item: 3, Version: 7, Value: []byte("w")}}},
 		&Prepare{Txn: 8, Vector: vec.Records(), MaintOnly: []core.ItemID{1, 4}},
 		&PrepareAck{Txn: 7, OK: true},
+		&PrepareAck{Txn: 7, OK: true, Versions: []uint64{3, 0, 1 << 40}},
 		&PrepareAck{Txn: 7, OK: false, Reason: "stale session"},
 		&Commit{Txn: 7},
 		&CommitAck{Txn: 7},

@@ -89,19 +89,6 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 		Copiers:      uint32(res.Copiers),
 		ElapsedNanos: uint64(elapsed.Nanoseconds()),
 	})
-
-	s.mu.Lock()
-	armed := s.batchArmed
-	s.mu.Unlock()
-	if res.Committed && armed {
-		// Committing (or the copiers above) may have crossed the
-		// two-step recovery threshold; re-evaluate once the gate frees.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.checkBatchTrigger()
-		}()
-	}
 }
 
 // executeTxn is the coordinator's transaction body; reads is t's read set.
@@ -119,7 +106,7 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	if s.pol.UsesFailLocks() && !s.cfg.DisableFailLockMaintenance {
 		stale := s.staleReadItems(reads)
 		if len(stale) > 0 {
-			n, reason := s.runCopiers(stale, t.ID, false, tr)
+			n, reason := s.runCopiers(stale, t.ID, tr)
 			res.Copiers += n
 			if reason != "" {
 				res.AbortReason = reason
@@ -227,6 +214,7 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 
 	var acked, nacked, silent []core.SiteID
 	var nackReason string
+	var peerVersions []uint64 // concurrent mode: the highest acked version per write
 	if len(targets) > 0 {
 		replies := s.caller.MulticallT(tr, targets, func(target core.SiteID) msg.Body {
 			if rep.IsFull() {
@@ -249,6 +237,14 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 				silent = append(silent, id)
 			case ack.OK:
 				acked = append(acked, id)
+				if len(ack.Versions) == len(writes) {
+					if peerVersions == nil {
+						peerVersions = make([]uint64, len(writes))
+					}
+					for i, v := range ack.Versions {
+						peerVersions[i] = max(peerVersions[i], v)
+					}
+				}
 			default:
 				nacked = append(nacked, id)
 				if nackReason == "" {
@@ -308,9 +304,11 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 
 	// Concurrent mode: assign each written item's final version now —
 	// every copy is exclusively locked (locally since acquisition, at
-	// the participants since their prepares), so the local committed
-	// version is the global one and version numbers stay strictly
-	// increasing in commit order. The stamps go into a copy: the sent
+	// the participants since their prepares), so one above the highest
+	// committed copy, the acked participants' included, keeps version
+	// numbers strictly increasing in commit order. The local copy alone is
+	// not enough: a blind write refreshes a recovered site's stale copy
+	// without a copier (§1.1). The stamps go into a copy: the sent
 	// prepares still hold writes (see transport.Endpoint.Send), and
 	// concurrent mode is fully replicated, so the copy is the local set.
 	var commitVersions []core.ItemVersion
@@ -323,7 +321,11 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 			if err != nil {
 				panic("site: reading version of locked item: " + err.Error())
 			}
-			writes[i].Version = cur.Version + 1
+			top := cur.Version
+			if peerVersions != nil {
+				top = max(top, core.TxnID(peerVersions[i]))
+			}
+			writes[i].Version = top + 1
 			commitVersions = append(commitVersions, core.ItemVersion{
 				Item: writes[i].Item, Version: writes[i].Version,
 			})
@@ -718,11 +720,9 @@ func (s *Site) staleReadItems(reads []core.ItemID) []core.ItemID {
 // install it locally, clear the local fail-lock, then run the special
 // transaction propagating the clears (§1.2, Appendix A.1).
 //
-// It returns the number of copier transactions issued and, unless
-// bestEffort is set, an abort reason when a copy could not be obtained.
-// Batch refresh (two-step recovery) uses bestEffort: items without a donor
-// are skipped rather than failing the pass.
-func (s *Site) runCopiers(items []core.ItemID, id core.TxnID, bestEffort bool, tr uint64) (int, string) {
+// It returns the number of copier transactions issued and an abort reason
+// when a copy could not be obtained.
+func (s *Site) runCopiers(items []core.ItemID, id core.TxnID, tr uint64) (int, string) {
 	// Choose a donor per item: an operational site whose copy carries no
 	// fail-lock.
 	rep := s.replicaMap()
@@ -735,9 +735,6 @@ func (s *Site) runCopiers(items []core.ItemID, id core.TxnID, bestEffort bool, t
 		}
 		donor, found := s.pickDonorLocked(rep, item, 0)
 		if !found {
-			if bestEffort {
-				continue
-			}
 			s.mu.Unlock()
 			return 0, txn.AbortNoDonor
 		}
@@ -755,14 +752,7 @@ func (s *Site) runCopiers(items []core.ItemID, id core.TxnID, bestEffort bool, t
 	// deterministic.
 	calls := make([]transport.Outcall, len(order))
 	for i, donor := range order {
-		if bestEffort {
-			// Counted before the fan-out: observers watching the fail-lock
-			// count drain must never see completion before the batch
-			// copier shows in the counters.
-			s.reg.Add(CounterBatchCopiers, 1)
-		} else {
-			s.reg.Add(CounterDemandCopiers, 1)
-		}
+		s.reg.Add(CounterDemandCopiers, 1)
 		calls[i] = transport.Outcall{To: donor, Body: &msg.CopyRequest{Txn: id, Items: byDonor[donor]}}
 	}
 	fanStart := time.Now()
@@ -775,24 +765,15 @@ func (s *Site) runCopiers(items []core.ItemID, id core.TxnID, bestEffort bool, t
 			// "site to which copy request sent is now down": abort and
 			// announce (Appendix A.1).
 			s.announceFailure([]core.SiteID{donor}, tr)
-			if bestEffort {
-				continue
-			}
 			return count, txn.AbortDonorDown
 		}
 		resp, wellTyped := r.Reply.Body.(*msg.CopyResponse)
 		if !wellTyped {
 			// The donor answered — it is alive; a wrong-typed body is a
 			// decode problem, never grounds to announce it down.
-			if bestEffort {
-				continue
-			}
 			return count, txn.AbortDonorDown
 		}
 		if !resp.OK {
-			if bestEffort {
-				continue
-			}
 			return count, txn.AbortNoDonor
 		}
 		s.mu.Lock()

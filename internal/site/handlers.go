@@ -129,6 +129,18 @@ func writeItems(dst []core.ItemID, writes []core.ItemVersion) []core.ItemID {
 // its write set before this site's most recent failure/recovery transition
 // and must abort (status change during execution).
 func (s *Site) stagePrepare(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Manager) {
+	ack := &msg.PrepareAck{Txn: body.Txn, OK: true}
+	if lm != nil {
+		// The prepare's X-locks hold these copies still; mu is not needed.
+		ack.Versions = make([]uint64, len(body.Writes))
+		for i, iv := range body.Writes {
+			cur, err := s.store.Get(iv.Item)
+			if err != nil {
+				panic("site: reading version of locked item: " + err.Error())
+			}
+			ack.Versions[i] = uint64(cur.Version)
+		}
+	}
 	s.mu.Lock()
 	// Not operational (or failed while waiting for locks): a recovering
 	// site must not vote. No reply; the coordinator's timeout handles it.
@@ -164,7 +176,7 @@ func (s *Site) stagePrepare(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Ma
 		s.coordinatorLost(body.Txn)
 	})
 	s.mu.Unlock()
-	s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: true})
+	s.caller.Reply(env, ack)
 	s.emit(env.Trace, trace.PhasePrepare, fmt.Sprintf("writes=%d", len(body.Writes)), st.start)
 }
 
@@ -243,7 +255,6 @@ func (s *Site) commitStaged(env *msg.Envelope, entries []msg.CommitEntry, ack ms
 		s.stats.Participated++
 		done = append(done, applied{st, e.Txn})
 	}
-	armed := s.batchArmed
 	s.mu.Unlock()
 	for _, a := range done {
 		s.reg.Observe(TimerPartTxn, time.Since(a.st.start))
@@ -252,15 +263,6 @@ func (s *Site) commitStaged(env *msg.Envelope, entries []msg.CommitEntry, ack ms
 	s.caller.Reply(env, ack)
 	for _, a := range done {
 		a.st.finish(a.id)
-	}
-	if armed && len(done) > 0 {
-		// A commit may have dropped the fail-locked fraction below the
-		// two-step recovery threshold.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.checkBatchTrigger()
-		}()
 	}
 }
 

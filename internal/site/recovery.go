@@ -29,7 +29,6 @@ func (s *Site) failNow() {
 		st.finish(id)
 	}
 	s.staged = make(map[core.TxnID]*stagedTxn)
-	s.batchArmed = false
 	if lm := s.locks.Load(); lm != nil {
 		// A crashed process loses its lock table: fail every waiter and
 		// start the next session with a fresh manager.
@@ -238,12 +237,7 @@ func (s *Site) recoverSite(tr uint64) bool {
 	s.state.set(core.StatusUp)
 	// The site is serving from here on — clean items locally, fail-locked
 	// items through demand copiers — and the stale set just measured is the
-	// backlog a heal refreshes: the two-step batch once the locked fraction
-	// drops to the threshold, a drain, or the background scrubber.
-	armBatch := s.cfg.BatchCopierThreshold > 0
-	if armBatch {
-		s.batchArmed = true
-	}
+	// backlog the managing site's heal step refreshes.
 	stale := len(s.flocks.ItemsLockedFor(s.cfg.ID))
 	s.mu.Unlock()
 	s.reg.Observe(TimerCtrl1Recovering, time.Since(start))
@@ -258,9 +252,6 @@ func (s *Site) recoverSite(tr uint64) bool {
 	}
 	if needSync {
 		s.fanoutLockSync(words, vers, tr)
-	}
-	if armBatch {
-		s.maybeBatchRefresh(tr)
 	}
 	return true
 }
@@ -354,59 +345,6 @@ func (s *Site) announceFailure(failed []core.SiteID, tr uint64) {
 	}
 	if s.cfg.EnableType3 {
 		s.maybeReplicate0(tr)
-	}
-}
-
-// maybeBatchRefresh implements step two of the paper's proposed two-step
-// recovery (§3.2): once the fraction of items fail-locked for this site is
-// at or below the threshold, refresh every remaining out-of-date copy in
-// batch with copier transactions, instead of waiting for reads to demand
-// them. Runs under the transaction gate so it serializes with database
-// transactions.
-func (s *Site) maybeBatchRefresh(tr uint64) {
-	s.mu.Lock()
-	if !s.batchArmed || s.state.get() != core.StatusUp {
-		s.mu.Unlock()
-		return
-	}
-	locked := s.flocks.ItemsLockedFor(s.cfg.ID)
-	frac := float64(len(locked)) / float64(s.cfg.Items)
-	if len(locked) == 0 {
-		s.batchArmed = false
-		s.mu.Unlock()
-		return
-	}
-	if frac > s.cfg.BatchCopierThreshold {
-		s.mu.Unlock()
-		return // step one: stay demand-driven until below threshold
-	}
-	s.batchArmed = false
-	s.mu.Unlock()
-
-	s.txnGate <- struct{}{}
-	defer func() { <-s.txnGate }()
-	start := time.Now()
-	// Re-read under the gate: commits may have refreshed items meanwhile.
-	s.mu.Lock()
-	locked = s.flocks.ItemsLockedFor(s.cfg.ID)
-	s.mu.Unlock()
-	if len(locked) == 0 {
-		return
-	}
-	// The batch copiers count themselves (inside runCopiers, before each
-	// call) so the counter is never behind the fail-lock drain.
-	s.runCopiers(locked, core.NoTxn, true, tr)
-	s.reg.Observe(TimerBatchRefresh, time.Since(start))
-}
-
-// checkBatchTrigger re-evaluates the two-step threshold; called after
-// commits that may have dropped the fail-locked fraction.
-func (s *Site) checkBatchTrigger() {
-	s.mu.Lock()
-	armed := s.batchArmed
-	s.mu.Unlock()
-	if armed {
-		s.maybeBatchRefresh(0)
 	}
 }
 

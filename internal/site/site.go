@@ -13,9 +13,8 @@
 //     prepare whose locks are not free waits for them on a goroutine of its
 //     own: the loop never waits for a lock);
 //   - one transaction executor at a time (txnGate), so database
-//     transactions, recovery and batch refresh are serialized exactly as
-//     in the paper ("transactions were processed serially", §1.2,
-//     assumption 2);
+//     transactions are serialized exactly as in the paper ("transactions
+//     were processed serially", §1.2, assumption 2);
 //   - coordinator work in its own goroutine so the receive loop stays free
 //     to route acks and serve other sites' requests while this site waits
 //     for replies.
@@ -80,17 +79,11 @@ const (
 	TimerClearFanout = "clear.flock.fanout"
 	// TimerCtrl3 is the type-3 (backup copy) control transaction time.
 	TimerCtrl3 = "ctrl3"
-	// TimerBatchRefresh is the duration of a batch copier refresh pass
-	// (the paper's proposed step two of recovery).
-	TimerBatchRefresh = "recovery.batch"
 
 	// CounterAborts counts coordinator-side aborts.
 	CounterAborts = "aborts"
 	// CounterCommits counts coordinator-side commits.
 	CounterCommits = "commits"
-	// CounterBatchCopiers counts copier transactions issued by batch
-	// refresh (step two of two-step recovery).
-	CounterBatchCopiers = "copiers.batch"
 	// CounterDemandCopiers counts copier transactions issued on the
 	// demand path — a database transaction reading a fail-locked local
 	// copy (Appendix A.1). With the background scrubber running, demand
@@ -98,8 +91,9 @@ const (
 	CounterDemandCopiers = "copiers.demand"
 	// CounterRecoveryStale counts the items fail-locked for this site at
 	// the moment each recovery completed — the stale set the site serves
-	// through demand copiers until a heal (the two-step batch, a drain or
-	// the background scrubber) refreshes it.
+	// through demand copiers until a heal refreshes it (the managing
+	// site's heal step, run as a drain, a two-step batch or by the
+	// background scrubber).
 	CounterRecoveryStale = "recovery.stale"
 )
 
@@ -123,11 +117,6 @@ type Config struct {
 	// path, reproducing the "without fail-locks code" row of the paper's
 	// first experiment. Only safe when no site ever fails.
 	DisableFailLockMaintenance bool
-	// BatchCopierThreshold enables the paper's proposed two-step
-	// recovery: once the fraction of items fail-locked for this site
-	// drops to or below the threshold, the site refreshes the remainder
-	// in batch via copier transactions (§3.2). Zero disables batching.
-	BatchCopierThreshold float64
 	// EnableType3 enables the paper's proposed type-3 control
 	// transaction: when this site holds the last up-to-date copy of an
 	// item among operational sites, it pushes a backup copy to another
@@ -240,9 +229,6 @@ func (c Config) Validate() error {
 	}
 	if c.LockWaitBudget >= c.AckTimeout {
 		return fmt.Errorf("site: lock-wait budget %v must stay under the ack timeout %v (a lock wait must not look like a site failure)", c.LockWaitBudget, c.AckTimeout)
-	}
-	if c.BatchCopierThreshold < 0 || c.BatchCopierThreshold > 1 {
-		return fmt.Errorf("site: batch copier threshold %v out of [0,1]", c.BatchCopierThreshold)
 	}
 	if c.Replicas != nil && (c.Replicas.Items() != c.Items || c.Replicas.Sites() != c.Sites) {
 		return fmt.Errorf("site: replica map is %dx%d, config is %dx%d",
@@ -363,15 +349,11 @@ type Site struct {
 	flocks  *core.FailLockTable
 	staged  map[core.TxnID]*stagedTxn
 	stats   msg.SiteStats
-	// batchArmed is true while two-step recovery is waiting for the
-	// fail-locked fraction to cross the threshold.
-	batchArmed bool
 
 	store storage.Store
 
 	// txnGate bounds in-flight transaction execution: capacity 1 in the
-	// paper's serial mode, ConcurrentTxns in concurrent mode. Recovery
-	// and batch refresh also take a slot.
+	// paper's serial mode, ConcurrentTxns in concurrent mode.
 	txnGate chan struct{}
 	// locks is the strict-2PL manager; non-nil only in concurrent mode.
 	// Replaced wholesale on simulated failure (process lock state dies

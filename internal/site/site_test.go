@@ -73,7 +73,6 @@ func TestConfigValidation(t *testing.T) {
 		{ID: 0, Sites: 0, Items: 5},
 		{ID: 5, Sites: 2, Items: 5},
 		{ID: 0, Sites: 2, Items: 0},
-		{ID: 0, Sites: 2, Items: 5, BatchCopierThreshold: 1.5},
 		{ID: 0, Sites: 2, Items: 5, Store: storage.NewMemStore(3, nil)}, // size mismatch
 	}
 	for i, cfg := range bad {

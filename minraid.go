@@ -36,8 +36,6 @@ import (
 	"minraid/internal/core"
 	"minraid/internal/experiment"
 	"minraid/internal/failure"
-	"minraid/internal/metrics"
-	"minraid/internal/msg"
 	"minraid/internal/policy"
 	"minraid/internal/storage"
 	"minraid/internal/trace"
@@ -54,24 +52,6 @@ type (
 	TxnID = core.TxnID
 	// Op is one read or write operation of a transaction.
 	Op = core.Op
-	// ItemVersion is a versioned copy of a data item.
-	ItemVersion = core.ItemVersion
-	// Status is a site lifecycle state (up, down, recovering,
-	// terminating).
-	Status = core.Status
-	// SessionVector is a nominal session vector.
-	SessionVector = core.SessionVector
-	// TxnResult is a transaction outcome as reported to the managing
-	// site.
-	TxnResult = msg.TxnResult
-	// SiteStats is a site's counter block.
-	SiteStats = msg.SiteStats
-	// StatusResp is a site status snapshot.
-	StatusResp = msg.StatusResp
-	// AuditReport is a cross-site consistency audit result.
-	AuditReport = cluster.AuditReport
-	// Registry is a metrics registry (timers and counters).
-	Registry = metrics.Registry
 	// Policy is a replication strategy.
 	Policy = policy.Policy
 	// Store is a site's local database store.
@@ -81,32 +61,14 @@ type (
 	// Schedule is a failure/recovery script keyed to transaction
 	// numbers.
 	Schedule = failure.Schedule
-	// TraceID identifies one traced operation. Database transactions
-	// trace under their transaction ID; managing-site fail/recover
-	// orders trace above AdminTraceBase.
-	TraceID = trace.ID
-	// TraceEvent is one instrumented step of a traced operation on one
-	// site.
-	TraceEvent = trace.Event
 	// TraceSpan is the chronological event timeline of one trace ID,
 	// reconstructed across sites.
 	TraceSpan = trace.Span
-	// TraceRecorder collects trace events cluster-wide; reach it via
-	// Cluster.Tracer().
-	TraceRecorder = trace.Recorder
 )
 
 // AdminTraceBase is the first trace ID used for managing-site admin
 // operations (fail/recover orders).
 const AdminTraceBase = trace.AdminBase
-
-// Site states.
-const (
-	StatusDown        = core.StatusDown
-	StatusUp          = core.StatusUp
-	StatusRecovering  = core.StatusRecovering
-	StatusTerminating = core.StatusTerminating
-)
 
 // Read returns a read operation on item.
 func Read(item ItemID) Op { return core.Read(item) }
@@ -138,12 +100,6 @@ type Cluster = cluster.Cluster
 
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// NewMemStore returns an in-memory store of items copies (the paper's
-// configuration), each at version 0 with the given initial value.
-func NewMemStore(items int, initial []byte) Store {
-	return storage.NewMemStore(items, initial)
-}
 
 // OpenWALStore opens a durable store backed by an append-only log with
 // snapshot compaction in dir — the data-I/O path the paper factored out,
