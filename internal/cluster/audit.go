@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"minraid/internal/core"
+	"minraid/internal/msg"
 )
 
 // AuditReport is the result of a cross-site consistency audit.
@@ -14,7 +15,8 @@ type AuditReport struct {
 	// CopiesCompared is the total number of (item, site) copies examined.
 	CopiesCompared int
 	// StaleCopies counts copies that are behind but properly fail-locked
-	// — expected inconsistency, correctly tracked.
+	// — expected inconsistency, correctly tracked — or, under a policy
+	// without fail-locks, behind but outvoted by every read quorum.
 	StaleCopies int
 	// UnavailableItems counts items with no up-to-date copy on any
 	// operational site — possible under partial replication when every
@@ -25,6 +27,9 @@ type AuditReport struct {
 	// without a fail-lock recording the fact, or fail-locked copies that
 	// are somehow ahead of the fresh version.
 	Violations []string
+	// Quorum reports that the quorum-consensus rule ran (the policy keeps
+	// no fail-locks).
+	Quorum bool
 }
 
 // OK reports whether the audit found no violations.
@@ -33,8 +38,12 @@ func (r AuditReport) OK() bool { return len(r.Violations) == 0 }
 // String implements fmt.Stringer.
 func (r AuditReport) String() string {
 	if r.OK() {
-		return fmt.Sprintf("audit OK: %d items, %d copies, %d properly fail-locked stale copies",
-			r.ItemsChecked, r.CopiesCompared, r.StaleCopies)
+		stale := "properly fail-locked stale copies"
+		if r.Quorum {
+			stale = "stale copies outvoted by every read quorum"
+		}
+		return fmt.Sprintf("audit OK: %d items, %d copies, %d %s",
+			r.ItemsChecked, r.CopiesCompared, r.StaleCopies, stale)
 	}
 	return fmt.Sprintf("audit FAILED: %d violations (first: %s)", len(r.Violations), r.Violations[0])
 }
@@ -46,7 +55,7 @@ func (c *Manager) Replicas() *core.ReplicaMap {
 	return c.replicas.Load()
 }
 
-// AuditQuorum verifies the quorum-consensus invariant: for every item,
+// auditQuorum verifies the quorum-consensus invariant: for every item,
 // at least degree−readQuorum(degree)+1 of its hosting copies hold the
 // latest committed version, so any read quorum over the item's copies
 // intersects the fresh ones — divergence is impossible by construction,
@@ -57,31 +66,16 @@ func (c *Manager) Replicas() *core.ReplicaMap {
 // produce. Run it fully healed with every site up; quorum holds its
 // invariant through partitions (the minority side aborts), but a down
 // site hides copies this audit must count.
-func (c *Manager) AuditQuorum() (AuditReport, error) {
-	var report AuditReport
-	if c.pol.UsesFailLocks() {
-		return report, fmt.Errorf("cluster: %s tracks staleness in fail-locks; audit it with Audit, not the quorum audit", c.pol.Name())
-	}
+func (c *Manager) auditQuorum() (AuditReport, error) {
+	report := AuditReport{Quorum: true}
 	sites, items := c.Sites(), c.Items()
 	replicas := c.Replicas()
-	dumps := make([][]core.ItemVersion, sites)
-	for i := 0; i < sites; i++ {
-		id := core.SiteID(i)
-		st, err := c.Status(id, false)
-		if err != nil {
-			return report, err
-		}
-		if st.State != core.StatusUp {
-			return report, fmt.Errorf("cluster: quorum audit needs every site up; %s is %s", id, st.State)
-		}
-		dump, err := c.Dump(id)
-		if err != nil {
-			return report, err
-		}
-		dumps[i], err = sparseDump(dump, replicas, id, items)
-		if err != nil {
-			return report, err
-		}
+	views, err := c.upViews(nil)
+	if err != nil {
+		return report, err
+	}
+	if len(views) != sites {
+		return report, fmt.Errorf("cluster: quorum audit needs every site up; %d of %d are", len(views), sites)
 	}
 	for item := 0; item < items; item++ {
 		report.ItemsChecked++
@@ -89,21 +83,21 @@ func (c *Manager) AuditQuorum() (AuditReport, error) {
 		degree := replicas.Degree(core.ItemID(item))
 		need := degree - c.pol.ReadQuorum(degree) + 1
 		var fresh core.ItemVersion
-		for i := 0; i < sites; i++ {
-			if hostMask&(1<<i) == 0 {
+		for _, v := range views {
+			if hostMask&(1<<v.id) == 0 {
 				continue
 			}
 			report.CopiesCompared++
-			if iv := dumps[i][item]; iv.Version > fresh.Version {
+			if iv := v.dump[item]; iv.Version > fresh.Version {
 				fresh = iv
 			}
 		}
 		atFresh := 0
-		for i := 0; i < sites; i++ {
-			if hostMask&(1<<i) == 0 {
+		for _, v := range views {
+			if hostMask&(1<<v.id) == 0 {
 				continue
 			}
-			iv := dumps[i][item]
+			iv := v.dump[item]
 			if iv.Version != fresh.Version {
 				report.StaleCopies++
 				continue
@@ -111,7 +105,7 @@ func (c *Manager) AuditQuorum() (AuditReport, error) {
 			if !bytes.Equal(iv.Value, fresh.Value) {
 				report.Violations = append(report.Violations, fmt.Sprintf(
 					"item %d: %s holds version %d with a different value — committed divergence",
-					item, core.SiteID(i), iv.Version))
+					item, v.id, iv.Version))
 				continue
 			}
 			atFresh++
@@ -151,63 +145,84 @@ func sparseDump(dump []core.ItemVersion, replicas *core.ReplicaMap, id core.Site
 	return out, nil
 }
 
-// Audit verifies the system's core invariant: every pair of copies of an
-// item on operational sites is identical unless a fail-lock records that
-// one of them missed updates — "fail-locks can properly track the location
-// of the correct values for data items even when these values are spread
-// out over multiple sites" (§5).
-//
-// The audit is driven from the managing site using dumps and status
-// probes. It should be run while no transactions are in flight.
-func (c *Manager) Audit() (AuditReport, error) {
-	var report AuditReport
-	sites, items := c.Sites(), c.Items()
-	replicas := c.Replicas()
+// siteView is one operational site as the managing site reads it: its
+// status, with the full fail-lock table, and its copies spread into an
+// items-length view (see sparseDump).
+type siteView struct {
+	id   core.SiteID
+	st   *msg.StatusResp
+	dump []core.ItemVersion
+}
 
-	// Find the operational sites and a reference fail-lock table. Tables
-	// at operational sites are compared too: they must agree. Dumps are
-	// hosted-only under partial replication (see sparseDump); fail-lock
-	// tables are fully replicated regardless of placement.
-	type siteView struct {
-		id    core.SiteID
-		dump  []core.ItemVersion
-		locks []uint64
-	}
+// upViews reads every site only marks (nil marks all) and returns the
+// views of those that report themselves up, in site order. Fail-lock
+// tables are fully replicated regardless of placement, so each must hold
+// one word per item.
+func (c *Manager) upViews(only []bool) ([]siteView, error) {
+	replicas := c.Replicas()
 	var views []siteView
-	for i := 0; i < sites; i++ {
+	for i := 0; i < c.sites; i++ {
+		if only != nil && !only[i] {
+			continue
+		}
 		id := core.SiteID(i)
 		st, err := c.Status(id, true)
 		if err != nil {
-			return report, err
+			return nil, err
 		}
 		if st.State != core.StatusUp {
 			continue
 		}
 		dump, err := c.Dump(id)
 		if err != nil {
-			return report, err
+			return nil, err
 		}
-		if len(st.FailLocks) != items {
-			return report, fmt.Errorf("cluster: %s returned %d lock words for %d items", id, len(st.FailLocks), items)
+		if len(st.FailLocks) != c.items {
+			return nil, fmt.Errorf("cluster: %s returned %d lock words for %d items", id, len(st.FailLocks), c.items)
 		}
-		sparse, err := sparseDump(dump, replicas, id, items)
+		sparse, err := sparseDump(dump, replicas, id, c.items)
 		if err != nil {
-			return report, err
+			return nil, err
 		}
-		views = append(views, siteView{id: id, dump: sparse, locks: st.FailLocks})
+		views = append(views, siteView{id: id, st: st, dump: sparse})
+	}
+	return views, nil
+}
+
+// Audit verifies the system's core invariant: every pair of copies of an
+// item on operational sites is identical unless a fail-lock records that
+// one of them missed updates — "fail-locks can properly track the location
+// of the correct values for data items even when these values are spread
+// out over multiple sites" (§5). Under a policy without fail-locks it
+// checks the quorum-consensus invariant instead (see auditQuorum).
+//
+// The audit is driven from the managing site using dumps and status
+// probes. It should be run while no transactions are in flight.
+func (c *Manager) Audit() (AuditReport, error) {
+	if !c.pol.UsesFailLocks() {
+		return c.auditQuorum()
+	}
+	var report AuditReport
+	items := c.Items()
+	replicas := c.Replicas()
+
+	views, err := c.upViews(nil)
+	if err != nil {
+		return report, err
 	}
 	if len(views) == 0 {
 		return report, fmt.Errorf("cluster: no operational site to audit")
 	}
 
-	// Fail-lock tables of operational sites must agree.
-	ref := views[0]
+	// Fail-lock tables of operational sites must agree; the first is the
+	// reference the copies are judged by.
+	ref, locks := views[0].id, views[0].st.FailLocks
 	for _, v := range views[1:] {
 		for item := 0; item < items; item++ {
-			if ref.locks[item] != v.locks[item] {
+			if locks[item] != v.st.FailLocks[item] {
 				report.Violations = append(report.Violations, fmt.Sprintf(
 					"fail-lock tables diverge on item %d: %s=%#x %s=%#x",
-					item, ref.id, ref.locks[item], v.id, v.locks[item]))
+					item, ref, locks[item], v.id, v.st.FailLocks[item]))
 			}
 		}
 	}
@@ -215,7 +230,7 @@ func (c *Manager) Audit() (AuditReport, error) {
 	for item := 0; item < items; item++ {
 		report.ItemsChecked++
 		hostMask := replicas.HostMask(core.ItemID(item))
-		if stray := ref.locks[item] &^ hostMask; stray != 0 {
+		if stray := locks[item] &^ hostMask; stray != 0 {
 			report.Violations = append(report.Violations, fmt.Sprintf(
 				"item %d: fail-locks %#x set for non-hosting sites", item, stray))
 		}
@@ -230,7 +245,7 @@ func (c *Manager) Audit() (AuditReport, error) {
 			}
 			hostingUp++
 			report.CopiesCompared++
-			if ref.locks[item]&(1<<v.id) != 0 {
+			if locks[item]&(1<<v.id) != 0 {
 				continue // this copy is fail-locked: stale by design
 			}
 			iv := v.dump[item]
@@ -255,7 +270,7 @@ func (c *Manager) Audit() (AuditReport, error) {
 				continue
 			}
 			iv := v.dump[item]
-			locked := ref.locks[item]&(1<<v.id) != 0
+			locked := locks[item]&(1<<v.id) != 0
 			switch {
 			case locked:
 				report.StaleCopies++

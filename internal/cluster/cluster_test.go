@@ -836,7 +836,7 @@ func TestPartialQuorumReadsAndWrites(t *testing.T) {
 	if _, err := c.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.AuditQuorum()
+	report, err := c.Audit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -962,6 +962,37 @@ func TestAuditReportString(t *testing.T) {
 	report.Violations = append(report.Violations, "synthetic")
 	if !strings.Contains(report.String(), "FAILED") {
 		t.Errorf("failed report = %q", report.String())
+	}
+}
+
+// TestAuditJudgesQuorumByReadQuorums: a copy that missed writes while its
+// site was down is stale but legitimate under quorum consensus — no
+// fail-lock records it, reads vote past it — so Audit must judge a quorum
+// cluster by the read-quorum rule, not report the copy as untracked
+// divergence, and must not call it fail-locked.
+func TestAuditJudgesQuorumByReadQuorums(t *testing.T) {
+	c := newTestCluster(t, Config{Sites: 3, Items: 10, Policy: policy.Quorum{}})
+	if err := c.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"x", "y"} {
+		res, err := c.Exec(0, []core.Op{core.Write(2, []byte(v))})
+		if err != nil || !res.Committed {
+			t.Fatalf("write %s: %v %v", v, res, err)
+		}
+	}
+	if _, err := c.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.OK() || report.StaleCopies != 1 {
+		t.Fatalf("audit = %s with %d stale copies, want OK with site 1's one stale copy", report, report.StaleCopies)
+	}
+	if strings.Contains(report.String(), "fail-locked") {
+		t.Errorf("quorum audit speaks of fail-locks: %q", report)
 	}
 }
 

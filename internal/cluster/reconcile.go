@@ -85,43 +85,15 @@ func (c *Manager) ReconcileSplitBrain(trueUp []bool, ackTimeout time.Duration) (
 	sites, items := c.sites, c.items
 
 	replicas := c.Replicas()
-	type view struct {
-		id   core.SiteID
-		st   *msg.StatusResp
-		dump []core.ItemVersion
+	// A truly-up site that thinks itself otherwise is a recovery the
+	// caller deferred; its recovery path handles it, so it has no view.
+	views, err := c.upViews(trueUp)
+	if err != nil {
+		return rep, err
 	}
-	var views []view
 	var trueUpMask uint64
-	for i := 0; i < sites; i++ {
-		if !trueUp[i] {
-			continue
-		}
-		id := core.SiteID(i)
-		trueUpMask |= 1 << id
-		st, err := c.Status(id, true)
-		if err != nil {
-			return rep, err
-		}
-		if st.State != core.StatusUp {
-			// Ground truth says up but the site thinks otherwise — a
-			// recovery the caller deferred; leave it to its recovery path.
-			trueUpMask &^= 1 << id
-			continue
-		}
-		dump, err := c.Dump(id)
-		if err != nil {
-			return rep, err
-		}
-		if len(st.FailLocks) != items {
-			return rep, fmt.Errorf("cluster: reconcile: %s returned %d lock words for %d items", id, len(st.FailLocks), items)
-		}
-		// Dumps are hosted-only under partial replication; spread each one
-		// into an items-length view (step 2 only reads hosting entries).
-		sparse, err := sparseDump(dump, replicas, id, items)
-		if err != nil {
-			return rep, fmt.Errorf("cluster: reconcile: %v", err)
-		}
-		views = append(views, view{id: id, st: st, dump: sparse})
+	for _, v := range views {
+		trueUpMask |= 1 << v.id
 	}
 	if len(views) == 0 {
 		return rep, fmt.Errorf("cluster: reconcile: no operational site")

@@ -231,7 +231,7 @@ func TestReconcileQuorumVectorsOnly(t *testing.T) {
 	if rep.LocksSet != 0 || rep.LocksCleared != 0 {
 		t.Fatalf("reconcile edited fail-locks under quorum: %s", rep)
 	}
-	audit, err := c.AuditQuorum()
+	audit, err := c.Audit()
 	if err != nil {
 		t.Fatal(err)
 	}

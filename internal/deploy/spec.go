@@ -7,9 +7,11 @@
 // transaction.
 //
 // The spec is deliberately the whole configuration surface shared by
-// cmd/raidsrv, cmd/raidctl and the soak CLI: each binds the same flags
-// through BindFlags, or loads the same JSON file, so every participant in
-// a deployment is configured identically from one artifact.
+// cmd/raidsrv and cmd/raidctl: both bind the same flags through BindFlags,
+// or load the same JSON file, so every participant in a deployment is
+// configured identically from one artifact. The process-fabric soak
+// builds its spec in code from its own flags (-ack, -concurrency,
+// -lockwait) and writes it out for the raidsrv processes it starts.
 package deploy
 
 import (
@@ -86,9 +88,9 @@ type ClusterSpec struct {
 }
 
 // BindFlags registers every spec field on fs under the shared flag names
-// and returns the spec that fs.Parse will populate. All deployment CLIs
-// (raidsrv, raidctl, raid-experiments soak -fabric proc) bind the same
-// surface, so one command line configures them identically.
+// and returns the spec that fs.Parse will populate. raidsrv and raidctl
+// bind the same surface, so one command line configures them identically;
+// the soak CLI defines its own flags and builds its spec in code.
 func BindFlags(fs *flag.FlagSet) *ClusterSpec {
 	s := &ClusterSpec{}
 	fs.StringVar(&s.Addrs, "addrs", "", "address map: 0=host:port,...,m=host:port (ranges: 0-4=host:7000-7004)")

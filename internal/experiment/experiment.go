@@ -168,8 +168,7 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 	if cfg.TwoStepThreshold < 0 || cfg.TwoStepThreshold > 1 {
 		return nil, fmt.Errorf("experiment: two-step threshold %v out of [0,1]", cfg.TwoStepThreshold)
 	}
-	plan, err := failure.NewPlan(sched, cfg.Sites)
-	if err != nil {
+	if err := sched.Validate(cfg.Sites); err != nil {
 		return nil, err
 	}
 	c, err := cluster.New(cfg.Config)
@@ -191,25 +190,32 @@ func RunSchedule(cfg Config, sched failure.Schedule, capTxns int) (*ScheduleResu
 		limit = capTxns
 	}
 
+	up := make([]bool, cfg.Sites)
+	for i := range up {
+		up[i] = true
+	}
 	armed := make([]bool, cfg.Sites)
 	everLocked := false
 	for txnNum := 1; txnNum <= limit; txnNum++ {
 		for _, e := range sched.EventsBefore(txnNum) {
-			switch e.Action {
+			switch e.Kind {
 			case failure.Fail:
 				if err := c.Fail(e.Site); err != nil {
 					return nil, fmt.Errorf("experiment: %s: %w", e, err)
 				}
-				armed[e.Site] = false
+				up[e.Site], armed[e.Site] = false, false
+				if len(upSites(up)) == 0 {
+					return nil, fmt.Errorf("experiment: %s leaves no site up", e)
+				}
 			case failure.Recover:
 				if _, err := c.Recover(e.Site); err != nil {
 					return nil, fmt.Errorf("experiment: %s: %w", e, err)
 				}
-				armed[e.Site] = cfg.TwoStepThreshold > 0
+				up[e.Site], armed[e.Site] = true, cfg.TwoStepThreshold > 0
 			}
 		}
 
-		coord := plan.Coordinator(txnNum)
+		coord := pickCoordinator(up, txnNum)
 		id := c.NextTxnID()
 		ops := gen.Next(id)
 		out, err := c.ExecTxn(coord, id, ops)

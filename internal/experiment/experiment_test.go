@@ -18,6 +18,36 @@ import (
 // noise — on a loaded machine a zero-delay microsecond-scale comparison
 // is meaningless, as it was on the paper's hardware too.
 
+// TestPickCoordinatorRoundRobin: a lone up site coordinates every
+// transaction, and with both sites up transactions alternate between
+// them ("transactions were processed on both sites", §3.1).
+func TestPickCoordinatorRoundRobin(t *testing.T) {
+	up := []bool{false, true}
+	for txn := 1; txn <= 25; txn++ {
+		if got := pickCoordinator(up, txn); got != 1 {
+			t.Fatalf("txn %d coordinator = %v", txn, got)
+		}
+	}
+	up[0] = true
+	if c51, c52 := pickCoordinator(up, 51), pickCoordinator(up, 52); c51 == c52 {
+		t.Errorf("coordinators do not alternate: %v %v", c51, c52)
+	}
+}
+
+// TestRunScheduleRejectsTotalFailure: a script that takes the last site
+// down leaves no coordinator; the run stops with an error naming the
+// event.
+func TestRunScheduleRejectsTotalFailure(t *testing.T) {
+	sched := failure.Schedule{Txns: 5, Events: []failure.Event{
+		{BeforeTxn: 1, Kind: failure.Fail, Site: 0},
+		{BeforeTxn: 1, Kind: failure.Fail, Site: 1},
+	}}
+	_, err := RunSchedule(Config{}, sched, 0)
+	if err == nil || !strings.Contains(err.Error(), "fail site 1 leaves no site up") {
+		t.Fatalf("err = %v, want the total failure reported", err)
+	}
+}
+
 func TestRunScheduleFigure1Shape(t *testing.T) {
 	cfg := Config{Config: cluster.Config{Sites: 2, Items: 50}, MaxOps: 5, Seed: 7}
 	res, err := RunSchedule(cfg, failure.Figure1(0), 2000)

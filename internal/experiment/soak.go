@@ -18,7 +18,6 @@ import (
 	"minraid/internal/geo"
 	"minraid/internal/metrics"
 	"minraid/internal/msg"
-	"minraid/internal/netsched"
 	"minraid/internal/storage"
 	"minraid/internal/transport"
 	"minraid/internal/workload"
@@ -71,12 +70,12 @@ type SoakConfig struct {
 	// MaxDown caps simultaneously failed sites in generated schedules
 	// (default sites-1).
 	MaxDown int
-	// Partitions enables the netsched link-fault scheduler: each epoch
-	// derives a deterministic partition/one-way/cut event stream from
-	// its seed, keeps issuing workload on both sides of every cut, and
-	// reconciles split brain at heal time through the paper's machinery
-	// (session-vector comparison, fail-lock collection, copier
-	// transactions).
+	// Partitions enables scheduled link faults: each epoch merges a
+	// deterministic partition/one-way/cut event stream, drawn from its
+	// seed, into its fail/recover schedule, keeps issuing workload on
+	// both sides of every cut, and reconciles split brain at heal time
+	// through the paper's machinery (session-vector comparison, fail-lock
+	// collection, copier transactions).
 	Partitions bool
 	// Scrub enables the continuous-heal regime: a background scrubber
 	// repairs fail-locked items in rate-limited copier batches while
@@ -188,13 +187,14 @@ type EpochResult struct {
 	// Empty/zero unless the soak ran with a WAN profile.
 	WANProfile, WANRegions string
 	WANFingerprint         uint64
-	// NetEvents is the partition scheduler's event stream in canonical
-	// rendering, and NetFingerprint its FNV-1a hash — the determinism
+	// NetEvents is the epoch schedule's link events in canonical
+	// rendering, and NetFingerprint their FNV-1a hash — the determinism
 	// witness the -repro check compares. Empty unless Partitions is on.
 	NetEvents      []string
 	NetFingerprint uint64
-	// FailEvents is the fail/recover schedule in canonical rendering —
-	// with NetEvents, the injected-fault half of the determinism witness.
+	// FailEvents is the schedule's fail/recover events in canonical
+	// rendering — with NetEvents, the injected-fault half of the
+	// determinism witness.
 	FailEvents []string
 	// WorkloadFingerprint hashes the issued transaction stream
 	// (number, ID, coordinator, operations): a pure function of the seed
@@ -589,27 +589,23 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	for _, e := range sched.Events {
-		er.FailEvents = append(er.FailEvents, e.String())
-	}
 
-	// The link-fault schedule draws from its own rng so enabling
-	// partitions leaves the chaos decision streams and the fail/recover
-	// schedule untouched.
-	var nsched netsched.Schedule
-	var top *netsched.Topology
+	// Link faults draw from their own rng so enabling partitions leaves
+	// the chaos decision streams and the fail/recover events untouched.
+	// They fire ahead of site events at a shared boundary.
 	if cfg.Partitions {
 		nrng := rand.New(rand.NewSource(netSeed(chaosCfg.Seed)))
+		var links failure.Schedule
 		if wan != nil {
 			// WAN regime: faults are region-sized — whole regions go
 			// dark or blackhole one way toward another region.
-			nsched, err = netsched.RandomRegional(netsched.RegionalConfig{
+			links, err = failure.RandomRegional(failure.RegionalConfig{
 				Assign: wan.Assignment,
 				Names:  wan.Profile.Regions,
 				Txns:   cfg.TxnsPerEpoch,
 			}, nrng)
 		} else {
-			nsched, err = netsched.Random(netsched.RandomConfig{
+			links, err = failure.RandomLinks(failure.LinkConfig{
 				Sites: base.Sites,
 				Txns:  cfg.TxnsPerEpoch,
 			}, nrng)
@@ -617,10 +613,17 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		top = netsched.NewTopology(base.Sites)
-		er.NetEvents = nsched.Strings()
-		er.NetFingerprint = nsched.Fingerprint()
+		sched = failure.Merge(links, sched)
+		er.NetFingerprint = sched.NetFingerprint(base.Sites)
 	}
+	for _, e := range sched.Events {
+		if e.Kind.Link() {
+			er.NetEvents = append(er.NetEvents, e.String())
+		} else {
+			er.FailEvents = append(er.FailEvents, e.String())
+		}
+	}
+	top := failure.NewTopology(base.Sites)
 
 	fab := fleet
 	var c *cluster.Cluster // the in-process wire; nil on the process fabric
@@ -730,14 +733,6 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 		return rep, nil
 	}
 
-	// eventAt reports whether any schedule event fires immediately before
-	// transaction n — a wave boundary in concurrent mode.
-	eventAt := func(n int) bool {
-		if len(sched.EventsBefore(n)) > 0 {
-			return true
-		}
-		return cfg.Partitions && len(nsched.EventsBefore(n)) > 0
-	}
 	// Waves are capped so false-suspicion repair still runs at a bounded
 	// interval even through an event-free stretch of the schedule.
 	waveCap := 1
@@ -747,33 +742,8 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	fp := fnv.New64a()
 
 	for txnNum := 1; txnNum <= cfg.TxnsPerEpoch; {
-		if cfg.Partitions {
-			for _, e := range nsched.EventsBefore(txnNum) {
-				if chaosCfg.Active() || top.Active() {
-					settle()
-				}
-				top.Drive(c, e)
-				if e.Kind != netsched.Heal {
-					continue
-				}
-				// Heal time: first complete the recoveries the episode
-				// blocked, then compare session vectors and collect the
-				// divergence into fail-locks.
-				for i, d := range deferred {
-					if !d {
-						continue
-					}
-					if err := restart(core.SiteID(i), false); err != nil {
-						return nil, nil, 0, fmt.Errorf("deferred recover %d before txn %d: %w", i, txnNum, err)
-					}
-				}
-				if _, err := reconcile(); err != nil {
-					return nil, nil, 0, fmt.Errorf("reconcile before txn %d: %w", txnNum, err)
-				}
-			}
-		}
 		for _, e := range sched.EventsBefore(txnNum) {
-			switch e.Action {
+			switch e.Kind {
 			case failure.Fail:
 				// A deferred recovery leaves the schedule's model of the
 				// up-set ahead of reality; skip failures that would hit
@@ -797,7 +767,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 				// During an episode a single attempt decides: a site cut
 				// off from every donor reports recovery blocked (§3.2)
 				// and waits for the heal.
-				inEpisode := top != nil && top.Active()
+				inEpisode := top.Active()
 				err := restart(e.Site, inEpisode)
 				switch {
 				case inEpisode && errors.Is(err, cluster.ErrRecoveryBlocked):
@@ -805,6 +775,28 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 					er.DeferredRecoveries++
 				case err != nil:
 					return nil, nil, 0, fmt.Errorf("%s: %w", e, err)
+				}
+			default:
+				if chaosCfg.Active() || top.Active() {
+					settle()
+				}
+				top.Drive(c, e)
+				if e.Kind != failure.Heal {
+					continue
+				}
+				// Heal time: first complete the recoveries the episode
+				// blocked, then compare session vectors and collect the
+				// divergence into fail-locks.
+				for i, d := range deferred {
+					if !d {
+						continue
+					}
+					if err := restart(core.SiteID(i), false); err != nil {
+						return nil, nil, 0, fmt.Errorf("deferred recover %d before txn %d: %w", i, txnNum, err)
+					}
+				}
+				if _, err := reconcile(); err != nil {
+					return nil, nil, 0, fmt.Errorf("reconcile before txn %d: %w", txnNum, err)
 				}
 			}
 		}
@@ -817,7 +809,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 		// and partition event lands on a write-quiescent system (the
 		// documented constraint for concurrent-mode recovery).
 		waveEnd := txnNum
-		for waveEnd-txnNum+1 < waveCap && waveEnd+1 <= cfg.TxnsPerEpoch && !eventAt(waveEnd+1) {
+		for waveEnd-txnNum+1 < waveCap && waveEnd+1 <= cfg.TxnsPerEpoch && len(sched.EventsBefore(waveEnd+1)) == 0 {
 			waveEnd++
 		}
 		wave := make([]soakIssue, 0, waveEnd-txnNum+1)
@@ -839,7 +831,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 			return nil, nil, 0, err
 		}
 
-		inPartition := top != nil && top.Active()
+		inPartition := top.Active()
 		for _, out := range outs {
 			er.Txns++
 			if inPartition {
@@ -885,7 +877,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 	// Epilogue: heal any episode the schedule left active (after letting
 	// partition-era decision timers expire into the cut), bring
 	// ground-truth-down sites back, and clear remaining false suspicions.
-	if top != nil && top.Active() {
+	if top.Active() {
 		settle()
 		top.HealAll(c)
 	}
@@ -970,12 +962,7 @@ func runSoakEpoch(cfg SoakConfig, seed int64, epoch int, fleet deploy.Fabric, tx
 		er.ScrubCopiers = st.Copiers
 	}
 
-	var report cluster.AuditReport
-	if usesFailLocks {
-		report, err = mgr.Audit()
-	} else {
-		report, err = mgr.AuditQuorum()
-	}
+	report, err := mgr.Audit()
 	if err != nil {
 		return nil, nil, 0, err
 	}

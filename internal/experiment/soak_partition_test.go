@@ -7,13 +7,13 @@ import (
 
 	"minraid/internal/cluster"
 	"minraid/internal/core"
-	"minraid/internal/netsched"
+	"minraid/internal/failure"
 	"minraid/internal/policy"
 	"minraid/internal/transport"
 )
 
-// partitionSoakConfig is the partition regression corpus: link cuts from
-// the netsched scheduler on top of the fail/recover schedule, with no
+// partitionSoakConfig is the partition regression corpus: link events
+// merged into the fail/recover schedule, with no
 // probabilistic chaos — the cuts themselves are the fault under test.
 func partitionSoakConfig(seeds []int64, txns int) SoakConfig {
 	return SoakConfig{
@@ -185,12 +185,13 @@ func TestPartitionSoakTCP(t *testing.T) {
 	}
 }
 
-// TestPartitionStudyViaNetsched reproduces the static RunPartitionStudy
-// scenario — ROWAA splits {0} | {1,2}, both sides commit, replicas
-// diverge — as a one-event netsched schedule driven through the
-// scheduler's own Topology, then heals and reconciles it back to a clean
-// audit. The hand-written study and the scheduler are the same experiment.
-func TestPartitionStudyViaNetsched(t *testing.T) {
+// TestPartitionStudyViaLinkSchedule reproduces the static
+// RunPartitionStudy scenario — ROWAA splits {0} | {1,2}, both sides
+// commit, replicas diverge — as a one-event link schedule driven through
+// the schedule's own Topology, then heals and reconciles it back to a
+// clean audit. The hand-written study and the schedule are the same
+// experiment.
+func TestPartitionStudyViaLinkSchedule(t *testing.T) {
 	const txns = 6
 	cfg := Config{Config: cluster.Config{Sites: 3, Items: 20, AckTimeout: 40 * time.Millisecond}}.withDefaults(3, 20, 5)
 	c, err := cluster.New(cfg.Config)
@@ -199,22 +200,21 @@ func TestPartitionStudyViaNetsched(t *testing.T) {
 	}
 	defer c.Close()
 
-	sched := netsched.Schedule{
-		Sites: 3,
-		Txns:  txns,
-		Events: []netsched.Event{{
+	sched := failure.Schedule{
+		Txns: txns,
+		Events: []failure.Event{{
 			BeforeTxn: 1,
-			Kind:      netsched.Partition,
-			Groups: []netsched.Group{
+			Kind:      failure.Partition,
+			Groups: []failure.Group{
 				{Name: "A", Sites: []core.SiteID{0}},
 				{Name: "B", Sites: []core.SiteID{1, 2}},
 			},
 		}},
 	}
-	if err := sched.Validate(); err != nil {
+	if err := sched.Validate(3); err != nil {
 		t.Fatal(err)
 	}
-	top := netsched.NewTopology(3)
+	top := failure.NewTopology(3)
 	for _, e := range sched.EventsBefore(1) {
 		top.Drive(c, e)
 	}

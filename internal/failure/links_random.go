@@ -1,4 +1,4 @@
-package netsched
+package failure
 
 import (
 	"fmt"
@@ -8,11 +8,11 @@ import (
 	"minraid/internal/transport"
 )
 
-// RandomConfig parameterizes a randomized link-fault schedule. Like
-// failure.Random, the generator is a pure function of (config, rng
+// LinkConfig parameterizes a randomized link-fault schedule. Like
+// Random, the generator is a pure function of (config, rng
 // state), so a soak epoch's partition event stream is reproducible from
 // its seed.
-type RandomConfig struct {
+type LinkConfig struct {
 	// Sites is the number of database sites.
 	Sites int
 	// Txns is the number of transactions the schedule spans.
@@ -29,12 +29,12 @@ type RandomConfig struct {
 	Kinds []Kind
 }
 
-func (c *RandomConfig) fillDefaults() error {
+func (c *LinkConfig) fillDefaults() error {
 	if c.Sites < 2 || c.Sites > core.MaxSites {
-		return fmt.Errorf("netsched: random schedule needs 2..%d sites, got %d", core.MaxSites, c.Sites)
+		return fmt.Errorf("failure: random schedule needs 2..%d sites, got %d", core.MaxSites, c.Sites)
 	}
 	if c.Txns < 1 {
-		return fmt.Errorf("netsched: random schedule needs >= 1 txn, got %d", c.Txns)
+		return fmt.Errorf("failure: random schedule needs >= 1 txn, got %d", c.Txns)
 	}
 	if c.Episodes == 0 {
 		c.Episodes = c.Txns/12 + 1
@@ -49,23 +49,22 @@ func (c *RandomConfig) fillDefaults() error {
 		c.Kinds = []Kind{Partition, OneWay, Cut}
 	}
 	for _, k := range c.Kinds {
-		if k == Heal {
-			return fmt.Errorf("netsched: Heal is implicit and cannot be drawn as a fault kind")
+		if k == Heal || !k.Link() {
+			return fmt.Errorf("failure: a link schedule cannot draw %s as a fault kind", k)
 		}
 	}
 	return nil
 }
 
-// Random draws a valid schedule from rng: non-overlapping fault episodes
-// at random transaction boundaries, each healed MinHold..MaxHold
-// transactions later. Sites never fail here — netsched cuts links, the
-// failure package fails sites; a soak composes both. Identical (config,
-// rng state) produce identical schedules.
-func Random(cfg RandomConfig, rng *rand.Rand) (Schedule, error) {
+// RandomLinks draws a valid schedule from rng: non-overlapping fault
+// episodes at random transaction boundaries, each healed MinHold..MaxHold
+// transactions later. Sites never fail here — Random draws those; a soak
+// merges both. Identical (config, rng state) produce identical schedules.
+func RandomLinks(cfg LinkConfig, rng *rand.Rand) (Schedule, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return Schedule{}, err
 	}
-	sched := Schedule{Sites: cfg.Sites, Txns: cfg.Txns}
+	sched := Schedule{Txns: cfg.Txns}
 	spread := cfg.Txns/cfg.Episodes + 1
 	next := 1
 	for ep := 0; ep < cfg.Episodes; ep++ {
@@ -80,14 +79,14 @@ func Random(cfg RandomConfig, rng *rand.Rand) (Schedule, error) {
 		sched.Events = append(sched.Events, fault, Event{BeforeTxn: heal, Kind: Heal})
 		next = heal + 1
 	}
-	if err := sched.Validate(); err != nil {
-		return Schedule{}, fmt.Errorf("netsched: generated schedule invalid: %w", err)
+	if err := sched.Validate(cfg.Sites); err != nil {
+		return Schedule{}, fmt.Errorf("failure: generated schedule invalid: %w", err)
 	}
 	return sched, nil
 }
 
 // drawFault draws one fault event (BeforeTxn unset).
-func drawFault(cfg RandomConfig, rng *rand.Rand) Event {
+func drawFault(cfg LinkConfig, rng *rand.Rand) Event {
 	switch cfg.Kinds[rng.Intn(len(cfg.Kinds))] {
 	case Partition:
 		groups := 2

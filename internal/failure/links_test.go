@@ -1,4 +1,4 @@
-package netsched
+package failure
 
 import (
 	"math/rand"
@@ -76,59 +76,59 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		name string
 		s    Schedule
 	}{
-		{"heal without episode", Schedule{Sites: 3, Txns: 10, Events: []Event{{BeforeTxn: 2, Kind: Heal}}}},
-		{"overlapping episodes", Schedule{Sites: 3, Txns: 10, Events: []Event{part,
+		{"heal without episode", Schedule{Txns: 10, Events: []Event{{BeforeTxn: 2, Kind: Heal}}}},
+		{"overlapping episodes", Schedule{Txns: 10, Events: []Event{part,
 			{BeforeTxn: 3, Kind: Cut, Links: []transport.LinkID{{From: 0, To: 1}}}}}},
-		{"event out of range", Schedule{Sites: 3, Txns: 10, Events: []Event{{BeforeTxn: 11, Kind: Heal}}}},
-		{"unsorted", Schedule{Sites: 3, Txns: 10, Events: []Event{
+		{"event out of range", Schedule{Txns: 10, Events: []Event{{BeforeTxn: 11, Kind: Heal}}}},
+		{"unsorted", Schedule{Txns: 10, Events: []Event{
 			{BeforeTxn: 5, Kind: Cut, Links: []transport.LinkID{{From: 0, To: 1}}},
 			{BeforeTxn: 2, Kind: Heal}}}},
-		{"site out of range", Schedule{Sites: 2, Txns: 10, Events: []Event{
+		{"site out of range", Schedule{Txns: 10, Events: []Event{
 			{BeforeTxn: 1, Kind: OneWay, Links: []transport.LinkID{{From: 0, To: 5}}}}}},
-		{"self link", Schedule{Sites: 3, Txns: 10, Events: []Event{
+		{"self link", Schedule{Txns: 10, Events: []Event{
 			{BeforeTxn: 1, Kind: OneWay, Links: []transport.LinkID{{From: 1, To: 1}}}}}},
-		{"overlapping groups", Schedule{Sites: 3, Txns: 10, Events: []Event{
+		{"overlapping groups", Schedule{Txns: 10, Events: []Event{
 			{BeforeTxn: 1, Kind: Partition, Groups: []Group{
 				{Name: "A", Sites: []core.SiteID{0, 1}}, {Name: "B", Sites: []core.SiteID{1, 2}}}}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.s.Validate(); err == nil {
+		if err := tc.s.Validate(3); err == nil {
 			t.Errorf("%s: Validate accepted an invalid schedule", tc.name)
 		}
 	}
-	ok := Schedule{Sites: 3, Txns: 10, Events: []Event{part, {BeforeTxn: 4, Kind: Heal}}}
-	if err := ok.Validate(); err != nil {
+	ok := Schedule{Txns: 10, Events: []Event{part, {BeforeTxn: 4, Kind: Heal}}}
+	if err := ok.Validate(3); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 }
 
 func TestRandomIsDeterministic(t *testing.T) {
-	cfg := RandomConfig{Sites: 4, Txns: 60}
-	a, err := Random(cfg, rand.New(rand.NewSource(7)))
+	cfg := LinkConfig{Sites: 4, Txns: 60}
+	a, err := RandomLinks(cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Random(cfg, rand.New(rand.NewSource(7)))
+	b, err := RandomLinks(cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different schedules:\n%v\n%v", a.Strings(), b.Strings())
+		t.Fatalf("same seed produced different schedules:\n%v\n%v", a.Events, b.Events)
 	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("fingerprints differ: %x vs %x", a.Fingerprint(), b.Fingerprint())
+	if a.NetFingerprint(4) != b.NetFingerprint(4) {
+		t.Fatalf("fingerprints differ: %x vs %x", a.NetFingerprint(4), b.NetFingerprint(4))
 	}
-	c, err := Random(cfg, rand.New(rand.NewSource(8)))
+	c, err := RandomLinks(cfg, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Events) > 0 && len(a.Events) > 0 && a.Fingerprint() == c.Fingerprint() {
+	if len(c.Events) > 0 && len(a.Events) > 0 && a.NetFingerprint(4) == c.NetFingerprint(4) {
 		t.Fatalf("different seeds produced identical fingerprints")
 	}
 	if len(a.Events) == 0 {
 		t.Fatalf("60-txn schedule generated no episodes")
 	}
-	if err := a.Validate(); err != nil {
+	if err := a.Validate(4); err != nil {
 		t.Fatalf("generated schedule invalid: %v", err)
 	}
 }
@@ -136,12 +136,12 @@ func TestRandomIsDeterministic(t *testing.T) {
 func TestRandomManySeedsValidate(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		for _, sites := range []int{2, 3, 4, 7} {
-			s, err := Random(RandomConfig{Sites: sites, Txns: 40}, rand.New(rand.NewSource(seed)))
+			s, err := RandomLinks(LinkConfig{Sites: sites, Txns: 40}, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("seed %d sites %d: %v", seed, sites, err)
 			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("seed %d sites %d: %v\n%v", seed, sites, err, s.Strings())
+			if err := s.Validate(sites); err != nil {
+				t.Fatalf("seed %d sites %d: %v\n%v", seed, sites, err, s.Events)
 			}
 		}
 	}

@@ -24,9 +24,9 @@ type RandomConfig struct {
 	Events int
 	// MaxDown caps the number of simultaneously failed sites. It is
 	// clamped to Sites-1: a schedule never takes the last site down, so
-	// Plan.Coordinator is total and the always-one-site-up invariant the
-	// copy-control protocol assumes (§1.2, total failures excluded) holds
-	// by construction. Defaults to Sites-1.
+	// there is always a coordinator to pick, and the always-one-site-up
+	// invariant the copy-control protocol assumes (§1.2, total failures
+	// excluded) holds by construction. Defaults to Sites-1.
 	MaxDown int
 }
 
@@ -90,11 +90,11 @@ func Random(cfg RandomConfig, rng *rand.Rand) (Schedule, error) {
 		if bringUp {
 			up[site] = true
 			downCount--
-			sched.Events = append(sched.Events, Event{BeforeTxn: at, Action: Recover, Site: site})
+			sched.Events = append(sched.Events, Event{BeforeTxn: at, Kind: Recover, Site: site})
 		} else {
 			up[site] = false
 			downCount++
-			sched.Events = append(sched.Events, Event{BeforeTxn: at, Action: Fail, Site: site})
+			sched.Events = append(sched.Events, Event{BeforeTxn: at, Kind: Fail, Site: site})
 		}
 	}
 	return sched, nil

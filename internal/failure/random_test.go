@@ -24,15 +24,10 @@ func TestRandomSchedulesValid(t *testing.T) {
 			if err := sched.Validate(sites); err != nil {
 				t.Fatalf("sites=%d seed=%d: invalid schedule: %v", sites, seed, err)
 			}
-			plan, err := NewPlan(sched, sites)
-			if err != nil {
-				t.Fatalf("sites=%d seed=%d: %v", sites, seed, err)
-			}
 			for txn := 1; txn <= sched.Txns; txn++ {
-				if len(plan.UpSites(txn)) == 0 {
+				if len(upAt(sched, sites, txn)) == 0 {
 					t.Fatalf("sites=%d seed=%d: no site up at txn %d", sites, seed, txn)
 				}
-				plan.Coordinator(txn) // must not panic
 			}
 		}
 	}
@@ -71,12 +66,8 @@ func TestRandomScheduleRespectsMaxDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := NewPlan(sched, cfg.Sites)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for txn := 1; txn <= sched.Txns; txn++ {
-			if down := cfg.Sites - len(plan.UpSites(txn)); down > cfg.MaxDown {
+			if down := cfg.Sites - len(upAt(sched, cfg.Sites, txn)); down > cfg.MaxDown {
 				t.Fatalf("seed=%d: %d sites down at txn %d, cap %d", seed, down, txn, cfg.MaxDown)
 			}
 		}

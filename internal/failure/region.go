@@ -1,4 +1,4 @@
-package netsched
+package failure
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 
 // Region-sized events: WAN fault schedules operate on whole regions, not
 // individual sites. The generators here take a site->region assignment
-// as a plain []int (index = site id, value = region index) so netsched
+// as a plain []int (index = site id, value = region index) so this package
 // stays independent of the geo package that produces assignments.
 
 // regionSites collects the sites of region r from an assignment.
@@ -38,7 +38,7 @@ func regionName(names []string, r int) string {
 func RegionPartition(assign []int, names []string, r int) (Event, error) {
 	cut := regionSites(assign, r)
 	if len(cut) == 0 {
-		return Event{}, fmt.Errorf("netsched: region %d has no sites", r)
+		return Event{}, fmt.Errorf("failure: region %d has no sites", r)
 	}
 	var rest []core.SiteID
 	for i, a := range assign {
@@ -47,7 +47,7 @@ func RegionPartition(assign []int, names []string, r int) (Event, error) {
 		}
 	}
 	if len(rest) == 0 {
-		return Event{}, fmt.Errorf("netsched: region %d holds every site; nothing to cut it from", r)
+		return Event{}, fmt.Errorf("failure: region %d holds every site; nothing to cut it from", r)
 	}
 	return Event{Kind: Partition, Groups: []Group{
 		{Name: regionName(names, r), Sites: cut},
@@ -61,12 +61,12 @@ func RegionPartition(assign []int, names []string, r int) (Event, error) {
 // while the reverse path stays up.
 func RegionOneWay(assign []int, from, to int) (Event, error) {
 	if from == to {
-		return Event{}, fmt.Errorf("netsched: one-way region drop needs distinct regions, got %d", from)
+		return Event{}, fmt.Errorf("failure: one-way region drop needs distinct regions, got %d", from)
 	}
 	src := regionSites(assign, from)
 	dst := regionSites(assign, to)
 	if len(src) == 0 || len(dst) == 0 {
-		return Event{}, fmt.Errorf("netsched: regions %d->%d have %d and %d sites", from, to, len(src), len(dst))
+		return Event{}, fmt.Errorf("failure: regions %d->%d have %d and %d sites", from, to, len(src), len(dst))
 	}
 	var links []transport.LinkID
 	for _, a := range src {
@@ -87,7 +87,7 @@ type RegionalConfig struct {
 	// Txns is the number of transactions the schedule spans.
 	Txns int
 	// Episodes is how many fault episodes to attempt (default one per
-	// twelve transactions, like Random).
+	// twelve transactions, like RandomLinks).
 	Episodes int
 	// MinHold and MaxHold bound episode length in transactions
 	// (defaults 2 and 5).
@@ -106,13 +106,13 @@ func (c *RegionalConfig) regions() int {
 
 func (c *RegionalConfig) fillDefaults() error {
 	if len(c.Assign) < 2 || len(c.Assign) > core.MaxSites {
-		return fmt.Errorf("netsched: regional schedule needs 2..%d sites, got %d", core.MaxSites, len(c.Assign))
+		return fmt.Errorf("failure: regional schedule needs 2..%d sites, got %d", core.MaxSites, len(c.Assign))
 	}
 	if c.regions() < 2 {
-		return fmt.Errorf("netsched: regional schedule needs >= 2 regions, got %d", c.regions())
+		return fmt.Errorf("failure: regional schedule needs >= 2 regions, got %d", c.regions())
 	}
 	if c.Txns < 1 {
-		return fmt.Errorf("netsched: regional schedule needs >= 1 txn, got %d", c.Txns)
+		return fmt.Errorf("failure: regional schedule needs >= 1 txn, got %d", c.Txns)
 	}
 	if c.Episodes == 0 {
 		c.Episodes = c.Txns/12 + 1
@@ -136,7 +136,7 @@ func RandomRegional(cfg RegionalConfig, rng *rand.Rand) (Schedule, error) {
 		return Schedule{}, err
 	}
 	regions := cfg.regions()
-	sched := Schedule{Sites: len(cfg.Assign), Txns: cfg.Txns}
+	sched := Schedule{Txns: cfg.Txns}
 	spread := cfg.Txns/cfg.Episodes + 1
 	next := 1
 	for ep := 0; ep < cfg.Episodes; ep++ {
@@ -165,8 +165,8 @@ func RandomRegional(cfg RegionalConfig, rng *rand.Rand) (Schedule, error) {
 		sched.Events = append(sched.Events, fault, Event{BeforeTxn: heal, Kind: Heal})
 		next = heal + 1
 	}
-	if err := sched.Validate(); err != nil {
-		return Schedule{}, fmt.Errorf("netsched: generated regional schedule invalid: %w", err)
+	if err := sched.Validate(len(cfg.Assign)); err != nil {
+		return Schedule{}, fmt.Errorf("failure: generated regional schedule invalid: %w", err)
 	}
 	return sched, nil
 }

@@ -1,6 +1,7 @@
-package netsched
+package failure
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -80,14 +81,14 @@ func TestRandomRegionalDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Strings(), b.Strings()) || a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("same seed diverged:\n%v\n%v", a.Strings(), b.Strings())
+	if !reflect.DeepEqual(a.Events, b.Events) || a.NetFingerprint(6) != b.NetFingerprint(6) {
+		t.Fatalf("same seed diverged:\n%v\n%v", a.Events, b.Events)
 	}
 	c, err := RandomRegional(cfg, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint() == c.Fingerprint() {
+	if a.NetFingerprint(6) == c.NetFingerprint(6) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
@@ -102,7 +103,7 @@ func TestRandomRegionalShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := s.Validate(); err != nil {
+		if err := s.Validate(6); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, e := range s.Events {
@@ -146,7 +147,7 @@ func TestRegionalScheduleRendersRegionNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered := strings.Join(s.Strings(), "; ")
+		rendered := fmt.Sprint(s.Events)
 		if strings.Contains(rendered, "partition") && !strings.Contains(rendered, "-") {
 			t.Fatalf("seed %d: partition event lost its region label: %s", seed, rendered)
 		}

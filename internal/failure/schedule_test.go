@@ -1,10 +1,37 @@
 package failure
 
 import (
+	"reflect"
 	"testing"
 
 	"minraid/internal/core"
+	"minraid/internal/transport"
 )
+
+// upAt replays s over sites sites and returns, in ascending order, the
+// sites up when transaction txnNum is issued (after every event firing
+// before it).
+func upAt(s Schedule, sites, txnNum int) []core.SiteID {
+	up := make([]bool, sites)
+	for i := range up {
+		up[i] = true
+	}
+	for _, e := range s.Events {
+		if e.BeforeTxn > txnNum {
+			break
+		}
+		if !e.Kind.Link() {
+			up[e.Site] = e.Kind == Recover
+		}
+	}
+	var out []core.SiteID
+	for i, u := range up {
+		if u {
+			out = append(out, core.SiteID(i))
+		}
+	}
+	return out
+}
 
 func sitesEqual(a []core.SiteID, b ...core.SiteID) bool {
 	if len(a) != len(b) {
@@ -23,17 +50,17 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(2); err != nil {
 		t.Errorf("scenario 1 invalid: %v", err)
 	}
-	bad := Schedule{Events: []Event{{BeforeTxn: 0, Action: Fail, Site: 0}}}
+	bad := Schedule{Events: []Event{{BeforeTxn: 0, Kind: Fail, Site: 0}}}
 	if err := bad.Validate(2); err == nil {
 		t.Error("zero txn accepted")
 	}
-	bad = Schedule{Events: []Event{{BeforeTxn: 1, Action: Fail, Site: 9}}}
+	bad = Schedule{Events: []Event{{BeforeTxn: 1, Kind: Fail, Site: 9}}}
 	if err := bad.Validate(2); err == nil {
 		t.Error("out-of-range site accepted")
 	}
 	bad = Schedule{Events: []Event{
-		{BeforeTxn: 5, Action: Fail, Site: 0},
-		{BeforeTxn: 2, Action: Recover, Site: 0},
+		{BeforeTxn: 5, Kind: Fail, Site: 0},
+		{BeforeTxn: 2, Kind: Recover, Site: 0},
 	}}
 	if err := bad.Validate(2); err == nil {
 		t.Error("out-of-order events accepted")
@@ -46,7 +73,7 @@ func TestEventsBefore(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("events before 26: %v", evs)
 	}
-	if evs[0].Action != Recover || evs[0].Site != 0 || evs[1].Action != Fail || evs[1].Site != 1 {
+	if evs[0].Kind != Recover || evs[0].Site != 0 || evs[1].Kind != Fail || evs[1].Site != 1 {
 		t.Errorf("events = %v", evs)
 	}
 	if got := s.EventsBefore(27); len(got) != 0 {
@@ -54,52 +81,20 @@ func TestEventsBefore(t *testing.T) {
 	}
 }
 
-func TestPlanUpSitesScenario1(t *testing.T) {
-	p, err := NewPlan(Scenario1(), 2)
-	if err != nil {
-		t.Fatal(err)
+func TestUpSetScenario1(t *testing.T) {
+	s := Scenario1()
+	if got := upAt(s, 2, 1); !sitesEqual(got, 1) {
+		t.Errorf("txn 1 up = %v", got)
 	}
-	if !sitesEqual(p.UpSites(1), 1) {
-		t.Errorf("txn 1 up = %v", p.UpSites(1))
+	if got := upAt(s, 2, 25); !sitesEqual(got, 1) {
+		t.Errorf("txn 25 up = %v", got)
 	}
-	if !sitesEqual(p.UpSites(25), 1) {
-		t.Errorf("txn 25 up = %v", p.UpSites(25))
+	if got := upAt(s, 2, 26); !sitesEqual(got, 0) {
+		t.Errorf("txn 26 up = %v", got)
 	}
-	if !sitesEqual(p.UpSites(26), 0) {
-		t.Errorf("txn 26 up = %v", p.UpSites(26))
+	if got := upAt(s, 2, 51); !sitesEqual(got, 0, 1) {
+		t.Errorf("txn 51 up = %v", got)
 	}
-	if !sitesEqual(p.UpSites(51), 0, 1) {
-		t.Errorf("txn 51 up = %v", p.UpSites(51))
-	}
-}
-
-func TestPlanCoordinatorRoundRobin(t *testing.T) {
-	p, _ := NewPlan(Scenario1(), 2)
-	// Single up site: always that site.
-	for txn := 1; txn <= 25; txn++ {
-		if got := p.Coordinator(txn); got != 1 {
-			t.Fatalf("txn %d coordinator = %v", txn, got)
-		}
-	}
-	// Both up: alternate.
-	c51, c52 := p.Coordinator(51), p.Coordinator(52)
-	if c51 == c52 {
-		t.Errorf("coordinators do not alternate: %v %v", c51, c52)
-	}
-}
-
-func TestPlanPanicsWithNoUpSite(t *testing.T) {
-	s := Schedule{Txns: 5, Events: []Event{
-		{BeforeTxn: 1, Action: Fail, Site: 0},
-		{BeforeTxn: 1, Action: Fail, Site: 1},
-	}}
-	p, _ := NewPlan(s, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic with all sites down")
-		}
-	}()
-	p.Coordinator(1)
 }
 
 func TestScenario2Shape(t *testing.T) {
@@ -107,20 +102,18 @@ func TestScenario2Shape(t *testing.T) {
 	if err := s.Validate(4); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewPlan(s, 4)
 	// Exactly one site down in each failure window; all up from txn 101.
 	for txn := 1; txn <= 100; txn++ {
-		if got := len(p.UpSites(txn)); got != 3 {
+		if got := len(upAt(s, 4, txn)); got != 3 {
 			t.Fatalf("txn %d has %d up sites", txn, got)
 		}
 	}
-	if got := len(p.UpSites(101)); got != 4 {
+	if got := len(upAt(s, 4, 101)); got != 4 {
 		t.Errorf("txn 101 has %d up sites", got)
 	}
 	downAt := map[int]core.SiteID{1: 0, 26: 1, 51: 2, 76: 3}
 	for txn, want := range downAt {
-		up := p.UpSites(txn)
-		for _, id := range up {
+		for _, id := range upAt(s, 4, txn) {
 			if id == want {
 				t.Errorf("txn %d: %s should be down", txn, want)
 			}
@@ -133,27 +126,48 @@ func TestFigure1Shape(t *testing.T) {
 	if s.Txns != 400 {
 		t.Errorf("cap = %d", s.Txns)
 	}
-	p, _ := NewPlan(s, 2)
-	if !sitesEqual(p.UpSites(100), 1) {
-		t.Errorf("txn 100 up = %v", p.UpSites(100))
+	if got := upAt(s, 2, 100); !sitesEqual(got, 1) {
+		t.Errorf("txn 100 up = %v", got)
 	}
-	if !sitesEqual(p.UpSites(101), 0, 1) {
-		t.Errorf("txn 101 up = %v", p.UpSites(101))
+	if got := upAt(s, 2, 101); !sitesEqual(got, 0, 1) {
+		t.Errorf("txn 101 up = %v", got)
 	}
 }
 
-func TestSorted(t *testing.T) {
-	s := Schedule{Events: []Event{
-		{BeforeTxn: 9, Action: Fail, Site: 0},
-		{BeforeTxn: 2, Action: Fail, Site: 1},
+func TestMerge(t *testing.T) {
+	links := Schedule{Txns: 30, Events: []Event{
+		{BeforeTxn: 2, Kind: Cut, Links: []transport.LinkID{{From: 0, To: 1}}},
+		{BeforeTxn: 9, Kind: Heal},
 	}}
-	sorted := Sorted(s)
-	if sorted.Events[0].BeforeTxn != 2 || sorted.Events[1].BeforeTxn != 9 {
-		t.Errorf("sorted = %v", sorted.Events)
+	sites := Schedule{Txns: 30, Events: []Event{
+		{BeforeTxn: 1, Kind: Fail, Site: 2},
+		{BeforeTxn: 9, Kind: Recover, Site: 2},
+		{BeforeTxn: 9, Kind: Fail, Site: 0},
+	}}
+	m := Merge(links, sites)
+	var got []string
+	for _, e := range m.Events {
+		got = append(got, e.String())
 	}
-	// Original untouched.
-	if s.Events[0].BeforeTxn != 9 {
-		t.Error("Sorted mutated its input")
+	want := []string{
+		"before txn 1: fail site 2",
+		"t2 cut 0<->1",
+		"t9 heal", // the first schedule's events lead at a shared boundary
+		"before txn 9: recover site 2",
+		"before txn 9: fail site 0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged = %q, want %q", got, want)
+	}
+	if m.Txns != 30 {
+		t.Errorf("merged txns = %d", m.Txns)
+	}
+	if err := m.Validate(3); err != nil {
+		t.Fatalf("merged schedule invalid: %v", err)
+	}
+	// Only link events enter the link fingerprint.
+	if m.NetFingerprint(3) != links.NetFingerprint(3) {
+		t.Error("site events changed the link fingerprint")
 	}
 }
 
@@ -161,8 +175,14 @@ func TestActionEventStrings(t *testing.T) {
 	if Fail.String() != "fail" || Recover.String() != "recover" {
 		t.Error("action strings")
 	}
-	e := Event{BeforeTxn: 3, Action: Fail, Site: 1}
+	e := Event{BeforeTxn: 3, Kind: Fail, Site: 1}
 	if e.String() != "before txn 3: fail site 1" {
 		t.Errorf("event string = %q", e.String())
+	}
+	p := Event{BeforeTxn: 5, Kind: Partition, Groups: []Group{
+		{Name: "A", Sites: []core.SiteID{0}}, {Name: "B", Sites: []core.SiteID{1, 2}},
+	}}
+	if p.String() != "t5 partition A={0} B={1,2}" {
+		t.Errorf("link event string = %q", p.String())
 	}
 }

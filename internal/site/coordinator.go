@@ -216,7 +216,7 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	var nackReason string
 	var peerVersions []uint64 // concurrent mode: the highest acked version per write
 	if len(targets) > 0 {
-		replies := s.caller.MulticallT(tr, targets, func(target core.SiteID) msg.Body {
+		results := s.caller.MulticastT(tr, transport.Outcalls(targets, func(target core.SiteID) msg.Body {
 			if rep.IsFull() {
 				return &msg.Prepare{Txn: t.ID, Vector: vec.Records(), Writes: writes}
 			}
@@ -226,11 +226,12 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 				Writes:    perSite[target],
 				MaintOnly: perSiteMaint[target],
 			}
-		})
-		for _, id := range targets {
+		}))
+		for _, r := range results {
+			id := r.To
 			var ack *msg.PrepareAck
-			if reply, ok := replies[id]; ok {
-				ack, _ = reply.Body.(*msg.PrepareAck) // wrong type = no vote
+			if r.Err == nil {
+				ack, _ = r.Reply.Body.(*msg.PrepareAck) // wrong type = no vote
 			}
 			switch {
 			case ack == nil:
@@ -893,15 +894,14 @@ func (s *Site) quorumRead(t txn.Txn, readSet []core.ItemID, tr uint64) ([]core.I
 	}
 
 	if remote && len(targets) > 0 {
-		replies := s.caller.MulticallT(tr, targets, func(target core.SiteID) msg.Body {
+		results := s.caller.MulticastT(tr, transport.Outcalls(targets, func(target core.SiteID) msg.Body {
 			return &msg.ReadReq{Txn: t.ID, Items: perTarget[target]}
-		})
-		for _, id := range targets {
-			reply, ok := replies[id]
-			if !ok {
+		}))
+		for _, r := range results {
+			if r.Err != nil {
 				continue
 			}
-			resp, wellTyped := reply.Body.(*msg.ReadResp)
+			resp, wellTyped := r.Reply.Body.(*msg.ReadResp)
 			if !wellTyped || !resp.OK {
 				continue
 			}

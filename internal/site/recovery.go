@@ -136,9 +136,9 @@ func (s *Site) recoverSite(tr uint64) bool {
 		return true
 	}
 
-	replies := s.caller.MulticallT(tr, targets, func(core.SiteID) msg.Body {
+	results := s.caller.MulticastT(tr, transport.Outcalls(targets, func(core.SiteID) msg.Body {
 		return &msg.CtrlRecover{Site: s.cfg.ID, Session: session}
-	})
+	}))
 
 	s.mu.Lock()
 	if s.state.get() != core.StatusRecovering {
@@ -164,23 +164,22 @@ func (s *Site) recoverSite(tr uint64) bool {
 	copy(words, ownLocks)
 	copy(vers, ownVers)
 	fromDonor := make([]bool, len(words))
-	for _, id := range targets {
-		reply, ok := replies[id]
-		if !ok {
+	for j, r := range results {
+		if r.Reply == nil {
 			continue
 		}
-		ack, wellTyped := reply.Body.(*msg.CtrlRecoverAck)
+		ack, wellTyped := r.Reply.Body.(*msg.CtrlRecoverAck)
 		if !wellTyped {
 			// A garbled reply is no reply: the site cannot serve as donor
 			// and, below, is treated like a site that never answered.
-			delete(replies, id)
+			results[j].Reply = nil
 			continue
 		}
 		if !ack.OK {
 			continue
 		}
 		if len(ack.FailLocks) != len(words) || len(ack.Versions) != len(words) {
-			delete(replies, id)
+			results[j].Reply = nil
 			continue
 		}
 		for i := range words {
@@ -228,9 +227,9 @@ func (s *Site) recoverSite(tr uint64) bool {
 	// divergent (they still carry the silent sites as up) until their own
 	// ack-timeout detection fires on some later transaction.
 	var silent []core.SiteID
-	for _, id := range targets {
-		if _, ok := replies[id]; !ok && s.vec.IsUp(id) {
-			silent = append(silent, id)
+	for _, r := range results {
+		if r.Reply == nil && s.vec.IsUp(r.To) {
+			silent = append(silent, r.To)
 		}
 	}
 	s.vec.MarkUp(s.cfg.ID, session)

@@ -141,25 +141,6 @@ type CallResult struct {
 	RTT time.Duration
 }
 
-// Multicall sends mk(target) to every target concurrently and collects
-// replies under one shared deadline. The result maps each target to its
-// reply; a missing entry means that target did not answer in time (or the
-// call was cancelled).
-func (c *Caller) Multicall(targets []core.SiteID, mk func(core.SiteID) msg.Body) map[core.SiteID]*msg.Envelope {
-	return c.MulticallT(0, targets, mk)
-}
-
-// MulticallT is Multicall with a trace ID stamped on every request.
-func (c *Caller) MulticallT(trace uint64, targets []core.SiteID, mk func(core.SiteID) msg.Body) map[core.SiteID]*msg.Envelope {
-	out := make(map[core.SiteID]*msg.Envelope, len(targets))
-	for _, r := range c.MulticastT(trace, Outcalls(targets, mk)) {
-		if r.Err == nil {
-			out[r.To] = r.Reply
-		}
-	}
-	return out
-}
-
 // MulticastT sends every call concurrently and reports a per-slot outcome
 // — the reply, or an error distinguishing send failure from timeout from
 // cancellation — under one shared deadline: with k unresponsive targets

@@ -84,37 +84,6 @@ func TestCallerTimeout(t *testing.T) {
 	}
 }
 
-func TestCallerMulticall(t *testing.T) {
-	net := NewMemory(MemoryConfig{Sites: 4})
-	defer net.Close()
-	echoSite(t, net, 1)
-	echoSite(t, net, 2)
-	// Site 3 has an endpoint but no responder: it will time out.
-	if _, err := net.Endpoint(3); err != nil {
-		t.Fatal(err)
-	}
-	ep, _ := net.Endpoint(0)
-	c := NewCaller(ep, 50*time.Millisecond)
-	go func() {
-		for {
-			env, ok := ep.Recv()
-			if !ok {
-				return
-			}
-			c.Deliver(env)
-		}
-	}()
-	replies := c.Multicall([]core.SiteID{1, 2, 3}, func(core.SiteID) msg.Body {
-		return &msg.Commit{Txn: 9}
-	})
-	if len(replies) != 2 || replies[1] == nil || replies[2] == nil {
-		t.Errorf("replies = %v", replies)
-	}
-	if _, ok := replies[3]; ok {
-		t.Error("dead site produced a reply")
-	}
-}
-
 func TestCallerCancelAll(t *testing.T) {
 	net := NewMemory(MemoryConfig{Sites: 2})
 	defer net.Close()
@@ -205,23 +174,6 @@ func TestMulticastAllocs(t *testing.T) {
 	})
 	if allocs > 51 {
 		t.Errorf("MulticastT to 3 targets: %v allocs per fan-out, want <= 51", allocs)
-	}
-}
-
-func TestMulticallSendFailureDoesNotBurnTimeout(t *testing.T) {
-	net := NewMemory(MemoryConfig{Sites: 2})
-	defer net.Close()
-	echoSite(t, net, 1)
-	c := callerAt(t, net, 0, 2*time.Second)
-	start := time.Now()
-	replies := c.Multicall([]core.SiteID{7, 1}, func(core.SiteID) msg.Body {
-		return &msg.Commit{Txn: 3}
-	})
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("multicall burned the timeout on a failed send: %v", elapsed)
-	}
-	if len(replies) != 1 || replies[1] == nil {
-		t.Errorf("replies = %v", replies)
 	}
 }
 

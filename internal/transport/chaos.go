@@ -227,8 +227,8 @@ func (c *Chaos) route(from, to core.SiteID) *chaosRoute {
 // from->to. While down, messages offered to the link are discarded at
 // Send time — before the chaotic pipeline, so cut traffic burns no rng
 // draws and the probabilistic decision stream of the surviving messages
-// is unchanged. This is the hook the netsched partition scheduler
-// drives; it works even when no probabilistic fault is configured.
+// is unchanged. This is the hook scheduled link events (package
+// failure) drive; it works even when no probabilistic fault is configured.
 func (c *Chaos) SetLinkDown(from, to core.SiteID, down bool) {
 	if r := c.route(from, to); r != nil {
 		r.down.Store(down)
