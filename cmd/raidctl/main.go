@@ -44,7 +44,8 @@ import (
 
 const help = `verbs:
   status               per-site state, session, fail-lock counts, session vector
-  txn SITE OP...       run a transaction on SITE; ops: rN (read item N), wN=value
+  txn SITE OP...       run a transaction on SITE; ops: rN (read item N), wN=value;
+                       reads see the state before the transaction, not its writes
   fail SITE            simulate failure of SITE
   recover SITE         recover SITE (control transaction type 1)
   audit                cross-site consistency audit

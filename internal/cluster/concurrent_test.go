@@ -64,7 +64,7 @@ func TestConcurrentWritersConverge(t *testing.T) {
 				mu.Lock()
 				if res.Committed {
 					committed++
-				} else if res.AbortReason == txn.AbortLockTimeout || res.AbortReason == txn.AbortDeadlock {
+				} else if res.AbortReason == txn.AbortLockTimeout {
 					lockAborts++
 				} else {
 					t.Errorf("unexpected abort: %q", res.AbortReason)

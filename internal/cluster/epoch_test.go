@@ -58,7 +58,7 @@ func TestEpochCommitConverges(t *testing.T) {
 				mu.Lock()
 				if res.Committed {
 					committed++
-				} else if res.AbortReason != txn.AbortLockTimeout && res.AbortReason != txn.AbortDeadlock {
+				} else if res.AbortReason != txn.AbortLockTimeout {
 					t.Errorf("unexpected abort: %q", res.AbortReason)
 				}
 				mu.Unlock()
@@ -135,7 +135,6 @@ func TestEpochCommitSurvivesParticipantFailure(t *testing.T) {
 				switch {
 				case res.Committed:
 				case res.AbortReason == txn.AbortLockTimeout,
-					res.AbortReason == txn.AbortDeadlock,
 					res.AbortReason == txn.AbortParticipantDown:
 				default:
 					t.Errorf("txn %d: %s", i, res.AbortReason)

@@ -235,7 +235,7 @@ func TestScrubRacesForegroundTraffic(t *testing.T) {
 
 	// Writers at sites 0 and 2, a reader at the recovered site 1 whose
 	// reads run demand copiers — all racing the scrub batches on the
-	// same 8 items. Retriable aborts (lock waits, deadlock victims) are
+	// same 8 items. Retriable aborts (lock-wait timeouts) are
 	// expected under contention; transport errors are not.
 	var wg sync.WaitGroup
 	errc := make(chan error, 3)

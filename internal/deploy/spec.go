@@ -59,9 +59,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // ClusterSpec describes a deployed fleet completely: topology (the netcfg
 // address map), database size, protocol, placement and per-site execution
-// knobs. It round-trips flags ⇄ JSON: BindFlags exposes every field as a
-// command-line flag, Flags renders it back, and Load/Save move it through
-// a JSON file.
+// knobs. BindFlags exposes every field as a command-line flag, and
+// LoadSpec/Save move it through a JSON file.
 type ClusterSpec struct {
 	// Addrs is the netcfg address map ("0=host:port,...,m=host:port",
 	// ranges allowed). The number of database sites is derived from it.
@@ -103,27 +102,6 @@ func BindFlags(fs *flag.FlagSet) *ClusterSpec {
 	fs.BoolVar(&s.EnableType3, "type3", false, "enable type-3 control transactions")
 	fs.StringVar(&s.WALRoot, "wal", "", "root directory for per-site WAL stores (empty: in-memory)")
 	return s
-}
-
-// Flags renders the spec back to the argument list BindFlags parses —
-// the inverse direction of the flags ⇄ JSON round trip. Zero-valued
-// fields that have non-zero flag defaults are still emitted so the
-// rendered list reproduces the spec exactly regardless of defaults.
-func (s *ClusterSpec) Flags() []string {
-	args := []string{
-		"-addrs", s.Addrs,
-		"-items", fmt.Sprint(s.Items),
-		"-policy", s.PolicyName,
-		"-degree", fmt.Sprint(s.ReplicationDegree),
-		"-concurrent", fmt.Sprint(s.Concurrent),
-		"-ack-timeout", time.Duration(s.AckTimeout).String(),
-		"-lock-wait", time.Duration(s.LockWaitBudget).String(),
-		"-wal", s.WALRoot,
-	}
-	if s.EnableType3 {
-		args = append(args, "-type3")
-	}
-	return args
 }
 
 // LoadSpec reads a ClusterSpec from a JSON file and validates it.

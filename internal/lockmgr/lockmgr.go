@@ -1,6 +1,6 @@
 // Package lockmgr implements a strict two-phase-locking lock manager with
-// shared/exclusive item locks, lock upgrades, FIFO fairness, waits-for
-// deadlock detection and acquisition timeouts.
+// shared/exclusive item locks, lock upgrades, FIFO fairness and
+// acquisition timeouts.
 //
 // The paper's mini-RAID deliberately factored concurrency control out
 // ("our system did not include concurrency control and transactions were
@@ -15,12 +15,16 @@
 // transactions touching disjoint items take disjoint mutexes and the
 // manager scales with the concurrency degree instead of serializing every
 // grant behind one lock. Grants, releases and timeouts touch only the
-// item's stripe; deadlock detection is the one cross-stripe operation: it
-// locks all stripes in index order (a fixed order, so two concurrent
-// detections cannot deadlock on the stripe mutexes themselves) and builds
-// the global waits-for graph. Detection runs only when a transaction is
-// forced to wait — the contended path, where its cost is already dwarfed
-// by the wait itself.
+// item's stripe; a lock set's try, Stats and Close lock several stripes, in
+// index order, so they cannot deadlock on the stripe mutexes themselves.
+//
+// Deadlock has one breaker: the acquisition timeout. Inside one manager
+// AcquireAll and TryAcquireAll take a transaction's whole set in one call,
+// in ascending item order, so a waiter on item i holds only items below i
+// and no cycle of set acquisitions can close. What remains are cycles that
+// span sites (a prepared participant holds its locks until the
+// coordinator's decision) and callers that take items one at a time out of
+// order; both end when the first waiter's timeout fires.
 //
 // The table has two indexes. Per item, an entry lists the holders (one
 // writer, or the readers of the item: a short slice scanned linearly, backed
@@ -63,23 +67,19 @@ func (m Mode) String() string {
 
 // Errors returned by Acquire.
 var (
-	// ErrDeadlock is returned to the transaction chosen as deadlock
-	// victim. The victim should release its locks and retry.
-	ErrDeadlock = errors.New("lockmgr: deadlock victim")
-	// ErrTimeout is returned when the lock was not granted in time.
+	// ErrTimeout is returned when the lock was not granted in time — a
+	// contended item or a cycle of waits. The transaction should release
+	// its locks and retry.
 	ErrTimeout = errors.New("lockmgr: acquisition timed out")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("lockmgr: closed")
 )
 
-// defaultStripes is the lock-table shard count. Power of two so stripe
+// numStripes is the lock-table shard count. Power of two so stripe
 // selection is a mask; 16 comfortably exceeds plausible ConcurrentTxns
-// degrees while keeping the all-stripes deadlock sweep cheap.
-const defaultStripes = 16
-
-// maxStripes caps the shard count so the stripes of one lock set fit in one
-// uint64 (TryAcquireAll locks them together, in index order).
-const maxStripes = 64
+// degrees, and at most 64 so the stripes of one lock set fit in one uint64
+// (TryAcquireAll locks them together, in index order).
+const numStripes = 16
 
 // txnShards shards the per-transaction records by transaction ID, so
 // recording a lock set doesn't reintroduce a global mutex.
@@ -152,28 +152,17 @@ type txnShard struct {
 // concurrent use. Locks are held until Release(txn) — strictness — so
 // cascading aborts cannot occur.
 type Manager struct {
-	stripes []*stripe
+	stripes [numStripes]*stripe
 	txns    [txnShards]txnShard
 	timeout time.Duration
 	closed  atomic.Bool
 }
 
-// New returns a manager with the given acquisition timeout (0 means wait
-// forever, relying on deadlock detection alone) and the default stripe
-// count.
+// New returns a manager whose acquisitions wait at most timeout, the one
+// rule that ends every deadlock (see the package doc); with a timeout of
+// zero, a lock that is not free fails at once.
 func New(timeout time.Duration) *Manager {
-	return NewSharded(timeout, defaultStripes)
-}
-
-// NewSharded returns a manager with an explicit stripe count, rounded up
-// to a power of two, at least 1 and at most 64. A single stripe reproduces
-// the original fully-serialized table (useful for comparison benchmarks).
-func NewSharded(timeout time.Duration, stripes int) *Manager {
-	n := 1
-	for n < stripes && n < maxStripes {
-		n <<= 1
-	}
-	m := &Manager{stripes: make([]*stripe, n), timeout: timeout}
+	m := &Manager{timeout: timeout}
 	for i := range m.stripes {
 		m.stripes[i] = &stripe{
 			items: make(map[core.ItemID]*lockState),
@@ -191,7 +180,7 @@ func NewSharded(timeout time.Duration, stripes int) *Manager {
 // on different stripes.
 func (m *Manager) stripeIdx(item core.ItemID) int {
 	h := uint64(item) * 0x9E3779B97F4A7C15
-	return int((h >> 32) & uint64(len(m.stripes)-1))
+	return int((h >> 32) & (numStripes - 1))
 }
 
 // stripeFor returns the stripe holding item's lock state.
@@ -292,10 +281,11 @@ func insertWant(ws []want, w want) []want {
 	return ws
 }
 
-// Acquire obtains item in mode for txn, blocking until granted, deadlock,
-// timeout or Close. Re-acquiring a held lock is a no-op; acquiring
-// Exclusive over a held Shared upgrades (waiting for other readers to
-// drain).
+// Acquire obtains item in mode for txn, blocking until granted, timeout or
+// Close. Re-acquiring a held lock is a no-op; acquiring Exclusive over a
+// held Shared upgrades (waiting for other readers to drain). A caller that
+// takes several items one Acquire at a time, out of order, can close a
+// cycle of waits; only the timeout breaks it.
 func (m *Manager) Acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 	w := [1]want{{item, mode}}
 	m.record(txn, w[:])
@@ -327,20 +317,12 @@ func (m *Manager) acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 	st.waits[txn] = req
 	st.mu.Unlock()
 
-	// A new waiter may close a cycle; detection needs the global graph,
-	// so it runs outside the single-stripe critical section.
-	m.detectDeadlock()
-
-	var timeoutCh <-chan time.Time
-	if m.timeout > 0 {
-		t := time.NewTimer(m.timeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
+	t := time.NewTimer(m.timeout)
+	defer t.Stop()
 	select {
 	case err := <-req.ready:
 		return err
-	case <-timeoutCh:
+	case <-t.C:
 		st.mu.Lock()
 		// Re-check: the grant may have raced the timer.
 		select {
@@ -356,8 +338,9 @@ func (m *Manager) acquire(txn core.TxnID, item core.ItemID, mode Mode) error {
 }
 
 // AcquireAll takes locks for a whole read/write set in ascending item
-// order (a canonical order removes one class of deadlocks). On any error,
-// locks already held by txn are NOT released; call Release.
+// order, the order that rules out a cycle among set acquisitions (see the
+// package doc). On any error, locks already held by txn are NOT released;
+// call Release.
 func (m *Manager) AcquireAll(txn core.TxnID, shared, exclusive []core.ItemID) error {
 	var buf [inlineWants]want
 	wants := lockSet(buf[:0], shared, exclusive)
@@ -571,110 +554,6 @@ func (st *stripe) promote(ls *lockState) {
 		delete(st.waits, head.txn)
 		head.ready <- nil
 	}
-}
-
-// detectDeadlock locks all stripes, builds the global waits-for graph,
-// and aborts the victim of any cycle found. Runs after a transaction
-// queues (the only event that can close a cycle).
-func (m *Manager) detectDeadlock() {
-	m.lockStripes(allStripes)
-	defer m.unlockStripes(allStripes)
-	victim := m.findDeadlockVictimLocked()
-	if victim == core.NoTxn {
-		return
-	}
-	for _, st := range m.stripes {
-		if req, ok := st.waits[victim]; ok {
-			st.dropWaiter(req)
-			req.ready <- fmt.Errorf("%w: txn %d", ErrDeadlock, victim)
-			return
-		}
-	}
-}
-
-// findDeadlockVictimLocked builds the waits-for graph across all stripes
-// and returns a transaction on a cycle (the youngest, i.e. highest
-// TxnID), or NoTxn. Callers hold every stripe mutex.
-func (m *Manager) findDeadlockVictimLocked() core.TxnID {
-	// waits-for: waiting txn -> each conflicting holder.
-	var edges map[core.TxnID][]core.TxnID
-	waiting := make(map[core.TxnID]bool)
-	for _, st := range m.stripes {
-		for txn := range st.waits {
-			waiting[txn] = true
-		}
-		for _, ls := range st.items {
-			for _, req := range ls.queue {
-				for _, h := range ls.holders {
-					if h.txn == req.txn {
-						continue
-					}
-					if req.mode == Exclusive || h.mode == Exclusive {
-						if edges == nil {
-							edges = make(map[core.TxnID][]core.TxnID)
-						}
-						edges[req.txn] = append(edges[req.txn], h.txn)
-					}
-				}
-			}
-		}
-	}
-	// DFS cycle detection.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[core.TxnID]int)
-	var cycle []core.TxnID
-	var dfs func(t core.TxnID, stack []core.TxnID) bool
-	dfs = func(t core.TxnID, stack []core.TxnID) bool {
-		color[t] = grey
-		stack = append(stack, t)
-		for _, next := range edges[t] {
-			switch color[next] {
-			case grey:
-				// Found a cycle: slice the stack from next.
-				for i, s := range stack {
-					if s == next {
-						cycle = append([]core.TxnID(nil), stack[i:]...)
-						return true
-					}
-				}
-			case white:
-				if dfs(next, stack) {
-					return true
-				}
-			}
-		}
-		color[t] = black
-		return false
-	}
-	for t := range edges {
-		if color[t] == white && dfs(t, nil) {
-			break
-		}
-	}
-	if len(cycle) == 0 {
-		return core.NoTxn
-	}
-	victim := cycle[0]
-	for _, t := range cycle[1:] {
-		if t > victim {
-			victim = t // youngest transaction dies
-		}
-	}
-	// Only a waiter can be woken with an error; if the chosen victim is
-	// not waiting, pick the youngest waiting member of the cycle.
-	if !waiting[victim] {
-		victim = core.NoTxn
-		for _, t := range cycle {
-			if waiting[t] && t > victim {
-				victim = t
-			}
-		}
-	}
-	return victim
 }
 
 // dropWaiter removes a request from its item's queue and the wait index.

@@ -143,58 +143,61 @@ func TestFIFOFairnessNoReaderOvertaking(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	m := New(10 * time.Second)
+// cycleWait is one blocked Acquire of a waits-for cycle.
+type cycleWait struct {
+	txn  core.TxnID
+	item core.ItemID
+}
+
+// endCycle runs each wait in its own goroutine and releases each
+// transaction as its wait ends, as a caller does on abort or commit. Every
+// item is already held, so nothing is granted before the first release:
+// the first wait to end must time out, the others end granted or timed out,
+// and the table empties.
+func endCycle(t *testing.T, m *Manager, waits []cycleWait) {
+	t.Helper()
+	type done struct {
+		txn core.TxnID
+		err error
+	}
+	ends := make(chan done, len(waits))
+	for _, w := range waits {
+		go func() { ends <- done{w.txn, m.Acquire(w.txn, w.item, Exclusive)} }()
+	}
+	for i := range waits {
+		select {
+		case d := <-ends:
+			if i == 0 && !errors.Is(d.err, ErrTimeout) {
+				t.Fatalf("first wait to end: txn %d got %v, want ErrTimeout", d.txn, d.err)
+			}
+			if d.err != nil && !errors.Is(d.err, ErrTimeout) {
+				t.Fatalf("txn %d got %v", d.txn, d.err)
+			}
+			m.Release(d.txn)
+		case <-time.After(5 * time.Second):
+			t.Fatal("cycle never broken")
+		}
+	}
+	wantStats(t, m, 0, 0)
+}
+
+// TestDeadlockEndsInTimeout: two single-item Acquire calls out of order
+// close a cycle, and the lock-wait timeout breaks it.
+func TestDeadlockEndsInTimeout(t *testing.T) {
+	m := New(50 * time.Millisecond)
 	defer m.Close()
 	m.Acquire(1, 10, Exclusive)
 	m.Acquire(2, 20, Exclusive)
-	r1 := make(chan error, 1)
-	go func() { r1 <- m.Acquire(1, 20, Exclusive) }() // 1 waits on 2
-	time.Sleep(20 * time.Millisecond)
-	r2 := make(chan error, 1)
-	go func() { r2 <- m.Acquire(2, 10, Exclusive) }() // 2 waits on 1: cycle
-
-	// The youngest (txn 2) must die; txn 1 proceeds after 2 releases.
-	select {
-	case err := <-r2:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("victim error = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("deadlock not detected")
-	}
-	m.Release(2)
-	select {
-	case err := <-r1:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("survivor never granted")
-	}
+	endCycle(t, m, []cycleWait{{1, 20}, {2, 10}})
 }
 
 func TestThreeWayDeadlock(t *testing.T) {
-	m := New(10 * time.Second)
+	m := New(50 * time.Millisecond)
 	defer m.Close()
 	m.Acquire(1, 1, Exclusive)
 	m.Acquire(2, 2, Exclusive)
 	m.Acquire(3, 3, Exclusive)
-	errs := make(chan error, 3)
-	go func() { errs <- m.Acquire(1, 2, Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- m.Acquire(2, 3, Exclusive) }()
-	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- m.Acquire(3, 1, Exclusive) }()
-
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("first completion = %v, want deadlock victim", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("three-way deadlock not detected")
-	}
+	endCycle(t, m, []cycleWait{{1, 2}, {2, 3}, {3, 1}})
 }
 
 func TestAcquireAllOrdersItems(t *testing.T) {
@@ -266,20 +269,19 @@ func TestStats(t *testing.T) {
 }
 
 // Stress: random transactions over a small item space with 2PL discipline
-// never corrupt a guarded counter array, and the manager survives
-// deadlock storms.
+// never corrupt a guarded counter array, and every AcquireAll is granted —
+// ordered lock sets cannot close a cycle, so no wait may end in a timeout.
 func TestStressSerializability(t *testing.T) {
 	const (
 		workers = 8
 		items   = 6
 		rounds  = 150
 	)
-	m := New(2 * time.Second)
+	m := New(10 * time.Second)
 	defer m.Close()
 	var data [items]int64 // guarded by item locks
 	var txnSeq atomic.Uint64
 	var wg sync.WaitGroup
-	var deadlocks atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -292,13 +294,8 @@ func TestStressSerializability(t *testing.T) {
 				if a == b {
 					continue // a self-transfer would double-assign data[a]
 				}
-				err := m.AcquireAll(txn, nil, []core.ItemID{a, b})
-				if err != nil {
+				if err := m.AcquireAll(txn, nil, []core.ItemID{a, b}); err != nil {
 					m.Release(txn)
-					if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrTimeout) {
-						deadlocks.Add(1)
-						continue
-					}
 					t.Error(err)
 					return
 				}

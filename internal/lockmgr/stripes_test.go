@@ -1,7 +1,6 @@
 package lockmgr
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,24 +9,11 @@ import (
 	"minraid/internal/core"
 )
 
-// TestStripeCountRounding checks NewSharded's power-of-two rounding and
-// the single-stripe degenerate case.
-func TestStripeCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
-	} {
-		m := NewSharded(0, tc.in)
-		if len(m.stripes) != tc.want {
-			t.Errorf("NewSharded(%d) has %d stripes, want %d", tc.in, len(m.stripes), tc.want)
-		}
-	}
-}
-
-// TestCrossStripeDeadlock builds a cycle whose two items live on
-// different stripes, so detection only succeeds if the waits-for graph is
-// assembled across the whole table, not per stripe.
+// TestCrossStripeDeadlock: a cycle whose two items live on different
+// stripes ends in a timeout too — the timeout needs no view of the whole
+// table.
 func TestCrossStripeDeadlock(t *testing.T) {
-	m := NewSharded(0, 8) // no timeout: only detection can break the cycle
+	m := New(50 * time.Millisecond)
 	defer m.Close()
 
 	// Find two items on different stripes.
@@ -36,36 +22,13 @@ func TestCrossStripeDeadlock(t *testing.T) {
 	for m.stripeFor(a) == m.stripeFor(b) {
 		b++
 	}
-
 	if err := m.Acquire(1, a, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Acquire(2, b, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- m.Acquire(1, b, Exclusive) }()
-	time.Sleep(20 * time.Millisecond) // let txn 1 queue first
-	go func() { errs <- m.Acquire(2, a, Exclusive) }()
-
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("got %v, want ErrDeadlock", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cross-stripe deadlock never detected")
-	}
-	// The survivor completes once the victim releases.
-	m.Release(2) // victim was the youngest (txn 2)
-	select {
-	case err := <-errs:
-		if err != nil {
-			t.Fatalf("survivor got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("survivor never granted")
-	}
+	endCycle(t, m, []cycleWait{{1, b}, {2, a}})
 }
 
 // TestStripedStress hammers the striped table from many goroutines over
@@ -116,31 +79,27 @@ func TestStripedStress(t *testing.T) {
 
 // BenchmarkStripedParallelDisjoint measures uncontended acquire/release
 // throughput with all CPUs hitting disjoint items — the case striping
-// exists for. Compare -stripes variants:
+// exists for:
 //
-//	go test -bench 'StripedParallel' -cpu 4 ./internal/lockmgr/
+//	go test -bench 'StripedParallel' -cpu 1,4 ./internal/lockmgr/
 func BenchmarkStripedParallelDisjoint(b *testing.B) {
-	for _, stripes := range []int{1, 16} {
-		b.Run(map[int]string{1: "stripes=1", 16: "stripes=16"}[stripes], func(b *testing.B) {
-			m := NewSharded(time.Second, stripes)
-			defer m.Close()
-			var txnSeq atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				// Each worker owns a private item range: pure stripe
-				// scaling, no lock conflicts.
-				base := core.ItemID(txnSeq.Add(1000000))
-				txn := core.TxnID(base)
-				i := 0
-				for pb.Next() {
-					txn++
-					item := base + core.ItemID(i%128)
-					i++
-					if err := m.Acquire(txn, item, Exclusive); err != nil {
-						b.Fatal(err)
-					}
-					m.Release(txn)
-				}
-			})
-		})
-	}
+	m := New(time.Second)
+	defer m.Close()
+	var txnSeq atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		// Each worker owns a private item range: pure stripe scaling, no
+		// lock conflicts.
+		base := core.ItemID(txnSeq.Add(1000000))
+		txn := core.TxnID(base)
+		i := 0
+		for pb.Next() {
+			txn++
+			item := base + core.ItemID(i%128)
+			i++
+			if err := m.Acquire(txn, item, Exclusive); err != nil {
+				b.Fatal(err)
+			}
+			m.Release(txn)
+		}
+	})
 }

@@ -151,7 +151,7 @@ func TestTryAcquireAll(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewSharded(5*time.Second, 4)
+			m := New(5 * time.Second)
 			defer m.Close()
 			others := tc.setup(t, m)
 			locked, waiters := m.Stats()

@@ -33,7 +33,9 @@ type TxnResult struct {
 	Committed   bool
 	AbortReason string
 	// Reads carries the values observed by the transaction's read
-	// operations, in operation order.
+	// operations, in operation order. Each is the committed copy from
+	// before the transaction (Appendix A.1 reads before it writes), never
+	// the transaction's own write.
 	Reads []core.ItemVersion
 	// Copiers is the number of copier transactions the coordinator ran
 	// for this database transaction.

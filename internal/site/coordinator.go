@@ -29,23 +29,21 @@ func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 
 	// Concurrent mode: strict 2PL — shared locks on the read set,
 	// exclusive on the write set, held until the transaction completes.
-	// Failures here are retriable aborts, reported distinctly: a deadlock
-	// victim (local waits-for cycle) versus a lock-wait timeout
-	// (contention, or a distributed cycle only the timeout can break).
+	// A failure here is a retriable lock-wait timeout: contention, or a
+	// cycle spanning sites that only the timeout can break.
 	if s.concurrent() {
 		lm := s.lockManager()
 		if err := lm.AcquireAll(t.ID, reads, core.WriteSet(t.Ops)); err != nil {
 			lm.Release(t.ID)
-			reason := lockAbortReason(err)
 			s.mu.Lock()
 			s.stats.Aborted++
 			up := s.state.get() == core.StatusUp
 			s.mu.Unlock()
 			if up {
 				s.reg.Add(CounterAborts, 1)
-				s.emit(tr, trace.PhaseAbort, reason, start)
+				s.emit(tr, trace.PhaseAbort, txn.AbortLockTimeout, start)
 				s.caller.Reply(env, &msg.TxnResult{
-					Txn: t.ID, AbortReason: reason,
+					Txn: t.ID, AbortReason: txn.AbortLockTimeout,
 					ElapsedNanos: uint64(time.Since(start).Nanoseconds()),
 				})
 			}

@@ -98,15 +98,15 @@ func (s *Site) handlePrepare(env *msg.Envelope, body *msg.Prepare) {
 }
 
 // prepareAfterLocks waits for the prepare's locks, then stages it. A
-// deadlock or timeout is a retriable NACK, with the reason preserved so the
-// coordinator's abort keeps the two distinguishable; a manager closed under
-// the wait means this site failed, and a failed site does not vote.
+// timeout is a retriable NACK carrying the lock-timeout reason; a manager
+// closed under the wait means this site failed, and a failed site does not
+// vote.
 func (s *Site) prepareAfterLocks(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Manager) {
 	defer s.wg.Done()
 	if err := lm.AcquireAll(body.Txn, nil, writeItems(nil, body.Writes)); err != nil {
 		lm.Release(body.Txn)
 		if !errors.Is(err, lockmgr.ErrClosed) {
-			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: lockAbortReason(err)})
+			s.caller.Reply(env, &msg.PrepareAck{Txn: body.Txn, OK: false, Reason: txn.AbortLockTimeout})
 		}
 		return
 	}

@@ -26,7 +26,6 @@
 package site
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,7 +39,6 @@ import (
 	"minraid/internal/storage"
 	"minraid/internal/trace"
 	"minraid/internal/transport"
-	"minraid/internal/txn"
 )
 
 // Timer and counter names recorded in the metrics registry. The experiment
@@ -153,8 +151,10 @@ type Config struct {
 	// set at the coordinator, exclusive locks on every copy of the write
 	// set (acquired at prepare), all held until commit or abort. Values
 	// of 0 or 1 keep the paper's serial processing (assumption 2).
-	// Requires ROWAA and full replication. Distributed deadlocks resolve
-	// by lock-acquisition timeout (transactions abort retriably).
+	// Requires ROWAA and full replication. Deadlock has one rule: every
+	// lock request takes its whole set at once, in ascending item order,
+	// so no cycle closes inside a site; a cycle across sites ends when a
+	// wait exceeds LockWaitBudget (the transaction aborts retriably).
 	//
 	// Recovery (the type-1 control transaction) should be initiated
 	// during a write-quiescent period: session-vector checks abort
@@ -178,7 +178,9 @@ type Config struct {
 	// absorb the flush delay without suspecting the coordinator.
 	CommitEpoch time.Duration
 	// LockWaitBudget bounds how long a concurrent-mode transaction waits
-	// for one lock before aborting with a retriable timeout. Zero
+	// for one lock before aborting with a retriable timeout. It is the
+	// only deadlock breaker: ordered lock sets rule out cycles inside a
+	// site, and this budget ends the cycles that span sites. Zero
 	// defaults to AckTimeout/2. It must stay well under AckTimeout: a
 	// participant blocked on locks longer than the coordinator's patience
 	// would be mistaken for a failed site, and a lock wait must surface
@@ -437,23 +439,13 @@ func (s *Site) replicaMap() *core.ReplicaMap { return s.replicas.Load() }
 
 // newLockManager builds the 2PL manager for concurrent mode; serial mode
 // (the paper's) needs none. The acquisition timeout (Config.LockWaitBudget)
-// doubles as the distributed-deadlock breaker for cycles spanning sites;
-// local cycles are caught earlier by the waits-for detector.
+// is the one deadlock breaker: ordered lock sets rule out cycles inside a
+// site, and it ends those that span sites.
 func newLockManager(cfg Config) *lockmgr.Manager {
 	if cfg.ConcurrentTxns <= 1 {
 		return nil
 	}
 	return lockmgr.New(cfg.LockWaitBudget)
-}
-
-// lockAbortReason maps a lock-acquisition failure to its abort reason,
-// keeping deadlock victims distinguishable from wait timeouts in every
-// table downstream.
-func lockAbortReason(err error) string {
-	if errors.Is(err, lockmgr.ErrDeadlock) {
-		return txn.AbortDeadlock
-	}
-	return txn.AbortLockTimeout
 }
 
 // concurrent reports whether the site runs the interleaved-execution

@@ -340,15 +340,6 @@ func (c *Chaos) Stats() map[LinkID]LinkStats {
 	return out
 }
 
-// TotalStats folds every link's counters into one.
-func (c *Chaos) TotalStats() LinkStats {
-	var total LinkStats
-	for _, s := range c.Stats() {
-		total.Add(s)
-	}
-	return total
-}
-
 // startLink returns the fault pipeline of the link r describes, starting
 // it (and its forwarder goroutine) if the link has none yet.
 func (c *Chaos) startLink(r *chaosRoute, from, to core.SiteID, inner Endpoint) (*chaosLink, error) {

@@ -12,7 +12,11 @@ import (
 )
 
 // Txn is one database transaction: an identifier and an ordered list of
-// read/write operations, as generated by the managing site (§1.2).
+// read/write operations, as generated by the managing site (§1.2). The
+// order fixes the order of the results, not what a read sees: Appendix A.1
+// runs the copiers, then the reads, then two-phase commit of the writes,
+// so every read observes the state from before the transaction, even when
+// it follows a write of the same item.
 type Txn struct {
 	ID  core.TxnID
 	Ops []core.Op
@@ -94,13 +98,14 @@ const (
 	// available, so even ROWAA cannot proceed).
 	AbortWriteUnavailable = "no operational copy to write"
 	// AbortLockTimeout: in concurrent mode, a lock could not be acquired
-	// in time (contention, or a distributed deadlock the local detector
-	// cannot see); the transaction is retriable.
+	// in time (contention, or a deadlock: the lock-wait timeout is the
+	// one breaker); the transaction is retriable.
 	AbortLockTimeout = "lock acquisition timed out"
-	// AbortDeadlock: in concurrent mode, the waits-for detector chose
-	// this transaction as a local deadlock victim; the transaction is
-	// retriable. Kept distinct from AbortLockTimeout so contention-induced
-	// timeouts and genuine lock cycles are separable in the tables.
+	// AbortDeadlock is produced by nothing: ordered lock sets rule out
+	// cycles inside a site, so the lock manager carries no detector to
+	// pick a victim, and the cycles that span sites end in
+	// AbortLockTimeout. It is kept because the benchmark's abort-reason
+	// table still names it.
 	AbortDeadlock = "deadlock victim"
 	// AbortSiteDown: the coordinator itself failed mid-transaction.
 	AbortSiteDown = "coordinator failed"

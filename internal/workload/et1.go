@@ -54,11 +54,6 @@ func (e *ET1) Name() string {
 // Accounts returns the number of account items.
 func (e *ET1) Accounts() int { return e.Items - e.Branches - e.Tellers }
 
-// AccountItem returns the ItemID of account n.
-func (e *ET1) AccountItem(n int) core.ItemID {
-	return core.ItemID(e.Branches + e.Tellers + n%e.Accounts())
-}
-
 // Next implements Generator: read-modify-write of one account, one teller
 // and one branch. Safe for concurrent use; deterministic in (Seed, id).
 func (e *ET1) Next(id core.TxnID) []core.Op {
