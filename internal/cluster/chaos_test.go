@@ -245,12 +245,12 @@ func TestAsymmetricLinkLoss(t *testing.T) {
 	}
 }
 
-// TestChaosDupConcurrentCoordinator: on a duplicating link the chaos
-// forwarder encodes each prepare a second time after the first copy was
-// acked, while the concurrent coordinator goes on to stamp its commit
-// versions. The coordinator must stamp a copy of the write set, never the
-// slice the sent prepare still holds; run under -race, this test catches
-// it doing otherwise. Duplicate prepares can hold a participant's vote
+// TestChaosDupConcurrentCoordinator: on a duplicating link every prepare
+// is sent twice, while the concurrent coordinator goes on to stamp its
+// commit versions into the write set the prepares carried. That is safe
+// only because every wire, chaos included, encodes both copies before
+// Send returns; run under -race, this test catches a wire that holds an
+// envelope past Send. Duplicate prepares can hold a participant's vote
 // past the ack timeout, so aborts and the suspicions they leave behind are
 // not this test's subject.
 func TestChaosDupConcurrentCoordinator(t *testing.T) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -145,7 +146,7 @@ func (c *Manager) ExecTxnTimeout(coordinator core.SiteID, id core.TxnID, ops []c
 		return nil, fmt.Errorf("cluster: unexpected reply %s to txn %d", reply.Body.Kind(), id)
 	}
 	c.tracer.Emit(trace.ID(id), core.ManagingSite, trace.PhaseInject,
-		fmt.Sprintf("coord=%d ops=%d", coordinator, len(ops)), start)
+		"coord="+strconv.Itoa(int(coordinator))+" ops="+strconv.Itoa(len(ops)), start)
 	return res, nil
 }
 

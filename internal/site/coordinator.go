@@ -307,13 +307,11 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	// committed copy, the acked participants' included, keeps version
 	// numbers strictly increasing in commit order. The local copy alone is
 	// not enough: a blind write refreshes a recovered site's stale copy
-	// without a copier (§1.1). The stamps go into a copy: the sent
-	// prepares still hold writes (see transport.Endpoint.Send), and
-	// concurrent mode is fully replicated, so the copy is the local set.
+	// without a copier (§1.1). The prepares were encoded when sent, so
+	// the stamps go into writes itself, which concurrent mode's full
+	// replication makes the local set too.
 	var commitVersions []core.ItemVersion
 	if s.concurrent() {
-		writes = append([]core.ItemVersion(nil), writes...)
-		localWrites = writes
 		commitVersions = make([]core.ItemVersion, 0, len(writes))
 		for i := range writes {
 			cur, err := s.store.Get(writes[i].Item)

@@ -3,6 +3,7 @@ package site
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"minraid/internal/core"
@@ -177,7 +178,7 @@ func (s *Site) stagePrepare(env *msg.Envelope, body *msg.Prepare, lm *lockmgr.Ma
 	})
 	s.mu.Unlock()
 	s.caller.Reply(env, ack)
-	s.emit(env.Trace, trace.PhasePrepare, fmt.Sprintf("writes=%d", len(body.Writes)), st.start)
+	s.emit(env.Trace, trace.PhasePrepare, "writes="+strconv.Itoa(len(body.Writes)), st.start)
 }
 
 // decisionTimeout is how long a participant waits for the coordinator's
@@ -258,7 +259,7 @@ func (s *Site) commitStaged(env *msg.Envelope, entries []msg.CommitEntry, ack ms
 	s.mu.Unlock()
 	for _, a := range done {
 		s.reg.Observe(TimerPartTxn, time.Since(a.st.start))
-		s.emit(a.st.trace, trace.PhaseCommit, fmt.Sprintf("writes=%d", len(a.st.writes)), a.st.start)
+		s.emit(a.st.trace, trace.PhaseCommit, "writes="+strconv.Itoa(len(a.st.writes)), a.st.start)
 	}
 	s.caller.Reply(env, ack)
 	for _, a := range done {

@@ -131,7 +131,7 @@ func (s *LinkStats) Add(other LinkStats) {
 	s.Cut += other.Cut
 }
 
-// Chaos is the one fault layer, a decorator over any Network: per-directed-
+// Chaos is the one fault layer, a decorator over either wire: per-directed-
 // link administrative cuts and drop-after budgets, and probabilistic
 // message drop, duplication and bounded latency jitter, deterministically
 // driven by one seeded rand.Source per link.
@@ -140,7 +140,7 @@ func (s *LinkStats) Add(other LinkStats) {
 // assumption 1: no loss, no duplication) while preserving per-link FIFO
 // order, so experiments can measure how the ack-timeout/announce machinery
 // behaves when messages actually misbehave. Exempt links (and every link
-// when no fault is configured) bypass the probabilistic pipeline and are
+// when no fault is configured) bypass the decision streams and are
 // the inner Send, behind the cut and budget checks.
 type Chaos struct {
 	inner Network
@@ -151,10 +151,9 @@ type Chaos struct {
 	// changes hands once published, so Send reads it without a lock.
 	rows [chaosSlots]atomic.Pointer[chaosRow]
 
-	mu     sync.Mutex // guards eps and closed, and serializes making rows and pipelines
+	mu     sync.Mutex // guards eps, and serializes making rows and links
 	eps    map[core.SiteID]*chaosEndpoint
-	closed bool
-	wg     sync.WaitGroup
+	closed atomic.Bool
 }
 
 // chaosSlots is the side of the link table: every possible database site,
@@ -182,12 +181,12 @@ type chaosRoute struct {
 	// links leaves the others byte-for-byte pass-throughs, exactly like a
 	// fully inactive config does.
 	exempt bool
-	// link is the fault pipeline, started by the link's first message.
+	// link is the decision stream, made by the link's first message.
 	link atomic.Pointer[chaosLink]
 }
 
-// NewChaos wraps inner with seeded fault injection. Closing the returned
-// network closes inner too.
+// NewChaos wraps inner, a Memory or a TCP, with seeded fault injection.
+// Closing the returned network closes inner too.
 func NewChaos(inner Network, cfg ChaosConfig) *Chaos {
 	return &Chaos{inner: inner, cfg: cfg, eps: make(map[core.SiteID]*chaosEndpoint)}
 }
@@ -225,7 +224,7 @@ func (c *Chaos) route(from, to core.SiteID) *chaosRoute {
 
 // SetLinkDown administratively cuts (or restores) the directed link
 // from->to. While down, messages offered to the link are discarded at
-// Send time — before the chaotic pipeline, so cut traffic burns no rng
+// Send time — before the link's decisions, so cut traffic burns no rng
 // draws and the probabilistic decision stream of the surviving messages
 // is unchanged. This is the hook scheduled link events (package
 // failure) drive; it works even when no probabilistic fault is configured.
@@ -270,7 +269,7 @@ func (r *chaosRoute) admit() bool {
 func (c *Chaos) Endpoint(id core.SiteID) (Endpoint, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	if ep, ok := c.eps[id]; ok {
@@ -280,7 +279,7 @@ func (c *Chaos) Endpoint(id core.SiteID) (Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := &chaosEndpoint{net: c, inner: inner}
+	ep := &chaosEndpoint{net: c, inner: inner.(wireEndpoint)}
 	if slot, ok := chaosSlot(id); ok {
 		ep.row = c.rowLocked(id, slot)
 	}
@@ -288,82 +287,56 @@ func (c *Chaos) Endpoint(id core.SiteID) (Endpoint, error) {
 	return ep, nil
 }
 
-// Close implements Network: drain the fault pipelines, then close the
-// inner network.
+// Close implements Network by closing the inner network. Messages still
+// waiting out their due times are discarded with it.
 func (c *Chaos) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.eachRoute(func(_ LinkID, r *chaosRoute) {
-		if l := r.link.Load(); l != nil {
-			l.q.close()
-		}
-	})
-	c.mu.Unlock()
-	c.wg.Wait()
 	return c.inner.Close()
-}
-
-// eachRoute calls fn for every link of every row made so far.
-func (c *Chaos) eachRoute(fn func(LinkID, *chaosRoute)) {
-	for f := range c.rows {
-		row := c.rows[f].Load()
-		if row == nil {
-			continue
-		}
-		for t := range row {
-			fn(LinkID{From: slotSite(f, core.MaxSites), To: slotSite(t, core.MaxSites)}, &row[t])
-		}
-	}
 }
 
 // Stats snapshots the decision counters of every link that was offered a
 // message, folding in messages discarded by administrative cuts.
 func (c *Chaos) Stats() map[LinkID]LinkStats {
 	out := make(map[LinkID]LinkStats)
-	c.eachRoute(func(id LinkID, r *chaosRoute) {
-		l, cut := r.link.Load(), r.cut.Load()
-		if l == nil && cut == 0 {
-			return
+	for f := range c.rows {
+		row := c.rows[f].Load()
+		if row == nil {
+			continue
 		}
-		s := LinkStats{Sent: cut, Cut: cut}
-		if l != nil {
-			l.mu.Lock()
-			s.Add(l.stats)
-			l.mu.Unlock()
+		for t := range row {
+			r := &row[t]
+			l, cut := r.link.Load(), r.cut.Load()
+			if l == nil && cut == 0 {
+				continue
+			}
+			s := LinkStats{Sent: cut, Cut: cut}
+			if l != nil {
+				l.mu.Lock()
+				s.Add(l.stats)
+				l.mu.Unlock()
+			}
+			out[LinkID{From: slotSite(f, core.MaxSites), To: slotSite(t, core.MaxSites)}] = s
 		}
-		out[id] = s
-	})
+	}
 	return out
 }
 
-// startLink returns the fault pipeline of the link r describes, starting
-// it (and its forwarder goroutine) if the link has none yet.
-func (c *Chaos) startLink(r *chaosRoute, from, to core.SiteID, inner Endpoint) (*chaosLink, error) {
+// startLink returns the decision stream of the link r describes, making
+// it if the link has none yet.
+func (c *Chaos) startLink(r *chaosRoute, from, to core.SiteID) *chaosLink {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
 	if l := r.link.Load(); l != nil {
-		return l, nil
+		return l
 	}
 	l := &chaosLink{
-		cfg:   c.cfg.linkChaos(from, to),
-		rng:   rand.New(rand.NewSource(linkSeed(c.cfg.Seed, from, to))),
-		inner: inner,
-		q:     newQueue[chaosItem](),
+		cfg: c.cfg.linkChaos(from, to),
+		rng: rand.New(rand.NewSource(linkSeed(c.cfg.Seed, from, to))),
 	}
 	r.link.Store(l)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		l.run()
-	}()
-	return l, nil
+	return l
 }
 
 // linkSeed derives a link's rand seed from the network seed and the link's
@@ -379,87 +352,67 @@ func linkSeed(seed int64, from, to core.SiteID) int64 {
 	return int64(z)
 }
 
-// chaosItem is one message in a link's fault pipeline.
-type chaosItem struct {
-	env *msg.Envelope
-	at  time.Time // enqueue time; jitter holds relative to this
-}
-
-// chaosLink serializes one directed link's messages through its seeded
-// decision stream: a single forwarder goroutine pops in FIFO order, draws
-// drop/jitter/dup decisions in a fixed order from the link's private rng,
-// and forwards survivors to the inner endpoint. Decisions therefore depend
-// only on the message's position in the link's send order, never on
-// wall-clock timing or cross-link interleaving.
+// chaosLink is one directed link's seeded decision stream and wire
+// schedule. Send draws each message's drop/jitter/dup decisions in a fixed
+// order from the link's private rng and computes its due time, then hands
+// the survivor to the inner wire under the same lock, so the k-th message
+// offered to the link gets the k-th draw and the wire receives messages in
+// draw order. Decisions therefore depend only on the message's position in
+// the link's send order, never on wall-clock timing or cross-link
+// interleaving.
 type chaosLink struct {
-	cfg   LinkChaos
-	rng   *rand.Rand
-	inner Endpoint
-	q     *queue[chaosItem]
+	cfg LinkChaos
 
-	mu    sync.Mutex
+	mu    sync.Mutex // serializes the link's sends: draw, then hand-off
+	rng   *rand.Rand
+	last  time.Time // the latest due time handed out
 	stats LinkStats
 }
 
-func (l *chaosLink) run() {
-	for {
-		it, ok := l.q.pop()
-		if !ok {
-			return
-		}
-		// Fixed decision order: drop, then jitter, then dup. A draw is
-		// burned only when its fault is configured, so the stream is a
-		// pure function of (seed, config, position).
-		var delta LinkStats
-		delta.Sent = 1
-		dropped := l.cfg.Drop > 0 && l.rng.Float64() < l.cfg.Drop
-		var jitter time.Duration
-		var dup bool
-		if !dropped {
-			if l.cfg.MaxJitter > 0 {
-				jitter = time.Duration(l.rng.Int63n(int64(l.cfg.MaxJitter) + 1))
-				delta.JitterTotal = jitter
-			}
-			if l.cfg.Dup > 0 && l.rng.Float64() < l.cfg.Dup {
-				dup = true
-				delta.Duplicated = 1
-			}
-		} else {
-			delta.Dropped = 1
-		}
-		l.mu.Lock()
-		l.stats.Add(delta)
-		l.mu.Unlock()
-		if dropped {
-			continue
-		}
-		if l.cfg.PerMsgCost > 0 {
-			// Serialization: the wire carries one message at a time, so
-			// this cost is paid per pop, back to back — a burst of k
-			// messages occupies the link for k*PerMsgCost even though
-			// propagation below pipelines.
-			time.Sleep(l.cfg.PerMsgCost)
-		}
-		if d := l.cfg.BaseDelay + jitter - time.Since(it.at); d > 0 {
-			// Hold until enqueueTime+base+jitter, not base+jitter after the
-			// previous delivery: propagation pipelines, FIFO order is kept
-			// by the single forwarder.
-			time.Sleep(d)
-		}
-		// Send errors (shutdown races, partitioned inner links) are the
-		// inner network's delivery policy; a chaotic link is lossy by
-		// construction and has nobody to report them to.
-		_ = l.inner.Send(it.env)
-		if dup {
-			_ = l.inner.Send(it.env)
-		}
+// decide draws the next message's fate as offered at now and returns its
+// due time. Callers hold mu.
+//
+// Fixed decision order: drop, then jitter, then dup. A draw is burned only
+// when its fault is configured, so the stream is a pure function of (seed,
+// config, position). The due time is
+//
+//	D_i = max(max(D_{i-1}, now) + PerMsgCost, now + BaseDelay + jitter_i)
+//
+// — the wire carries one message per PerMsgCost, back to back, so a burst
+// of k occupies it for k*PerMsgCost, while propagation pipelines. Dues
+// never decrease, so jitter delays a link's messages without reordering
+// them; a duplicate shares its original's due time.
+func (l *chaosLink) decide(now time.Time) (due time.Time, dropped, dup bool) {
+	l.stats.Sent++
+	if l.cfg.Drop > 0 && l.rng.Float64() < l.cfg.Drop {
+		l.stats.Dropped++
+		return time.Time{}, true, false
 	}
+	var jitter time.Duration
+	if l.cfg.MaxJitter > 0 {
+		jitter = time.Duration(l.rng.Int63n(int64(l.cfg.MaxJitter) + 1))
+		l.stats.JitterTotal += jitter
+	}
+	if l.cfg.Dup > 0 && l.rng.Float64() < l.cfg.Dup {
+		dup = true
+		l.stats.Duplicated++
+	}
+	due = l.last
+	if due.Before(now) {
+		due = now
+	}
+	due = due.Add(l.cfg.PerMsgCost)
+	if prop := now.Add(l.cfg.BaseDelay + jitter); prop.After(due) {
+		due = prop
+	}
+	l.last = due
+	return due, false, dup
 }
 
 // chaosEndpoint decorates one site's attachment.
 type chaosEndpoint struct {
 	net   *Chaos
-	inner Endpoint
+	inner wireEndpoint
 	row   *chaosRow // this site's links; nil if its ID can name no site
 }
 
@@ -467,9 +420,10 @@ type chaosEndpoint struct {
 func (ep *chaosEndpoint) ID() core.SiteID { return ep.inner.ID() }
 
 // Send implements Endpoint. On an exempt link it is the inner Send,
-// byte-for-byte; on a chaotic link the message enters the link's fault
-// pipeline and Send reports acceptance, with delivery best-effort from
-// there on — exactly the contract a lossy wire offers.
+// byte-for-byte; on a chaotic link Send draws the message's fate and hands
+// the survivors to the inner wire, which holds them until their due time.
+// A dropped message is accepted and never delivered — exactly the
+// contract a lossy wire offers.
 func (ep *chaosEndpoint) Send(env *msg.Envelope) error {
 	to, ok := chaosSlot(env.To)
 	if !ok || ep.row == nil {
@@ -487,17 +441,24 @@ func (ep *chaosEndpoint) Send(env *msg.Envelope) error {
 	if r.exempt {
 		return ep.inner.Send(env)
 	}
-	l := r.link.Load()
-	if l == nil {
-		var err error
-		if l, err = ep.net.startLink(r, ep.inner.ID(), env.To, ep.inner); err != nil {
-			return err
-		}
-	}
-	if !l.q.push(chaosItem{env: env, at: time.Now()}) {
+	if ep.net.closed.Load() {
 		return ErrClosed
 	}
-	return nil
+	l := r.link.Load()
+	if l == nil {
+		l = ep.net.startLink(r, ep.inner.ID(), env.To)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	due, dropped, dup := l.decide(time.Now())
+	if dropped {
+		return nil
+	}
+	err := ep.inner.sendAt(env, due)
+	if dup && err == nil {
+		_ = ep.inner.sendAt(env, due)
+	}
+	return err
 }
 
 // Recv implements Endpoint.

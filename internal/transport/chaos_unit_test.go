@@ -31,8 +31,8 @@ func chaosRun(t *testing.T, cfg ChaosConfig, msgs int) map[LinkID]LinkStats {
 			t.Fatal(err)
 		}
 	}
-	// Close drains every link pipeline before shutting the inner network,
-	// so by the time it returns all decisions are recorded.
+	// Send draws a message's decisions before it returns, so every one is
+	// recorded by now; Close discards the messages still in flight.
 	if err := ch.Close(); err != nil {
 		t.Fatal(err)
 	}

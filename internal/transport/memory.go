@@ -29,10 +29,10 @@ type MemoryConfig struct {
 //
 // The network runs no goroutine of its own: Send puts the decoded envelope
 // into the destination's inbox on the sender's goroutine, and the inbox
-// holds it until Delay after that moment (see queue). One message is one
-// hand-off, sender to receiver. An inbox releases messages in the order
-// they were put in, which orders all traffic to one destination and so,
-// within it, each (sender, receiver) link — the paper's ordered-reliable-
+// holds it until Delay after that moment, or after a chaotic link's due
+// time (see queue): one hand-off, sender to receiver. An inbox releases
+// messages in due-time order, and a link's dues never decrease, so each
+// (sender, receiver) link stays in order — the paper's ordered-reliable-
 // messaging assumption. Sends to different destinations share nothing but
 // read-only tables, so independent links proceed in parallel, as Ethernet
 // or the Unix IPC of the original system would.
@@ -119,7 +119,10 @@ func (ep *memEndpoint) ID() core.SiteID { return ep.id }
 
 // Send implements Endpoint: encode, decode, and hand the copy to the
 // destination's inbox, all on the caller's goroutine.
-func (ep *memEndpoint) Send(env *msg.Envelope) error {
+func (ep *memEndpoint) Send(env *msg.Envelope) error { return ep.sendAt(env, time.Time{}) }
+
+// sendAt is Send with the copy held in the inbox until due, plus Delay.
+func (ep *memEndpoint) sendAt(env *msg.Envelope, due time.Time) error {
 	m := ep.net
 	to, ok := m.slot(env.To)
 	if !ok {
@@ -139,7 +142,7 @@ func (ep *memEndpoint) Send(env *msg.Envelope) error {
 	// Count only messages the inbox actually accepted: a push that lost the
 	// race with Close, or went to a site that has detached, is dropped and
 	// must not inflate the experiments' message-complexity columns.
-	if m.eps[to].inbox.push(decoded) {
+	if m.eps[to].inbox.pushAt(decoded, due) {
 		m.sent.Add(1)
 	}
 	return nil

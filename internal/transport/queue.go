@@ -5,18 +5,21 @@ import (
 	"time"
 )
 
-// queue is an unbounded FIFO with blocking pop and close semantics.
+// queue is an unbounded queue with blocking pop and close semantics.
 // Senders never block, which rules out the queue-full deadlocks a bounded
 // channel could introduce between sites that are simultaneously sending to
 // each other; memory is bounded in practice by the protocol's
 // request/response discipline.
 //
-// A queue built with a delay holds every item until delay after its push:
-// push stamps the due time under the lock, so due times are non-decreasing
-// in queue order, and pop waits out the head's. Items therefore leave in
-// push order, each no earlier than its due time, and k items pushed
-// together all become poppable after ~1 delay — latency, not spacing. A
-// delaying queue has one consumer (the waits share a timer).
+// Every item carries a due time, and the queue keeps its items ordered by
+// it, stable for equal dues: pop returns the head once it is due. An item
+// pushed without a due time is due at once; a queue built with a delay adds
+// that delay to every item's due time, so k items pushed together all
+// become poppable after ~1 delay — latency, not spacing. Items pushed at
+// once go to the tail, so a queue that holds no timed item is a plain FIFO
+// whose pushes never read the clock. A consumer waiting out a head is woken
+// early only by a push that makes an earlier head, or by close. Timed items
+// want one consumer (the waits share a timer).
 //
 // Storage is a head-indexed slice: pop reads items[head] and zeroes the
 // slot (so delivered envelopes are released for GC immediately) instead of
@@ -25,13 +28,15 @@ import (
 // empties and folded away when the slice would otherwise grow.
 type queue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   *sync.Cond // wakes a consumer waiting on an empty queue
 	delay  time.Duration
 	items  []timed[T]
 	head   int
 	closed bool
-	done   chan struct{} // closed by close, to cut a due-time wait short
-	timer  *time.Timer   // the consumer's due-time wait, made on first use
+	// waitUntil is the head due time the consumer is sleeping toward on
+	// timer, zero while it is not in a timed wait.
+	waitUntil time.Time
+	timer     *time.Timer // made by the first timed wait
 }
 
 // timed is a queued item and the moment it may be popped; the zero time
@@ -44,21 +49,31 @@ type timed[T any] struct {
 func newQueue[T any]() *queue[T] { return newDelayQueue[T](0) }
 
 // newDelayQueue returns a queue whose items become poppable delay after
-// their push.
+// their due time.
 func newDelayQueue[T any](delay time.Duration) *queue[T] {
-	q := &queue[T]{delay: delay, done: make(chan struct{})}
+	q := &queue[T]{delay: delay}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push appends an item. Pushing to a closed queue drops the item and
-// reports false.
-func (q *queue[T]) push(item T) bool {
+// push adds an item due at once (plus the queue's delay). Pushing to a
+// closed queue drops the item and reports false.
+func (q *queue[T]) push(item T) bool { return q.pushAt(item, time.Time{}) }
+
+// pushAt adds an item that becomes poppable at due plus the queue's delay;
+// the zero due means at push time. It goes behind every item due no later.
+func (q *queue[T]) pushAt(item T, due time.Time) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
+	if due.IsZero() && (q.delay > 0 || q.head < len(q.items) && !q.items[len(q.items)-1].due.IsZero()) {
+		// "At once" is now when a delay counts from it or a timed item is
+		// queued to be ordered against.
+		due = time.Now()
+	}
+	due = due.Add(q.delay)
 	if q.head > 0 && len(q.items) == cap(q.items) {
 		// About to grow: fold the dead prefix away first so the backing
 		// array only grows when there are genuinely more live items.
@@ -67,20 +82,27 @@ func (q *queue[T]) push(item T) bool {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	it := timed[T]{item: item}
-	if q.delay > 0 {
-		it.due = time.Now().Add(q.delay)
+	// Insert after the last item due no later than this one. Untimed items
+	// sort first, so an untimed push is an append.
+	i := len(q.items)
+	q.items = append(q.items, timed[T]{})
+	for i > q.head && q.items[i-1].due.After(due) {
+		q.items[i] = q.items[i-1]
+		i--
 	}
-	q.items = append(q.items, it)
+	q.items[i] = timed[T]{item: item, due: due}
+	if i == q.head && due.Before(q.waitUntil) {
+		q.timer.Reset(0) // a new, earlier head: cut the consumer's wait short
+	}
 	q.cond.Signal()
 	return true
 }
 
-// pop removes the oldest item, blocking while the queue is empty or its
-// head is not yet due. It returns ok=false once the queue is closed and
-// every item already due has been drained: items still waiting out their
-// delay when the queue closes are discarded — they were on the wire when
-// the network went away — so close never waits for a delay to pass.
+// pop removes the head, blocking while the queue is empty or its head is
+// not yet due. It returns ok=false once the queue is closed and every item
+// already due has been drained: items still waiting out their due time
+// when the queue closes are discarded — they were on the wire when the
+// network went away — so close never waits for a due time to pass.
 func (q *queue[T]) pop() (item T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -91,21 +113,30 @@ func (q *queue[T]) pop() (item T, ok bool) {
 		if q.head == len(q.items) {
 			return item, false
 		}
-		var wait time.Duration
-		if due := q.items[q.head].due; !due.IsZero() {
-			wait = time.Until(due)
+		due := q.items[q.head].due
+		if due.IsZero() {
+			break
 		}
+		wait := time.Until(due)
 		if wait <= 0 {
 			break
 		}
 		if q.closed {
 			return item, false
 		}
-		// Only this goroutine pops, and later items are due no earlier, so
-		// the head is still the head after the wait; pushes go on meanwhile.
+		// Pushes go on during the wait, and one may put an earlier item at
+		// the head and fire the timer early; a wake may also be stale. So
+		// the loop looks at the head afresh after every wait.
+		if q.timer == nil {
+			q.timer = time.NewTimer(wait)
+		} else {
+			q.timer.Reset(wait)
+		}
+		q.waitUntil = due
 		q.mu.Unlock()
-		q.waitOrClosed(wait)
+		<-q.timer.C
 		q.mu.Lock()
+		q.waitUntil = time.Time{}
 	}
 	item = q.items[q.head].item
 	// Zero the slot so the backing array does not pin the delivered
@@ -119,20 +150,6 @@ func (q *queue[T]) pop() (item T, ok bool) {
 	return item, true
 }
 
-// waitOrClosed blocks for d or until the queue closes.
-func (q *queue[T]) waitOrClosed(d time.Duration) {
-	if q.timer == nil {
-		q.timer = time.NewTimer(d)
-	} else {
-		q.timer.Reset(d)
-	}
-	select {
-	case <-q.timer.C:
-	case <-q.done:
-		q.timer.Stop()
-	}
-}
-
 // close marks the queue closed; blocked pops drain the items already due
 // and then return ok=false.
 func (q *queue[T]) close() {
@@ -142,7 +159,9 @@ func (q *queue[T]) close() {
 		return
 	}
 	q.closed = true
-	close(q.done)
+	if !q.waitUntil.IsZero() {
+		q.timer.Reset(0)
+	}
 	q.cond.Broadcast()
 }
 

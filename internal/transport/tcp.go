@@ -303,7 +303,11 @@ type tcpEndpoint struct {
 func (ep *tcpEndpoint) ID() core.SiteID { return ep.id }
 
 // Send implements Endpoint.
-func (ep *tcpEndpoint) Send(env *msg.Envelope) error {
+func (ep *tcpEndpoint) Send(env *msg.Envelope) error { return ep.sendAt(env, time.Time{}) }
+
+// sendAt is Send with the message held until due: in the peer's writer
+// queue, so the socket write happens then, or in the inbox on loopback.
+func (ep *tcpEndpoint) sendAt(env *msg.Envelope, due time.Time) error {
 	env.From = ep.id
 	ep.net.cfg.Tracer.CountMessage(env.Body.Kind())
 	if env.To == ep.id {
@@ -315,7 +319,7 @@ func (ep *tcpEndpoint) Send(env *msg.Envelope) error {
 			return err
 		}
 		if !ep.net.dedup(decoded) {
-			ep.inbox.push(decoded)
+			ep.inbox.pushAt(decoded, due)
 		}
 		return nil
 	}
@@ -323,7 +327,7 @@ func (ep *tcpEndpoint) Send(env *msg.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if !w.q.push(msg.Marshal(env)) {
+	if !w.q.pushAt(msg.Marshal(env), due) {
 		return ErrClosed
 	}
 	return nil
@@ -337,8 +341,8 @@ func (ep *tcpEndpoint) Close() error { return ep.net.Close() }
 
 // ensure interface satisfaction.
 var (
-	_ Network  = (*Memory)(nil)
-	_ Network  = (*TCP)(nil)
-	_ Endpoint = (*memEndpoint)(nil)
-	_ Endpoint = (*tcpEndpoint)(nil)
+	_ Network      = (*Memory)(nil)
+	_ Network      = (*TCP)(nil)
+	_ wireEndpoint = (*memEndpoint)(nil)
+	_ wireEndpoint = (*tcpEndpoint)(nil)
 )

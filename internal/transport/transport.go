@@ -23,6 +23,7 @@ package transport
 
 import (
 	"errors"
+	"time"
 
 	"minraid/internal/core"
 	"minraid/internal/msg"
@@ -40,11 +41,10 @@ var (
 // Endpoint is one site's attachment to the network.
 //
 // Send enqueues an envelope for delivery and never blocks on the receiver;
-// delivery order is FIFO per (sender, receiver) pair. Once sent, the
-// envelope and its body belong to the network: Chaos holds them until its
-// link delivers, so the sender must not modify either afterwards. Recv
-// blocks until a message arrives, returning ok=false once the endpoint is
-// closed and drained.
+// delivery order is FIFO per (sender, receiver) pair. Every wire encodes
+// the envelope before Send returns, so the sender may reuse it and its
+// body afterwards. Recv blocks until a message arrives, returning ok=false
+// once the endpoint is closed and drained.
 type Endpoint interface {
 	// ID returns the site this endpoint belongs to.
 	ID() core.SiteID
@@ -55,6 +55,13 @@ type Endpoint interface {
 	// Close detaches the endpoint; pending Recv calls drain then return
 	// ok=false.
 	Close() error
+}
+
+// wireEndpoint is a Memory or TCP endpoint: sendAt is Send with delivery
+// held until due, and Send is sendAt at once (the zero time).
+type wireEndpoint interface {
+	Endpoint
+	sendAt(env *msg.Envelope, due time.Time) error
 }
 
 // Network connects a fixed set of sites.
