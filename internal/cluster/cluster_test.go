@@ -1050,6 +1050,31 @@ func TestParticipantLostBetweenPhases(t *testing.T) {
 	}
 }
 
+// TestAbortReachesSilentParticipant: a participant whose prepare ack is
+// lost staged its share all the same. The abort must reach it, or its
+// decision timer later announces the live coordinator failed.
+func TestAbortReachesSilentParticipant(t *testing.T) {
+	const ack = 40 * time.Millisecond
+	c := newTestCluster(t, Config{Sites: 2, Items: 2, AckTimeout: ack})
+	c.SetLinkDown(1, 0, true)
+	res, err := c.Exec(0, []core.Op{core.Write(0, val(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed {
+		t.Fatal("write committed without the participant's ack")
+	}
+	c.SetLinkDown(1, 0, false)
+	time.Sleep(6 * ack)
+	st, err := c.Status(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Vector[0].Status != core.StatusUp || st.Stats.ControlType2 != 0 {
+		t.Fatalf("participant after abort: vector %v, type-2 %d", st.Vector, st.Stats.ControlType2)
+	}
+}
+
 func TestCoordinatorLostBetweenPhases(t *testing.T) {
 	// The other side of the window: both participants commit, their
 	// commit acks are lost, and the coordinator fails inside the ack

@@ -49,9 +49,10 @@ func (r ReconcileReport) String() string {
 //  1. Session-vector comparison: collect every truly-up site's vector,
 //     fail-lock table and database dump; mutual suspicion between
 //     truly-up sites is the split-brain signal.
-//  2. Fail-lock collection: compute the reconciled table. For every item
-//     the highest version among truly-up copies wins; each truly-up copy
-//     behind it must carry a fail-lock, each copy at it must not. In
+//  2. Fail-lock collection: compute the reconciled table by the
+//     staleness rule (core.Staleness): for every item the highest version
+//     among truly-up copies wins; each truly-up copy behind it must carry
+//     a fail-lock, each copy at it must not. In
 //     serial mode versions are transaction IDs, globally unique, and that
 //     comparison is complete. In concurrent mode versions are per-item
 //     commit counters, and copies AT the highest version can still
@@ -115,56 +116,37 @@ func (c *Manager) ReconcileSplitBrain(trueUp []bool, ackTimeout time.Duration) (
 		}
 	}
 
-	// Step 2: reconciled fail-lock table, highest version wins.
+	// Step 2: reconciled fail-lock table by the staleness rule over the
+	// truly-up hosting copies, plus the value check at the top version.
 	target := make([]uint64, items)
 	for item := 0; item < items; item++ {
 		hostMask := replicas.HostMask(core.ItemID(item))
-		var maxVer core.TxnID
-		minVer := core.TxnID(0)
-		first := true
+		var j core.Staleness
 		for _, v := range views {
-			if hostMask&(1<<v.id) == 0 {
-				continue
+			if hostMask&(1<<v.id) != 0 {
+				j.Copy(v.id, uint64(v.dump[item].Version), 0)
 			}
-			ver := v.dump[item].Version
-			if first || ver > maxVer {
-				maxVer = ver
-			}
-			if first || ver < minVer {
-				minVer = ver
-			}
-			first = false
 		}
+		bits := j.Word(hostMask)
 		// The canonical value: the lowest-numbered truly-up copy at the
-		// winning version (views are in site order). Copies at maxVer
-		// with a different value are split-brain twins — both sides
-		// committed their item's Nth write — and must be fail-locked so
-		// the drain refreshes them from the canonical copy (Apply
-		// overwrites at equal version).
+		// top version (views are in site order). Copies at the top with
+		// a different value are split-brain twins — both sides committed
+		// their item's Nth write — and must be fail-locked so the drain
+		// refreshes them from the canonical copy (Apply overwrites at
+		// equal version).
 		var canonical []byte
 		haveCanonical := false
 		for _, v := range views {
-			if hostMask&(1<<v.id) != 0 && v.dump[item].Version == maxVer {
-				canonical = v.dump[item].Value
-				haveCanonical = true
-				break
-			}
-		}
-		valueDiverged := false
-		var bits uint64
-		for _, v := range views {
-			if hostMask&(1<<v.id) == 0 {
+			if j.AtTop&(1<<v.id) == 0 {
 				continue
 			}
-			switch d := v.dump[item]; {
-			case d.Version < maxVer:
+			if d := v.dump[item]; !haveCanonical {
+				canonical, haveCanonical = d.Value, true
+			} else if !bytes.Equal(d.Value, canonical) {
 				bits |= 1 << v.id
-			case haveCanonical && !bytes.Equal(d.Value, canonical):
-				bits |= 1 << v.id
-				valueDiverged = true
 			}
 		}
-		if (!first && minVer != maxVer) || valueDiverged {
+		if bits != 0 {
 			rep.DivergentItems++
 		}
 		// Down sites: union of what every side tracked, hosting only.

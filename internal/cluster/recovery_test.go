@@ -278,3 +278,68 @@ func TestSoloWriteRecordSurvivesWriterRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestLostParticipantBitSurvivesNewerRecovery: a phase-two loss marks the
+// lost participant stale in the coordinator's table alone, because the
+// coordinator's vector shows every other site down. The stale site's
+// recovery takes the bit; a site whose copy is newer and whose word lacks
+// the bit recovers next and must not erase it — neither by keeping its
+// own word nor by pushing that word over the stale site's.
+func TestLostParticipantBitSurvivesNewerRecovery(t *testing.T) {
+	const ack = 40 * time.Millisecond
+	const coord, s, n, x = 0, 1, 2, 3
+	c := newTestCluster(t, Config{Sites: 4, Items: 4, AckTimeout: ack})
+	trueUp := []bool{true, true, true, true}
+
+	if err := c.Fail(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(coord, []core.Op{core.Write(1, val(1))}); err != nil {
+		t.Fatal(err)
+	}
+	// s prepares but never hears the commit; n applies it but its commit
+	// ack is lost. The coordinator marks both lost.
+	c.SetLinkDropAfter(coord, s, 1)
+	c.SetLinkDropAfter(n, coord, 1)
+	res, err := c.Exec(coord, []core.Op{core.Write(0, val(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed {
+		t.Fatalf("write aborted: %s", res.AbortReason)
+	}
+	c.SetLinkDropAfter(coord, s, -1)
+	c.SetLinkDropAfter(n, coord, -1)
+
+	// s recovers from the coordinator and n; then n recovers from s alone.
+	if err := c.Fail(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecoverWithRetry(s, ack); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fail(coord); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Fail(n); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecoverWithRetry(n, ack); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []core.SiteID{coord, x} {
+		if _, err := c.RecoverWithRetry(id, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.RepairFalseSuspicions(trueUp, ack); err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.OK() {
+		t.Fatalf("audit: %s", report)
+	}
+}

@@ -148,27 +148,6 @@ func (t *FailLockTable) Install(snapshot []uint64) error {
 	return nil
 }
 
-// MergeAhead merges another site's per-item lock words into the table,
-// adopting their word wholesale for every item where their copy version
-// is strictly ahead of ours. Commit-time maintenance rewrites an item's
-// whole lock word alongside the copy (Maintain), so the word travels with
-// the version: whoever holds the newer copy of an item holds the newer
-// lock word for it. Items where the other side is not ahead keep the
-// local word — a recovering site's surviving table may carry bits that
-// were legitimately cleared while it was down, and adopting those would
-// re-lock fresh copies.
-func (t *FailLockTable) MergeAhead(words, theirVers, ownVers []uint64) error {
-	if len(words) != len(t.bits) || len(theirVers) != len(t.bits) || len(ownVers) != len(t.bits) {
-		return fmt.Errorf("core: fail-lock merge covers %d/%d items, table holds %d", len(words), len(theirVers), len(t.bits))
-	}
-	for i, w := range words {
-		if theirVers[i] > ownVers[i] {
-			t.bits[i] = w
-		}
-	}
-	return nil
-}
-
 // Maintain performs the commit-time fail-lock maintenance of §1.2 for one
 // written item: "the nominal session vector was examined and the fail-lock
 // bits [were set] for each failed site [and cleared for each up site]. Note
@@ -211,6 +190,54 @@ func (t *FailLockTable) MaintainMasked(item ItemID, vec SessionVector, hostMask 
 	after := (before &^ up) | (known &^ up)
 	t.bits[item] = after
 	return popcount(after &^ before), popcount(before &^ after)
+}
+
+// Staleness folds what is in hand about one item's copies into the item's
+// lock word. Each input is a lock word, the copy version it was held at
+// and the sites whose copies are at that version. The fold is a join —
+// the highest version wins, equal versions are OR-ed — so the order of
+// the inputs cannot change the word. The zero value holds nothing.
+//
+// A copy version read here (Copy) is evidence about that copy. A version
+// reported from elsewhere (Add) is not: it was read at another moment,
+// and a copy behind the top may be behind only because a commit is still
+// on its way to it, so a bit derived from it would sit in this table
+// alone. A reporting site counts for its own bit through its word instead.
+type Staleness struct {
+	Top    uint64 // highest copy version in hand
+	AtTop  uint64 // sites whose copy is at Top
+	read   uint64 // sites whose copy version was read here
+	claims uint64 // the reporting sites' own bits in their words
+	words  uint64 // OR of the lock words held at Top
+}
+
+// Add folds a lock word reported from elsewhere, held at version by the
+// sites in holders, whose copies are at version. A word whose holder's
+// copy is not at version (a lock-sync sender's top) has no holders.
+func (j *Staleness) Add(holders, version, word uint64) {
+	switch {
+	case version > j.Top:
+		j.Top, j.AtTop, j.words = version, holders, word
+	case version == j.Top:
+		j.AtTop |= holders
+		j.words |= word
+	}
+	j.claims |= word & holders
+}
+
+// Copy folds site's copy version read here and the lock word held beside
+// it.
+func (j *Staleness) Copy(site SiteID, version, word uint64) {
+	j.Add(1<<site, version, word)
+	j.read |= 1 << site
+}
+
+// Word returns the item's lock word, the staleness rule: a hosting site
+// whose copy version was read here and is below the highest version in
+// hand has its bit set, as has a hosting site that reports its own bit
+// set; the words held at the highest version are OR-ed in.
+func (j *Staleness) Word(hostMask uint64) uint64 {
+	return (j.read&^j.AtTop|j.claims)&hostMask | j.words
 }
 
 // Reset clears every fail-lock. Used only by tests and experiment setup.

@@ -102,31 +102,122 @@ func TestSnapshotInstall(t *testing.T) {
 	}
 }
 
-func TestMergeAhead(t *testing.T) {
-	tbl := NewFailLockTable(4, 3)
-	tbl.Set(0, 1) // item 0: our copy newer, word must survive
-	tbl.Set(1, 2) // item 1: their copy newer, word must be replaced
-	tbl.Set(2, 0) // item 2: versions tie, word must survive
-	words := []uint64{0b100, 0b001, 0b111, 0b010}
-	theirVers := []uint64{1, 9, 4, 5}
-	ownVers := []uint64{3, 2, 4, 5}
-	if err := tbl.MergeAhead(words, theirVers, ownVers); err != nil {
-		t.Fatal(err)
+// input is one version and word for Staleness: site's copy read here
+// (Copy), or a word reported by its holders (Add).
+type input struct {
+	read          bool
+	site          SiteID
+	version, word uint64
+}
+
+func joinWord(host uint64, in []input) uint64 {
+	var j Staleness
+	for _, x := range in {
+		if x.read {
+			j.Copy(x.site, x.version, x.word)
+		} else {
+			j.Add(1<<x.site, x.version, x.word)
+		}
 	}
-	if !tbl.IsSet(0, 1) || tbl.IsSet(0, 2) {
-		t.Error("merge touched an item where our copy is newer")
+	return j.Word(host)
+}
+
+func TestStalenessRule(t *testing.T) {
+	const all = 0b111
+	cases := []struct {
+		name string
+		host uint64
+		in   []input
+		want uint64
+	}{
+		{
+			// Site 0 committed alone at v5 and marked 1 and 2 stale.
+			name: "solo writer ahead of everyone",
+			host: all,
+			in:   []input{{true, 0, 5, 0b110}, {false, 1, 0, 0}, {false, 2, 0, 0}},
+			want: 0b110,
+		},
+		{
+			// Recovering site 2 withholds its pre-failure word (its bit 1
+			// was cleared while it was down); donor 1 at the same version
+			// vouches for the current word, donor 0 for its own bit.
+			name: "donor against the pre-failure word at a tie",
+			host: all,
+			in:   []input{{true, 2, 3, 0}, {false, 1, 3, 0}, {false, 0, 1, 0b001}},
+			want: 0b001,
+		},
+		{
+			// Site 1 lost the commit of v2 and holds its own mark; the
+			// lock-sync sender's v2 word lacks it.
+			name: "lost participant keeps its bit",
+			host: all,
+			in:   []input{{true, 1, 1, 0b010}, {false, 2, 2, 0}},
+			want: 0b010,
+		},
+		{
+			// Site 2 holds v2 and recovers from the lost participant 1.
+			name: "newer site takes the lost participant's own bit",
+			host: all,
+			in:   []input{{true, 2, 2, 0}, {false, 1, 1, 0b010}},
+			want: 0b010,
+		},
+		{
+			// Donor 2 is behind donor 1, but its commit may be in flight.
+			name: "a reported copy behind the top is not derived stale",
+			host: all,
+			in:   []input{{true, 0, 0, 0}, {false, 1, 3, 0}, {false, 2, 2, 0}},
+			want: 0b001,
+		},
+		{
+			name: "receiver tied with the sender ORs the words",
+			host: all,
+			in:   []input{{true, 1, 2, 0b100}, {false, 0, 2, 0b001}},
+			want: 0b101,
+		},
+		{
+			name: "non-hosting sites get no bits",
+			host: 0b011,
+			in:   []input{{true, 0, 4, 0}, {true, 1, 2, 0}, {true, 2, 0, 0}},
+			want: 0b010,
+		},
+		{
+			name: "non-hosting receiver takes the sender's word only",
+			host: 0b101,
+			in:   []input{{true, 1, 0, 0}, {false, 0, 3, 0b100}},
+			want: 0b100,
+		},
 	}
-	if !tbl.IsSet(1, 0) || tbl.IsSet(1, 2) {
-		t.Error("merge did not adopt the word for their newer copy")
+	for _, tc := range cases {
+		if got := joinWord(tc.host, tc.in); got != tc.want {
+			t.Errorf("%s: word %#b, want %#b", tc.name, got, tc.want)
+		}
 	}
-	if !tbl.IsSet(2, 0) || tbl.IsSet(2, 1) {
-		t.Error("merge rewrote a tied item")
+
+	// A lock-sync sender's word is held at its top version, not at its
+	// copy's, so it claims no bit: a receiver ahead keeps its own word.
+	var j Staleness
+	j.Copy(1, 4, 0b100)
+	j.Add(0, 2, 0b011)
+	if got := j.Word(all); got != 0b100 {
+		t.Errorf("receiver ahead of the sender: word %#b, want 0b100", got)
 	}
-	if tbl.IsSet(3, 1) {
-		t.Error("merge adopted a word for a tied item")
+}
+
+func TestStalenessOrderFree(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := make([]input, 1+rng.Intn(6))
+		for i := range in {
+			// Versions from a small range so ties are common.
+			in[i] = input{rng.Intn(2) == 0, SiteID(rng.Intn(8)), uint64(rng.Intn(3)), rng.Uint64() & 0xff}
+		}
+		host := rng.Uint64() & 0xff
+		want := joinWord(host, in)
+		rng.Shuffle(len(in), func(a, b int) { in[a], in[b] = in[b], in[a] })
+		return joinWord(host, in) == want
 	}
-	if err := tbl.MergeAhead(words[:2], theirVers, ownVers); err == nil {
-		t.Error("size-mismatched merge did not error")
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

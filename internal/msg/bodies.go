@@ -459,13 +459,12 @@ func (m *CtrlReplicateAck) encode(enc *wire.Encoder) { enc.Bool(m.OK) }
 func (m *CtrlReplicateAck) decode(dec *wire.Decoder) { m.OK = dec.Bool() }
 
 // CtrlLockSync completes a type-1 control transaction from the recovered
-// site's side: after merging every donor's fail-lock snapshot, the site
-// re-publishes its per-item lock words together with the copy versions
-// backing them. A receiver adopts the word for each item where the sender
-// is strictly ahead of the receiver's own copy — exactly the items whose
-// staleness only the sender knew about (writes it committed while it
-// believed the other sites down). Without this, a recovery would erase
-// the system's only record that those copies are stale.
+// site's side: when its merge kept words no donor reached — staleness
+// recorded while it committed writes believing the other sites down — it
+// re-publishes its per-item lock words with the top copy versions its
+// merge saw. A receiver folds each (version, word) into its own word by
+// the staleness rule (core.Staleness). Without this, a recovery would
+// erase the system's only record that those copies are stale.
 type CtrlLockSync struct {
 	Site      core.SiteID
 	FailLocks []uint64

@@ -65,7 +65,7 @@ const (
 	KindShutdown   // order a site to terminate
 
 	// Type-1 epilogue (appended: explicit kind values are wire format).
-	KindCtrlLockSync    // recovered site -> operational sites: adopt-if-ahead lock words
+	KindCtrlLockSync    // recovered site -> operational sites: lock words at top versions
 	KindCtrlLockSyncAck //
 
 	// Permanent-loss rebalancing (appended).

@@ -288,7 +288,7 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	if (s.pol.AbortOnMissingAck() && (len(silent) > 0 || len(nacked) > 0)) || short {
 		// "abort database transaction; run control type 2 transaction to
 		// announce failure" (Appendix A.1).
-		s.sendAbort(acked, t.ID, tr)
+		s.sendAbort(append(acked, silent...), t.ID, tr)
 		s.announceFailure(s.perceivedUp(vec, silent), tr)
 		switch {
 		case len(silent) > 0:
@@ -928,10 +928,12 @@ func (s *Site) quorumRead(t txn.Txn, readSet []core.ItemID, tr uint64) ([]core.I
 	return out, true
 }
 
-// sendAbort tells the sites that acked phase one to discard their staged
-// copy updates.
-func (s *Site) sendAbort(acked []core.SiteID, id core.TxnID, tr uint64) {
-	for _, target := range acked {
+// sendAbort tells the given participants to discard their staged copy
+// updates. A participant whose ack was lost staged its share all the same,
+// so an abort goes to the silent participants too (Appendix A.1 aborts at
+// every participating site); a site that never staged ignores it.
+func (s *Site) sendAbort(participants []core.SiteID, id core.TxnID, tr uint64) {
+	for _, target := range participants {
 		s.caller.SendT(tr, target, &msg.Abort{Txn: id})
 	}
 }

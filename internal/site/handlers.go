@@ -408,7 +408,8 @@ func (s *Site) handleClearFailLocks(env *msg.Envelope, body *msg.ClearFailLocks)
 
 // handleCtrlRecover is a type-1 control transaction at an operational
 // site: record the recovering site's new session number and ship back the
-// session vector and fail-locks (§1.1).
+// session vector and fail-locks (§1.1), with this site's copy versions so
+// the recovering site can fold every donor by the staleness rule.
 func (s *Site) handleCtrlRecover(env *msg.Envelope, body *msg.CtrlRecover) {
 	start := time.Now()
 	s.mu.Lock()
@@ -417,15 +418,11 @@ func (s *Site) handleCtrlRecover(env *msg.Envelope, body *msg.CtrlRecover) {
 		return
 	}
 	s.vec.MarkUp(body.Site, body.Session)
-	// The copy versions backing the snapshot travel with it so the
-	// recovering site can merge donor tables per item instead of
-	// installing whichever ack arrived first: per item, the newest copy
-	// carries the authoritative lock word.
 	resp := &msg.CtrlRecoverAck{
 		OK:        true,
 		Vector:    s.vec.Records(),
 		FailLocks: s.flocks.Snapshot(),
-		Versions:  s.versionVector(),
+		Versions:  s.store.Versions(),
 	}
 	s.mu.Unlock()
 	s.caller.Reply(env, resp)
@@ -480,16 +477,16 @@ func (s *Site) handleCtrlReplicate(env *msg.Envelope, body *msg.CtrlReplicate) {
 }
 
 // handleCtrlLockSync finishes a type-1 control transaction from the
-// recovered site's side: adopt its lock word for every item where its
-// copy is strictly ahead of ours. Those are exactly the items whose
-// staleness only the sender knew about — writes it committed while it
-// believed the rest of the system down marked the other copies stale in
-// its table alone, and its recovery must not erase that record. The
-// version gate keeps the merge from resurrecting bits that were
-// legitimately cleared while the sender was down: for those items the
-// sender is not ahead, so its word is ignored. Versions and lock words
-// are read and merged under the site lock, atomically with commit-time
-// maintenance.
+// recovered site's side. Its words carry staleness only the sender knew
+// about — writes it committed while it believed the rest of the system
+// down marked the other copies stale in its table alone — and its
+// versions are the top versions its recovery saw. Per item the sender's
+// (version, word) is one more report for the staleness rule beside this
+// site's own copy and word: where this copy is ahead the own word stays,
+// at a tie the words are OR-ed, and where this copy is behind the
+// sender's word is taken with this site's own bit set if it hosts the
+// item. Versions and lock words are read and merged under the site lock,
+// atomically with commit-time maintenance.
 func (s *Site) handleCtrlLockSync(env *msg.Envelope, body *msg.CtrlLockSync) {
 	start := time.Now()
 	s.mu.Lock()
@@ -497,8 +494,18 @@ func (s *Site) handleCtrlLockSync(env *msg.Envelope, body *msg.CtrlLockSync) {
 		s.mu.Unlock()
 		return
 	}
+	words, vers := s.flocks.Snapshot(), s.store.Versions()
 	// A length mismatch means a mis-sized peer: drop the merge.
-	_ = s.flocks.MergeAhead(body.FailLocks, body.Versions, s.versionVector())
+	if len(body.FailLocks) == len(words) && len(body.Versions) == len(words) {
+		rep := s.replicaMap()
+		for i := range words {
+			var j core.Staleness
+			j.Copy(s.cfg.ID, vers[i], words[i])
+			j.Add(0, body.Versions[i], body.FailLocks[i])
+			words[i] = j.Word(rep.HostMask(core.ItemID(i)))
+		}
+		_ = s.flocks.Install(words)
+	}
 	s.mu.Unlock()
 	s.caller.Reply(env, &msg.CtrlLockSyncAck{})
 	s.emit(env.Trace, trace.PhaseCtrl1, "lock-sync", start)

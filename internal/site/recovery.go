@@ -45,27 +45,6 @@ func (s *Site) failNow() {
 	s.caller.CancelAll()
 }
 
-// versionVector reads the per-item copy versions from the local store —
-// the evidence backing a fail-lock exchange: commit-time maintenance
-// rewrites an item's lock word together with its copy, so per item the
-// side holding the newer copy holds the authoritative word.
-func (s *Site) versionVector() []uint64 {
-	out := make([]uint64, s.cfg.Items)
-	if s.cfg.Items == 0 {
-		return out
-	}
-	dump, err := s.store.Dump(0, core.ItemID(s.cfg.Items-1))
-	if err != nil {
-		return out
-	}
-	for _, iv := range dump {
-		if int(iv.Item) < len(out) {
-			out[iv.Item] = uint64(iv.Version)
-		}
-	}
-	return out
-}
-
 // recoverSite runs the recovery procedure: bump the session number, run a
 // type-1 control transaction (announce the new session to every site,
 // install the session vector and fail-locks returned by an operational
@@ -92,11 +71,11 @@ func (s *Site) recoverSite(tr uint64) bool {
 	// §1.2) and may hold the only record of staleness elsewhere: writes
 	// this site committed while it believed the others down marked their
 	// copies stale in this table alone. Snapshot it with the copy
-	// versions backing it; the merge below keeps its words for items
-	// where this site is provably ahead, and the lock-sync fan-out at
-	// the end re-publishes them.
-	ownLocks := s.flocks.Snapshot()
-	ownVers := s.versionVector()
+	// versions; the merge below keeps its words for items where no donor
+	// reaches this site's copy, and the lock-sync fan-out at the end
+	// re-publishes them.
+	words := s.flocks.Snapshot()
+	vers := s.store.Versions()
 	// The announcement goes to every other site; sites that are down
 	// simply never answer. (A stale vector cannot be trusted to say who
 	// is operational — that is what the announcement finds out.)
@@ -147,73 +126,36 @@ func (s *Site) recoverSite(tr uint64) bool {
 		return false
 	}
 	// "obtains a copy of the session vector and fail-locks from an
-	// operational site for the recovering site" (§1.1) — but merged
-	// per item over the surviving local table and over every donor, not
-	// installed from whichever ack happened to arrive first: donors'
-	// tables can diverge after false suspicions, and replacing the whole
-	// table would erase any staleness only a subset of them (or only
-	// this site, pre-failure) knew about. Per item the newest copy
-	// version carries the authoritative lock word; on a version tie a
-	// donor's current word beats this site's pre-failure word (which may
-	// hold bits cleared while this site was down), and tied donors are
-	// OR-ed (their divergence is transient; keeping a bit is the safe
-	// direction).
-	installed := false
-	words := make([]uint64, len(ownLocks))
-	vers := make([]uint64, len(ownVers))
-	copy(words, ownLocks)
-	copy(vers, ownVers)
-	fromDonor := make([]bool, len(words))
+	// operational site" (§1.1) — merged per item over every donor and
+	// this site by the staleness rule (core.Staleness), not installed
+	// from whichever ack arrived first: donors' tables can diverge after
+	// false suspicions. The pre-failure word may hold bits cleared while
+	// this site was down, so it counts only where no donor reaches the
+	// top version; those items are staleness only this site knows about,
+	// which the survivors must be told.
+	type donor struct {
+		bit uint64
+		ack *msg.CtrlRecoverAck
+	}
+	var donors []donor
 	for j, r := range results {
 		if r.Reply == nil {
 			continue
 		}
 		ack, wellTyped := r.Reply.Body.(*msg.CtrlRecoverAck)
-		if !wellTyped {
-			// A garbled reply is no reply: the site cannot serve as donor
-			// and, below, is treated like a site that never answered.
+		if !wellTyped || ack.OK && (len(ack.FailLocks) != len(words) || len(ack.Versions) != len(words)) {
+			// A garbled or mis-sized reply is no reply: the site cannot
+			// serve as donor and, below, is treated like a site that
+			// never answered.
 			results[j].Reply = nil
 			continue
 		}
-		if !ack.OK {
-			continue
-		}
-		if len(ack.FailLocks) != len(words) || len(ack.Versions) != len(words) {
-			results[j].Reply = nil
-			continue
-		}
-		for i := range words {
-			switch {
-			case ack.Versions[i] > vers[i]:
-				words[i], vers[i] = ack.FailLocks[i], ack.Versions[i]
-				fromDonor[i] = true
-			case ack.Versions[i] == vers[i] && fromDonor[i]:
-				words[i] |= ack.FailLocks[i]
-			case ack.Versions[i] == vers[i]:
-				words[i] = ack.FailLocks[i]
-				fromDonor[i] = true
-			}
-		}
-		installed = true
-		s.vec.Merge(core.VectorFromRecords(ack.Vector))
-	}
-	if installed {
-		if err := s.flocks.Install(words); err != nil {
-			installed = false
+		if ack.OK {
+			donors = append(donors, donor{1 << r.To, ack})
+			s.vec.Merge(core.VectorFromRecords(ack.Vector))
 		}
 	}
-	// Items whose word survived every donor (no donor copy at or above
-	// this site's version): staleness only this site knows about, which
-	// the survivors must be told — their tables have no bit for copies
-	// this site outran while writing alone.
-	needSync := false
-	for i := range words {
-		if !fromDonor[i] && words[i] != 0 {
-			needSync = true
-			break
-		}
-	}
-	if !installed {
+	if len(donors) == 0 {
 		// Recovery blocked: without fail-locks from an operational site
 		// the out-of-date items cannot be identified. Back to down.
 		s.state.set(core.StatusDown)
@@ -221,6 +163,23 @@ func (s *Site) recoverSite(tr uint64) bool {
 		s.mu.Unlock()
 		return false
 	}
+	rep := s.replicaMap()
+	self := uint64(1) << s.cfg.ID
+	needSync := false
+	for i := range words {
+		var j core.Staleness
+		j.Copy(s.cfg.ID, vers[i], 0)
+		for _, d := range donors {
+			j.Add(d.bit, d.ack.Versions[i], d.ack.FailLocks[i])
+		}
+		word := j.Word(rep.HostMask(core.ItemID(i)))
+		if j.AtTop == self {
+			word |= words[i]
+			needSync = needSync || word != 0
+		}
+		words[i], vers[i] = word, j.Top
+	}
+	_ = s.flocks.Install(words) // the table's own snapshot: sizes match
 	// Sites that did not answer the announcement are down. Collect them
 	// for a type-2 announcement once this site is operational: marking
 	// them down only locally would leave the survivors' nominal vectors
@@ -256,15 +215,16 @@ func (s *Site) recoverSite(tr uint64) bool {
 }
 
 // fanoutLockSync publishes the recovered site's post-merge fail-lock table
-// to every operational site. Needed when the merge kept words no donor
-// could vouch for — staleness recorded while this site committed writes
-// alone — since the survivors' tables carry no bit for those copies and
-// replacing this site's table on its next recovery would erase the record
-// for good. Receivers adopt a word only where the shipped copy version is
-// strictly ahead of their own, so legitimately cleared bits never travel
-// backwards. Survivors that do not answer are announced failed, exactly as
-// for a lost clear fan-out: an unreachable table would otherwise silently
-// miss the staleness record.
+// and the top copy versions its merge saw to every operational site.
+// Needed when the merge kept words no donor reached — staleness recorded
+// while this site committed writes alone — since the survivors' tables
+// carry no bit for those copies and replacing this site's table on its
+// next recovery would erase the record for good. Receivers fold each
+// (version, word) into their own by the staleness rule, so a bit for a
+// copy behind the top is never lost and legitimately cleared bits never
+// travel backwards to a copy ahead of it. Survivors that do not answer
+// are announced failed, exactly as for a lost clear fan-out: an
+// unreachable table would otherwise silently miss the staleness record.
 func (s *Site) fanoutLockSync(words, vers []uint64, tr uint64) {
 	s.mu.Lock()
 	if s.state.get() != core.StatusUp {

@@ -85,6 +85,17 @@ func (s *MemStore) Dump(first, last core.ItemID) ([]core.ItemVersion, error) {
 	return out, nil
 }
 
+// Versions implements Store.
+func (s *MemStore) Versions() []uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]uint64, len(s.copies))
+	for i, iv := range s.copies {
+		out[i] = uint64(iv.Version)
+	}
+	return out
+}
+
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 

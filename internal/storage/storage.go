@@ -39,6 +39,9 @@ type Store interface {
 	Apply(iv core.ItemVersion) (bool, error)
 	// Dump returns the copies of items in [first, last], ascending.
 	Dump(first, last core.ItemID) ([]core.ItemVersion, error)
+	// Versions returns every copy's version, indexed by item, without
+	// copying the values.
+	Versions() []uint64
 	// Close releases resources. A MemStore Close is a no-op; a WALStore
 	// Close flushes and closes the log.
 	Close() error

@@ -157,6 +157,45 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+func TestVersionsMatchDump(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := OpenWAL(WALOptions{Dir: dir, Items: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore(5, []byte("x"))
+	for _, s := range []Store{mem, wal} {
+		s.Apply(core.ItemVersion{Item: 1, Version: 7, Value: []byte("a")})
+		s.Apply(core.ItemVersion{Item: 3, Version: 4, Value: []byte("b")})
+		s.Apply(core.ItemVersion{Item: 3, Version: 2, Value: []byte("stale")})
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWAL(WALOptions{Dir: dir, Items: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	want := []uint64{0, 7, 0, 4, 0}
+	for name, s := range map[string]Store{"mem": mem, "wal after reopen": re} {
+		got := s.Versions()
+		if len(got) != len(want) {
+			t.Fatalf("%s: Versions() = %v, want %v", name, got, want)
+		}
+		dump, err := s.Dump(0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] || uint64(dump[i].Version) != got[i] {
+				t.Errorf("%s: Versions() = %v, want %v (dump %v)", name, got, want, dump)
+				break
+			}
+		}
+	}
+}
+
 func TestWALCompactAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenWAL(WALOptions{Dir: dir, Items: 4})

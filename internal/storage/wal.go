@@ -377,6 +377,9 @@ func (s *WALStore) Dump(first, last core.ItemID) ([]core.ItemVersion, error) {
 	return s.mem.Dump(first, last)
 }
 
+// Versions implements Store.
+func (s *WALStore) Versions() []uint64 { return s.mem.Versions() }
+
 // Compact writes a fresh snapshot and truncates the log.
 func (s *WALStore) Compact() error {
 	s.mu.Lock()
