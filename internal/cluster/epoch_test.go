@@ -81,7 +81,7 @@ func TestEpochCommitConverges(t *testing.T) {
 	}
 }
 
-// TestEpochCommitSerialDegenerates: with serial processing (gate of one)
+// TestEpochCommitSerialDegenerates: with serial processing (one worker)
 // the batcher flushes immediately per transaction — a single transaction
 // must not stall for the epoch timer's worth of wall clock.
 func TestEpochCommitSerialDegenerates(t *testing.T) {

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"sync"
 
 	"minraid/internal/core"
 	"minraid/internal/wire"
@@ -51,9 +52,16 @@ type Body interface {
 // rejects any other version with a clean error rather than guessing.
 const EnvelopeVersion = 2
 
-// Marshal encodes an envelope to bytes.
+// Marshal encodes an envelope to bytes, in a buffer of its own.
 func Marshal(env *Envelope) []byte {
 	enc := wire.NewEncoder(64)
+	MarshalTo(enc, env)
+	return enc.Bytes()
+}
+
+// MarshalTo appends the encoding of env to enc, so a sender can encode
+// every message into one reused encoder and copy out only the bytes.
+func MarshalTo(enc *wire.Encoder, env *Envelope) {
 	enc.Uint8(EnvelopeVersion)
 	enc.Uint8(uint8(env.From))
 	enc.Uint8(uint8(env.To))
@@ -62,12 +70,28 @@ func Marshal(env *Envelope) []byte {
 	enc.Uvarint(env.Trace)
 	enc.Uint8(uint8(env.Body.Kind()))
 	env.Body.encode(enc)
-	return enc.Bytes()
 }
 
-// Unmarshal decodes an envelope from bytes.
+// decoders recycles Unmarshal's decoders: a decoder is only scratch state
+// for one call, and a message costs no allocation for it.
+var decoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
+
+// Unmarshal decodes an envelope from buf and takes ownership of buf: the
+// write values of ClientTxn ops and the values of every []core.ItemVersion
+// are capacity-clipped sub-slices of it rather than copies, so the caller
+// must not write to buf afterwards, and the decoded message keeps it
+// alive. Every wire hands over a buffer of its own: the memory wire a copy
+// of its encoder's bytes, TCP a freshly read frame.
 func Unmarshal(buf []byte) (*Envelope, error) {
-	dec := wire.NewDecoder(buf)
+	dec := decoders.Get().(*wire.Decoder)
+	dec.Reset(buf)
+	env, err := unmarshal(dec)
+	dec.Reset(nil)
+	decoders.Put(dec)
+	return env, err
+}
+
+func unmarshal(dec *wire.Decoder) (*Envelope, error) {
 	if v := dec.Uint8(); dec.Err() == nil && v != EnvelopeVersion {
 		return nil, fmt.Errorf("msg: %w: envelope version %d, want %d", wire.ErrCorrupt, v, EnvelopeVersion)
 	}
@@ -188,7 +212,7 @@ func decodeOps(dec *wire.Decoder) []core.Op {
 	for i := 0; i < n; i++ {
 		op := core.Op{Kind: core.OpKind(dec.Uint8()), Item: core.ItemID(dec.Uvarint())}
 		if op.Kind == core.OpWrite {
-			op.Value = dec.Bytes()
+			op.Value = dec.BytesView()
 		}
 		if dec.Err() != nil {
 			return nil
@@ -217,7 +241,7 @@ func decodeItemVersions(dec *wire.Decoder) []core.ItemVersion {
 		iv := core.ItemVersion{
 			Item:    core.ItemID(dec.Uvarint()),
 			Version: core.TxnID(dec.Uvarint()),
-			Value:   dec.Bytes(),
+			Value:   dec.BytesView(),
 		}
 		if dec.Err() != nil {
 			return nil

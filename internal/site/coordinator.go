@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"minraid/internal/core"
@@ -13,15 +14,28 @@ import (
 	"minraid/internal/txn"
 )
 
-// coordinate runs one database transaction as coordinator (Appendix A.1).
-// It executes under the transaction gate, so transactions are processed
-// serially as in the paper, and replies to the managing site with the
-// outcome and the coordinator-measured elapsed time.
-func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
+// coordinator is one long-lived coordinator worker: it takes client
+// transactions off the site's queue in arrival order and runs each to its
+// outcome. A site runs one worker in the paper's serial mode and
+// ConcurrentTxns of them in concurrent mode, all started by Start; they
+// exit once the receive loop has exited and closed the queue.
+func (s *Site) coordinator() {
 	defer s.wg.Done()
-	s.txnGate <- struct{}{}
-	defer func() { <-s.txnGate }()
+	for {
+		env, ok := s.txns.pop()
+		if !ok {
+			return
+		}
+		s.coordinate(env, env.Body.(*msg.ClientTxn))
+	}
+}
 
+// coordinate runs one database transaction as coordinator (Appendix A.1).
+// It runs on a coordinator worker, so with the serial mode's one worker
+// transactions are processed one at a time as in the paper, and replies to
+// the managing site with the outcome and the coordinator-measured elapsed
+// time.
+func (s *Site) coordinate(env *msg.Envelope, body *msg.ClientTxn) {
 	start := time.Now()
 	t := txn.Txn{ID: body.Txn, Ops: body.Ops}
 	tr := env.Trace
@@ -214,9 +228,15 @@ func (s *Site) executeTxn(t txn.Txn, reads []core.ItemID, tr uint64) txn.Result 
 	var nackReason string
 	var peerVersions []uint64 // concurrent mode: the highest acked version per write
 	if len(targets) > 0 {
+		// Full replication sends every target the same prepare, so one
+		// serves them all: each send encodes it before returning.
+		var full *msg.Prepare
+		if rep.IsFull() {
+			full = &msg.Prepare{Txn: t.ID, Vector: vec.Records(), Writes: writes}
+		}
 		results := s.caller.MulticastT(tr, transport.Outcalls(targets, func(target core.SiteID) msg.Body {
-			if rep.IsFull() {
-				return &msg.Prepare{Txn: t.ID, Vector: vec.Records(), Writes: writes}
+			if full != nil {
+				return full
 			}
 			return &msg.Prepare{
 				Txn:       t.ID,
@@ -435,21 +455,30 @@ func (s *Site) phaseTwo(batch []*decided) (collect func()) {
 	}
 	var join func() []transport.CallResult
 	if len(order) > 0 {
-		entries := make([]msg.CommitEntry, 0, n)
 		calls := make([]transport.Outcall, len(order))
-		for i, id := range order {
-			start := len(entries)
-			for _, d := range commits {
-				if slices.Contains(d.acked, id) {
-					entries = append(entries, msg.CommitEntry{Txn: d.id, Versions: d.versions})
-				}
+		if len(commits) == 1 {
+			// An epoch of one: every participant's share is the same
+			// commit, and one body serves them all.
+			one := &msg.Commit{Txn: commits[0].id, Versions: commits[0].versions}
+			for i, id := range order {
+				calls[i] = transport.Outcall{To: id, Body: one}
 			}
-			share := entries[start:len(entries):len(entries)]
-			calls[i].To = id
-			if len(share) == 1 {
-				calls[i].Body = &msg.Commit{Txn: share[0].Txn, Versions: share[0].Versions}
-			} else {
-				calls[i].Body = &msg.CommitBatch{Txns: share}
+		} else {
+			entries := make([]msg.CommitEntry, 0, n)
+			for i, id := range order {
+				start := len(entries)
+				for _, d := range commits {
+					if slices.Contains(d.acked, id) {
+						entries = append(entries, msg.CommitEntry{Txn: d.id, Versions: d.versions})
+					}
+				}
+				share := entries[start:len(entries):len(entries)]
+				calls[i].To = id
+				if len(share) == 1 {
+					calls[i].Body = &msg.Commit{Txn: share[0].Txn, Versions: share[0].Versions}
+				} else {
+					calls[i].Body = &msg.CommitBatch{Txns: share}
+				}
 			}
 		}
 		join = s.caller.MulticastAsyncT(commits[0].tr, calls)
@@ -948,4 +977,69 @@ func (s *Site) perceivedUp(vec core.SessionVector, ids []core.SiteID) []core.Sit
 		}
 	}
 	return out
+}
+
+// txnQueue is the FIFO of client transactions between the receive loop and
+// the coordinator workers. push never blocks, so the loop stays free to
+// route replies and serve other sites while every worker is busy; pop
+// blocks until a transaction arrives or the queue closes. Transactions
+// still queued at close are dropped: the site is terminating, and a
+// terminating site answers nothing.
+type txnQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	items  []*msg.Envelope
+	head   int
+	closed bool
+}
+
+func newTxnQueue() *txnQueue {
+	q := &txnQueue{}
+	q.cond.L = &q.mu
+	return q
+}
+
+// push appends env; it is dropped if the queue is closed.
+func (q *txnQueue) push(env *msg.Envelope) {
+	q.mu.Lock()
+	if !q.closed {
+		if q.head > 0 && len(q.items) == cap(q.items) {
+			// About to grow: fold the popped prefix away first, so a
+			// queue that never quite drains does not grow without bound.
+			n := copy(q.items, q.items[q.head:])
+			clear(q.items[n:])
+			q.items, q.head = q.items[:n], 0
+		}
+		q.items = append(q.items, env)
+		q.cond.Signal()
+	}
+	q.mu.Unlock()
+}
+
+// pop removes the oldest transaction, or reports false once the queue is
+// closed.
+func (q *txnQueue) pop() (*msg.Envelope, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == len(q.items) && !q.closed {
+		q.cond.Wait()
+	}
+	if q.closed {
+		return nil, false
+	}
+	env := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return env, true
+}
+
+// close wakes every worker to exit.
+func (q *txnQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
 }

@@ -57,10 +57,10 @@ func newEpochBatcher(s *Site) *epochBatcher {
 }
 
 // commit adds a decided transaction to the batch and waits for its
-// verdict. The batch flushes when every transaction-gate slot is in it
-// (no further decision can arrive until results release, so waiting
-// longer is pure latency) or when the epoch timer — armed by the first
-// entry — fires.
+// verdict. The batch flushes when every coordinator worker has a
+// transaction in it (no further decision can arrive until results
+// release, so waiting longer is pure latency) or when the epoch timer —
+// armed by the first entry — fires.
 func (b *epochBatcher) commit(d *decided) {
 	d.done = make(chan struct{})
 	b.mu.Lock()
@@ -70,7 +70,7 @@ func (b *epochBatcher) commit(d *decided) {
 		return
 	}
 	b.pending = append(b.pending, d)
-	if len(b.pending) >= cap(b.s.txnGate) {
+	if len(b.pending) >= b.s.workers {
 		batch := b.takeLocked()
 		b.mu.Unlock()
 		b.flush(batch)

@@ -14,14 +14,14 @@ import (
 )
 
 // handle dispatches one inbound request. Handlers that only touch local
-// state run inline, preserving arrival order; handlers that must wait for
-// other sites (transaction coordination, recovery, type-3 replication) are
-// spawned so the receive loop stays responsive.
+// state run inline, preserving arrival order; work that must wait for
+// other sites goes elsewhere so the receive loop stays responsive: client
+// transactions to the coordinator workers' queue, recovery and type-3
+// replication to goroutines of their own.
 func (s *Site) handle(env *msg.Envelope) {
 	switch body := env.Body.(type) {
 	case *msg.ClientTxn:
-		s.wg.Add(1)
-		go s.coordinate(env, body)
+		s.txns.push(env)
 	case *msg.Prepare:
 		s.handlePrepare(env, body)
 	case *msg.Commit:

@@ -12,12 +12,14 @@
 //     the paper's serial, in-order message processing (in concurrent mode a
 //     prepare whose locks are not free waits for them on a goroutine of its
 //     own: the loop never waits for a lock);
-//   - one transaction executor at a time (txnGate), so database
-//     transactions are serialized exactly as in the paper ("transactions
-//     were processed serially", §1.2, assumption 2);
-//   - coordinator work in its own goroutine so the receive loop stays free
-//     to route acks and serve other sites' requests while this site waits
-//     for replies.
+//   - long-lived coordinator workers, started once with the site, that
+//     take client transactions from a FIFO the receive loop appends to
+//     without ever blocking: one worker in the paper's serial mode, so
+//     database transactions are processed one at a time, in arrival
+//     order, exactly as in the paper ("transactions were processed
+//     serially", §1.2, assumption 2), ConcurrentTxns in concurrent mode.
+//     The receive loop stays free to route acks and serve other sites'
+//     requests while a worker waits for replies.
 //
 // All mutable state (vector, fail-locks, staged writes, stats) is guarded
 // by mu; the store is internally synchronized. The receive loop itself
@@ -354,9 +356,11 @@ type Site struct {
 
 	store storage.Store
 
-	// txnGate bounds in-flight transaction execution: capacity 1 in the
-	// paper's serial mode, ConcurrentTxns in concurrent mode.
-	txnGate chan struct{}
+	// txns queues client transactions for the coordinator workers; workers
+	// is their number: one in the paper's serial mode, ConcurrentTxns in
+	// concurrent mode.
+	txns    *txnQueue
+	workers int
 	// locks is the strict-2PL manager; non-nil only in concurrent mode.
 	// Replaced wholesale on simulated failure (process lock state dies
 	// with the process): swapped under mu, read without.
@@ -396,10 +400,6 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	gate := 1
-	if cfg.ConcurrentTxns > 1 {
-		gate = cfg.ConcurrentTxns
-	}
 	session := cfg.Session
 	if session == 0 {
 		session = 1
@@ -420,7 +420,8 @@ func New(cfg Config, net transport.Network) (*Site, error) {
 		flocks:  core.NewFailLockTable(cfg.Items, cfg.Sites),
 		staged:  make(map[core.TxnID]*stagedTxn),
 		store:   cfg.Store,
-		txnGate: make(chan struct{}, gate),
+		txns:    newTxnQueue(),
+		workers: max(1, cfg.ConcurrentTxns),
 	}
 	s.state.set(state)
 	s.locks.Store(newLockManager(cfg))
@@ -475,14 +476,18 @@ func (s *Site) Metrics() *metrics.Registry { return s.reg }
 // Policy returns the replication policy the site runs.
 func (s *Site) Policy() policy.Policy { return s.pol }
 
-// Start launches the receive loop.
+// Start launches the receive loop and the coordinator workers.
 func (s *Site) Start() {
-	s.wg.Add(1)
+	s.wg.Add(1 + s.workers)
 	go s.run()
+	for range s.workers {
+		go s.coordinator()
+	}
 }
 
 // Stop terminates the site: the receive loop exits and in-flight calls are
-// cancelled. Stop blocks until the loop has finished.
+// cancelled. Stop blocks until the loop and the coordinator workers have
+// finished.
 func (s *Site) Stop() {
 	s.stopOnce.Do(func() {
 		s.mu.Lock()
@@ -505,6 +510,7 @@ func (s *Site) Stop() {
 // site should not participate in any further system actions", §1.2).
 func (s *Site) run() {
 	defer s.wg.Done()
+	defer s.txns.close() // the workers exit with the loop
 	for {
 		env, ok := s.ep.Recv()
 		if !ok {
@@ -627,9 +633,10 @@ func (s *Site) statsLocked() msg.SiteStats {
 	return st
 }
 
-// Wait blocks until the site's receive loop and handlers have finished —
-// after Stop, or after a Shutdown message arrived. cmd/raidsrv uses it to
-// keep the process alive until the managing site orders termination.
+// Wait blocks until the site's receive loop, coordinator workers and
+// handlers have finished — after Stop, or after a Shutdown message
+// arrived. cmd/raidsrv uses it to keep the process alive until the
+// managing site orders termination.
 func (s *Site) Wait() { s.wg.Wait() }
 
 // InjectFailLock sets a fail-lock bit directly, bypassing the protocol — a

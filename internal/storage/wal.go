@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -167,7 +168,8 @@ func (s *WALStore) loadSnapshot() error {
 		return fmt.Errorf("storage: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	kind, payload, err := wire.ReadFrame(f)
+	r := bufio.NewReader(f)
+	kind, payload, err := wire.ReadFrame(r)
 	if err != nil {
 		return fmt.Errorf("storage: snapshot header: %w", err)
 	}
@@ -183,7 +185,7 @@ func (s *WALStore) loadSnapshot() error {
 		return fmt.Errorf("storage: snapshot holds %d items, configured for %d", n, s.opts.Items)
 	}
 	for {
-		kind, payload, err := wire.ReadFrame(f)
+		kind, payload, err := wire.ReadFrame(r)
 		if err == io.EOF {
 			return nil
 		}
@@ -215,9 +217,12 @@ func (s *WALStore) replayLog() error {
 		return fmt.Errorf("storage: opening log: %w", err)
 	}
 	defer f.Close()
+	// The log is read through a buffer, and the offset of the end of the
+	// last intact record is the count of bytes its frames consumed.
+	r := &countingReader{r: bufio.NewReader(f)}
 	var valid int64
 	for {
-		kind, payload, err := wire.ReadFrame(f)
+		kind, payload, err := wire.ReadFrame(r)
 		if err == io.EOF {
 			break
 		}
@@ -238,14 +243,22 @@ func (s *WALStore) replayLog() error {
 		if _, err := s.mem.Apply(iv); err != nil {
 			return err
 		}
-		pos, err := f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-		valid = pos
+		valid = r.n
 	}
 	s.off = valid
 	return nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Items implements Store.

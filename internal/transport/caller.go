@@ -106,6 +106,9 @@ func (c *Caller) CallTimeoutT(trace uint64, to core.SiteID, body msg.Body, timeo
 	dl := deadline{timer: time.NewTimer(timeout)}
 	defer dl.timer.Stop()
 	d, err := c.await(ch, &dl)
+	if err == nil {
+		replyChans.Put(ch)
+	}
 	return d.env, err
 }
 
@@ -172,13 +175,19 @@ func (c *Caller) MulticastAsyncT(trace uint64, calls []Outcall) func() []CallRes
 }
 
 // fanout is a multicast in flight: the per-slot results, each slot's
-// registered sequence number and reply channel (nil once its send failed),
-// and the send time replies' RTTs count from.
+// registered call (a nil channel once its send failed), and the send time
+// replies' RTTs count from.
 type fanout struct {
 	out   []CallResult
-	seqs  []uint64
-	chans []chan delivered
+	calls []pendingCall
 	start time.Time
+}
+
+// pendingCall is one registered call: its sequence number and the channel
+// its reply arrives on.
+type pendingCall struct {
+	seq uint64
+	ch  chan delivered
 }
 
 // send registers and transmits every call. A request that never left fails
@@ -187,8 +196,7 @@ type fanout struct {
 func (c *Caller) send(trace uint64, calls []Outcall) fanout {
 	f := fanout{
 		out:   make([]CallResult, len(calls)),
-		seqs:  make([]uint64, len(calls)),
-		chans: make([]chan delivered, len(calls)),
+		calls: make([]pendingCall, len(calls)),
 		start: time.Now(),
 	}
 	for i, call := range calls {
@@ -200,23 +208,24 @@ func (c *Caller) send(trace uint64, calls []Outcall) fanout {
 			f.out[i].Err = err
 			continue
 		}
-		f.seqs[i], f.chans[i] = seq, ch
+		f.calls[i] = pendingCall{seq, ch}
 	}
 	return f
 }
 
 // collect awaits every sent slot of f under the shared deadline dl.
 func (c *Caller) collect(f fanout, dl *deadline) []CallResult {
-	for i, ch := range f.chans {
-		if ch == nil {
+	for i, p := range f.calls {
+		if p.ch == nil {
 			continue
 		}
-		d, err := c.await(ch, dl)
-		c.unregister(f.seqs[i])
+		d, err := c.await(p.ch, dl)
+		c.unregister(p.seq)
 		if err != nil {
 			f.out[i].Err = err
 			continue
 		}
+		replyChans.Put(p.ch)
 		f.out[i].Reply = d.env
 		f.out[i].RTT = d.at.Sub(f.start)
 	}
@@ -292,9 +301,19 @@ func (c *Caller) CancelAll() {
 	}
 }
 
+// replyChans recycles reply channels. A channel goes back only once its
+// one reply has been received from it: Deliver sends at most once per
+// registration, so it is then empty and nothing else holds it. A channel
+// whose call timed out or was cancelled is never put back — a late
+// Deliver may still land in it, and must not reach the channel's next
+// call.
+var replyChans = sync.Pool{New: func() any { return make(chan delivered, 1) }}
+
+// register assigns a call its sequence number and a reply channel from
+// the pool.
 func (c *Caller) register() (uint64, chan delivered) {
 	seq := c.seq.Add(1)
-	ch := make(chan delivered, 1)
+	ch := replyChans.Get().(chan delivered)
 	c.mu.Lock()
 	c.pending[seq] = ch
 	c.mu.Unlock()

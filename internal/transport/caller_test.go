@@ -297,3 +297,90 @@ func TestCallerReply(t *testing.T) {
 		t.Errorf("reply env = %v", env)
 	}
 }
+
+// TestLateReplyNeverReachesPooledChannel: reply channels are pooled, and a
+// reply that arrives after its fan-out's deadline is dropped — it never
+// reaches a later call that took a channel from the pool.
+func TestLateReplyNeverReachesPooledChannel(t *testing.T) {
+	net := NewMemory(MemoryConfig{Sites: 2})
+	defer net.Close()
+	// Site 1 echoes every Commit; the first only once released.
+	release := make(chan struct{})
+	ep1, _ := net.Endpoint(1)
+	echo := NewCaller(ep1, time.Second)
+	go func() {
+		held := true
+		for {
+			env, ok := ep1.Recv()
+			if !ok {
+				return
+			}
+			if held {
+				<-release
+				held = false
+			}
+			echo.Reply(env, &msg.CommitAck{Txn: env.Body.(*msg.Commit).Txn})
+		}
+	}()
+	ep0, _ := net.Endpoint(0)
+	c := NewCaller(ep0, time.Millisecond)
+	consumed, dropped := make(chan struct{}, 4), make(chan struct{}, 4)
+	go func() {
+		for {
+			env, ok := ep0.Recv()
+			if !ok {
+				return
+			}
+			if c.Deliver(env) {
+				consumed <- struct{}{}
+			} else {
+				dropped <- struct{}{}
+			}
+		}
+	}()
+	ackOf := func(r CallResult) core.TxnID {
+		t.Helper()
+		if r.Err != nil {
+			t.Fatalf("call to %s: %v", r.To, r.Err)
+		}
+		return r.Reply.Body.(*msg.CommitAck).Txn
+	}
+
+	if r := c.MulticastT(0, []Outcall{{To: 1, Body: &msg.Commit{Txn: 1}}}); !errors.Is(r[0].Err, ErrTimeout) {
+		t.Fatalf("held call: err %v, want a timeout", r[0].Err)
+	}
+	// A second call is in flight once MulticastAsyncT returns; only then is
+	// the first reply released, to land after its deadline.
+	join := c.MulticastAsyncT(0, []Outcall{{To: 1, Body: &msg.Commit{Txn: 2}}})
+	close(release)
+	<-dropped  // the late reply to txn 1
+	<-consumed // txn 2's own reply, buffered for join
+	if got := ackOf(join()[0]); got != 2 {
+		t.Fatalf("second call got the ack of txn %d, want 2", got)
+	}
+
+	// The narrower race: Deliver takes a slot from the pending table just
+	// before the deadline fires, and sends just after the waiter gave up.
+	// Replay it by hand; the channel must not serve the next call.
+	seq, ch := c.register()
+	c.mu.Lock()
+	delete(c.pending, seq) // Deliver's lookup
+	c.mu.Unlock()
+	f := fanout{out: make([]CallResult, 1), calls: []pendingCall{{seq, ch}}, start: time.Now()}
+	dl := deadline{timer: time.NewTimer(time.Hour), expired: true}
+	defer dl.timer.Stop()
+	if r := c.collect(f, &dl); !errors.Is(r[0].Err, ErrTimeout) {
+		t.Fatalf("replayed slot: err %v, want a timeout", r[0].Err)
+	}
+	ch <- delivered{env: &msg.Envelope{Body: &msg.CommitAck{Txn: 99}}, at: time.Now()} // Deliver's send
+	for txn := core.TxnID(3); txn < 10; txn++ {
+		reply, err := c.CallTimeoutT(0, 1, &msg.Commit{Txn: txn}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reply.Body.(*msg.CommitAck).Txn; got != txn {
+			t.Fatalf("call for txn %d got the ack of txn %d", txn, got)
+		}
+		<-consumed
+	}
+}

@@ -2,12 +2,14 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"minraid/internal/core"
 	"minraid/internal/msg"
 	"minraid/internal/trace"
+	"minraid/internal/wire"
 )
 
 // MemoryConfig configures an in-process network.
@@ -26,6 +28,12 @@ type MemoryConfig struct {
 // state — the same isolation real processes would have — and every
 // experiment exercises the real encoding path ("real transaction
 // processing on real sites with real message passing").
+//
+// A message costs one buffer: Send encodes into a reused encoder and hands
+// msg.Unmarshal an exact-size copy of the bytes, which the delivered
+// envelope then owns — its write values are views into that copy. The
+// sender keeps its envelope and body; the receiver's share nothing with
+// them.
 //
 // The network runs no goroutine of its own: Send puts the decoded envelope
 // into the destination's inbox on the sender's goroutine, and the inbox
@@ -108,6 +116,13 @@ func (m *Memory) MessagesSent() uint64 {
 // kind. A nil recorder disables counting.
 func (m *Memory) SetTracer(r *trace.Recorder) { m.tracer.Store(r) }
 
+// encoders recycles the memory wire's encoders. One that grew past
+// maxPooledEncoder (a fail-lock snapshot, a dump) is left to the collector
+// rather than pinned in the pool for the next small message.
+var encoders = sync.Pool{New: func() any { return wire.NewEncoder(256) }}
+
+const maxPooledEncoder = 64 << 10
+
 type memEndpoint struct {
 	id    core.SiteID
 	net   *Memory
@@ -118,7 +133,8 @@ type memEndpoint struct {
 func (ep *memEndpoint) ID() core.SiteID { return ep.id }
 
 // Send implements Endpoint: encode, decode, and hand the copy to the
-// destination's inbox, all on the caller's goroutine.
+// destination's inbox, all on the caller's goroutine. The decoded copy
+// owns the one buffer the message costs.
 func (ep *memEndpoint) Send(env *msg.Envelope) error { return ep.sendAt(env, time.Time{}) }
 
 // sendAt is Send with the copy held in the inbox until due, plus Delay.
@@ -133,7 +149,15 @@ func (ep *memEndpoint) sendAt(env *msg.Envelope, due time.Time) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
-	decoded, err := msg.Unmarshal(msg.Marshal(env))
+	enc := encoders.Get().(*wire.Encoder)
+	enc.Reset()
+	msg.MarshalTo(enc, env)
+	buf := make([]byte, enc.Len())
+	copy(buf, enc.Bytes())
+	if cap(enc.Bytes()) <= maxPooledEncoder {
+		encoders.Put(enc)
+	}
+	decoded, err := msg.Unmarshal(buf)
 	if err != nil {
 		// A memory link cannot corrupt data; an error here is a
 		// programming bug in the codec and must be loud.

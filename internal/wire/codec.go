@@ -13,6 +13,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,6 +130,11 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Reset points the decoder at buf from its start and clears any error, so
+// one decoder can serve many buffers. Reset(nil) drops the reference to
+// the last one.
+func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 
 // Err returns the first error encountered, or nil.
 func (d *Decoder) Err() error { return d.err }
@@ -249,7 +255,15 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Bytes reads a length-prefixed byte string. The result is a copy and safe
 // to retain. A zero length decodes as nil.
-func (d *Decoder) Bytes() []byte {
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.BytesView()) }
+
+// BytesView reads a length-prefixed byte string like Bytes, but returns it
+// as a sub-slice of the decoder's buffer instead of a copy. The capacity is
+// clipped to the length, so an append to the result reallocates rather
+// than overwriting the bytes that follow it. It is for callers that own
+// the buffer and let the decoded values keep it alive; the result aliases
+// the buffer, so a later write to either shows in both.
+func (d *Decoder) BytesView() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -265,9 +279,7 @@ func (d *Decoder) Bytes() []byte {
 	if src == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, src)
-	return out
+	return src[:n:n]
 }
 
 // String reads a length-prefixed string.

@@ -175,6 +175,30 @@ func TestBytesIsCopy(t *testing.T) {
 	}
 }
 
+func TestBytesViewAliasesClipped(t *testing.T) {
+	e := NewEncoder(0)
+	e.PutBytes([]byte{9, 9})
+	e.Uint8(7)
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	got := d.BytesView()
+	if len(got) != 2 || cap(got) != 2 {
+		t.Fatalf("view len %d cap %d, want 2 and 2", len(got), cap(got))
+	}
+	buf[2] = 0
+	if got[1] != 0 {
+		t.Error("view does not alias the input buffer")
+	}
+	_ = append(got, 1)
+	if d.Uint8() != 7 {
+		t.Error("append to a view overwrote the next field")
+	}
+	d.Reset([]byte{1})
+	if d.Err() != nil || d.BytesView() != nil || d.Err() == nil {
+		t.Error("Reset onto a truncated string: want a nil view and a sticky error")
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint64(1)
